@@ -11,12 +11,14 @@ accepted UE).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from repro.errors import CapacityError, ConfigurationError, UnknownEntityError
 from repro.model.entities import BaseStation
 
-__all__ = ["Grant", "BSLedger", "LedgerPool"]
+__all__ = ["Grant", "GrantColumns", "BSLedger", "LedgerPool"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,6 +30,37 @@ class Grant:
     service_id: int
     crus: int
     rrbs: int
+
+
+@dataclass(frozen=True, eq=False)
+class GrantColumns:
+    """The fields of a grant sequence as aligned int64 arrays.
+
+    Row ``g`` of every array belongs to the ``g``-th grant, so whole-array
+    passes over the columns keep the grant order that per-grant loops
+    (and their error reporting) follow.
+    """
+
+    bs_ids: np.ndarray
+    ue_ids: np.ndarray
+    service_ids: np.ndarray
+    crus: np.ndarray
+    rrbs: np.ndarray
+
+    @classmethod
+    def of(cls, grants: Iterable[Grant]) -> "GrantColumns":
+        """Extract the columns of ``grants``, in grant order."""
+        grants = tuple(grants)
+        return cls(
+            bs_ids=np.array([g.bs_id for g in grants], dtype=np.int64),
+            ue_ids=np.array([g.ue_id for g in grants], dtype=np.int64),
+            service_ids=np.array([g.service_id for g in grants], dtype=np.int64),
+            crus=np.array([g.crus for g in grants], dtype=np.int64),
+            rrbs=np.array([g.rrbs for g in grants], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ue_ids)
 
 
 class BSLedger:

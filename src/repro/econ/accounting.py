@@ -18,8 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.compute.cru import Grant
+import numpy as np
+
+from repro.compute.cru import Grant, GrantColumns
 from repro.econ.pricing import PricingPolicy
+from repro.errors import ConfigurationError, UnknownEntityError
 from repro.model.network import MECNetwork
 
 __all__ = ["SPProfit", "ProfitStatement", "compute_profit"]
@@ -81,32 +84,65 @@ def compute_profit(
     BS payment uses the realized link's distance and ownership through
     the pricing policy — exactly the terms the optimization in Eq. 11
     sums.
+
+    The per-grant terms are whole-array products over the grant
+    columns, and each SP's totals add its terms left to right in grant
+    order, so every float equals a per-grant ``+=`` loop's bit for bit.
     """
-    revenue: dict[int, float] = {}
-    payments: dict[int, float] = {}
-    other: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for grant in grants:
-        ue = network.user_equipment(grant.ue_id)
-        sp = network.provider(ue.sp_id)
-        distance = network.distance_m(grant.ue_id, grant.bs_id)
-        same_sp = network.same_sp(grant.ue_id, grant.bs_id)
-        price = pricing.price_per_cru(distance, same_sp)
-        revenue[sp.sp_id] = revenue.get(sp.sp_id, 0.0) + grant.crus * sp.cru_price
-        payments[sp.sp_id] = payments.get(sp.sp_id, 0.0) + grant.crus * price
-        other[sp.sp_id] = other.get(sp.sp_id, 0.0) + grant.crus * sp.other_cost
-        counts[sp.sp_id] = counts.get(sp.sp_id, 0) + 1
-    by_sp = {
-        sp.sp_id: SPProfit(
-            sp_id=sp.sp_id,
-            revenue=revenue.get(sp.sp_id, 0.0),
-            bs_payments=payments.get(sp.sp_id, 0.0),
-            other_costs=other.get(sp.sp_id, 0.0),
-            served_ue_count=counts.get(sp.sp_id, 0),
+    columns = network.columns()
+    grants = GrantColumns.of(grants)
+    rows = columns.ue_rows(grants.ue_ids)
+    cols = columns.bs_cols(grants.bs_ids)
+    unknown = np.flatnonzero((rows < 0) | (cols < 0))
+    if len(unknown):
+        index = unknown[0]
+        if rows[index] < 0:
+            raise UnknownEntityError(f"unknown UE id {grants.ue_ids[index]}")
+        raise UnknownEntityError(f"unknown BS id {grants.bs_ids[index]}")
+    sp = columns.ue_sp[rows]
+    prices = _prices(
+        pricing,
+        network.pair_distances_m(rows, cols),
+        sp == columns.bs_sp[cols],
+    )
+    crus = grants.crus
+    # Stable grouping by SP keeps each SP's grants in grant order.
+    order = np.argsort(sp, kind="stable")
+    bounds = np.searchsorted(sp[order], np.arange(len(network.providers) + 1))
+    by_sp = {}
+    for k, provider in enumerate(network.providers):
+        mine = order[bounds[k]:bounds[k + 1]]
+        by_sp[provider.sp_id] = SPProfit(
+            sp_id=provider.sp_id,
+            revenue=_running_total(crus[mine] * provider.cru_price),
+            bs_payments=_running_total(crus[mine] * prices[mine]),
+            other_costs=_running_total(crus[mine] * provider.other_cost),
+            served_ue_count=len(mine),
         )
-        for sp in network.providers
-    }
     return ProfitStatement(by_sp=by_sp)
+
+
+def _prices(
+    pricing: PricingPolicy, distances: np.ndarray, same_sp: np.ndarray
+) -> np.ndarray:
+    """``pricing.price_per_cru`` of every grant, negative distances refused."""
+    from repro.core.soa import _price_term_array
+
+    negative = np.flatnonzero(distances < 0)
+    if len(negative):
+        raise ConfigurationError(
+            f"distance must be >= 0, got {float(distances[negative[0]])}"
+        )
+    return _price_term_array(pricing, distances, same_sp)
+
+
+def _running_total(terms: np.ndarray) -> float:
+    """``0.0 + t_0 + t_1 + ...`` added left to right, as ``+=`` would.
+
+    ``np.cumsum`` accumulates sequentially, unlike ``np.sum``'s pairwise
+    summation, so the last partial sum is the loop's total exactly.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def marginal_profit(

@@ -26,7 +26,7 @@ from repro.model.geometry import (
     pairwise_distances_m,
 )
 
-__all__ = ["MECNetwork"]
+__all__ = ["EntityColumns", "MECNetwork"]
 
 #: ``auto`` geometry keeps the dense UE x BS distance matrix up to this
 #: many cells (~32 MB of float64) and switches to the sparse spatial
@@ -91,6 +91,12 @@ class MECNetwork:
     _cand_indptr: np.ndarray | None = field(init=False, repr=False)
     _cand_cols: np.ndarray | None = field(init=False, repr=False)
     _cand_dists: np.ndarray | None = field(init=False, repr=False)
+    # Built on first use by :meth:`columns`.  The class-level default
+    # also covers clones assembled with ``object.__new__``, which then
+    # build their own columns on first use.
+    _columns: "EntityColumns | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.coverage_radius_m <= 0:
@@ -323,6 +329,63 @@ class MECNetwork:
         ue_pos = self.user_equipments[row].position
         bs_pos = self.base_stations[col].position
         return float(np.hypot(ue_pos.x - bs_pos.x, ue_pos.y - bs_pos.y))
+
+    def pair_distances_m(
+        self, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`distance_m` of many pairs at once, by row and column.
+
+        ``rows`` index ``user_equipments`` and ``cols`` index
+        ``base_stations`` (see :meth:`EntityColumns.ue_rows` and
+        :meth:`EntityColumns.bs_cols`).  Each value is bit-identical to
+        :meth:`distance_m` of the same pair in either geometry mode:
+        dense mode reads the matrix; grid mode reads the stored coverage
+        distance and recomputes out-of-coverage pairs with the same
+        float64 hypot.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if self._geometry_mode == "dense":
+            return self._distances[rows, cols]
+        n_bs = self.bs_count
+        cov_rows = np.repeat(
+            np.arange(self.ue_count, dtype=np.int64), np.diff(self._cov_indptr)
+        )
+        # Coverage pairs are sorted by (row, col), so their flat keys are
+        # ascending and one searchsorted finds every stored pair.
+        cov_keys = cov_rows * n_bs + self._cov_cols
+        keys = rows * n_bs + cols
+        # Probing in ascending key order keeps the searches cache-friendly.
+        probe = np.argsort(keys)
+        pos = np.empty(len(keys), dtype=np.int64)
+        pos[probe] = np.searchsorted(cov_keys, keys[probe])
+        stored = pos < len(cov_keys)
+        stored[stored] = cov_keys[pos[stored]] == keys[stored]
+        distances = np.empty(len(keys), dtype=float)
+        distances[stored] = self._cov_dists[pos[stored]]
+        outside = ~stored
+        ue_xy = np.array(
+            [self.user_equipments[row].position.as_tuple()
+             for row in rows[outside].tolist()],
+            dtype=float,
+        ).reshape(-1, 2)
+        bs_xy = np.array(
+            [self.base_stations[col].position.as_tuple()
+             for col in cols[outside].tolist()],
+            dtype=float,
+        ).reshape(-1, 2)
+        distances[outside] = np.hypot(
+            ue_xy[:, 0] - bs_xy[:, 0], ue_xy[:, 1] - bs_xy[:, 1]
+        )
+        return distances
+
+    def columns(self) -> "EntityColumns":
+        """The per-entity attribute arrays, built on first use and cached."""
+        columns = self._columns
+        if columns is None:
+            columns = EntityColumns.of(self)
+            object.__setattr__(self, "_columns", columns)
+        return columns
 
     def distance_matrix_m(self) -> np.ndarray:
         """Copy of the full ``(n_ue, n_bs)`` distance matrix in meters.
@@ -593,6 +656,110 @@ class MECNetwork:
             return self._ue_row[ue_id]
         except KeyError:
             raise UnknownEntityError(f"unknown UE id {ue_id}") from None
+
+
+class _IdIndex:
+    """Vectorized ``id -> position`` lookup over one column of unique ids."""
+
+    __slots__ = ("_sorted", "_order", "_first")
+
+    def __init__(self, ids: np.ndarray) -> None:
+        self._order = np.argsort(ids, kind="stable")
+        self._sorted = ids[self._order]
+        n = len(ids)
+        # One contiguous run of ids (the usual 0..n-1 numbering) maps by
+        # subtraction; anything else takes a binary search.
+        contiguous = n > 0 and int(self._sorted[-1] - self._sorted[0]) == n - 1
+        self._first = int(self._sorted[0]) if contiguous else None
+
+    def positions(self, ids) -> np.ndarray:
+        """Position of each id in the indexed column, ``-1`` if unknown."""
+        ids = np.asarray(ids, dtype=np.int64)
+        n = len(self._sorted)
+        if n == 0:
+            return np.full(len(ids), -1, dtype=np.int64)
+        if self._first is not None:
+            pos = ids - self._first
+            known = (pos >= 0) & (pos < n)
+        else:
+            pos = np.minimum(np.searchsorted(self._sorted, ids), n - 1)
+            known = self._sorted[pos] == ids
+        return np.where(known, self._order[np.where(known, pos, 0)], -1)
+
+
+@dataclass(frozen=True, eq=False)
+class EntityColumns:
+    """A network's per-entity attributes as aligned NumPy arrays.
+
+    UE arrays follow ``user_equipments`` (distance-matrix rows) and BS
+    arrays follow ``base_stations`` (columns).  SP and service fields
+    hold *positions* in ``providers`` / ``services``, not ids.
+    Whole-assignment consumers (validation, profit accounting, outcome
+    metrics) read these instead of looking entities up one id at a
+    time; get them from :meth:`MECNetwork.columns`.
+    """
+
+    ue_ids: np.ndarray
+    ue_service: np.ndarray
+    ue_sp: np.ndarray
+    ue_cru_demand: np.ndarray
+    ue_rate_demand_bps: np.ndarray
+    bs_sp: np.ndarray
+    bs_rrb_capacity: np.ndarray
+    #: ``(n_bs, n_services)`` CRU capacities ``c_{i,j}``; 0 = not hosted.
+    bs_cru_capacity: np.ndarray
+    _ue_index: _IdIndex
+    _bs_index: _IdIndex
+    _service_index: _IdIndex
+
+    @classmethod
+    def of(cls, network: MECNetwork) -> "EntityColumns":
+        """Extract the columns of ``network`` (one pass per population)."""
+        ues, bss = network.user_equipments, network.base_stations
+        sp_index = _IdIndex(
+            np.array([sp.sp_id for sp in network.providers], dtype=np.int64)
+        )
+        service_ids = [s.service_id for s in network.services]
+        service_pos = {service_id: j for j, service_id in enumerate(service_ids)}
+        service_index = _IdIndex(np.array(service_ids, dtype=np.int64))
+        ue_ids = np.array([ue.ue_id for ue in ues], dtype=np.int64)
+        cru_capacity = np.zeros((len(bss), len(service_ids)), dtype=np.int64)
+        for col, bs in enumerate(bss):
+            for service_id, crus in bs.cru_capacity.items():
+                cru_capacity[col, service_pos[service_id]] = crus
+        return cls(
+            ue_ids=ue_ids,
+            ue_service=service_index.positions(
+                [ue.service_id for ue in ues]
+            ),
+            ue_sp=sp_index.positions([ue.sp_id for ue in ues]),
+            ue_cru_demand=np.array(
+                [ue.cru_demand for ue in ues], dtype=np.int64
+            ),
+            ue_rate_demand_bps=np.array(
+                [ue.rate_demand_bps for ue in ues], dtype=float
+            ),
+            bs_sp=sp_index.positions([bs.sp_id for bs in bss]),
+            bs_rrb_capacity=np.array(
+                [bs.rrb_capacity for bs in bss], dtype=np.int64
+            ),
+            bs_cru_capacity=cru_capacity,
+            _ue_index=_IdIndex(ue_ids),
+            _bs_index=_IdIndex(network._bs_id_array),
+            _service_index=service_index,
+        )
+
+    def ue_rows(self, ue_ids) -> np.ndarray:
+        """Row of each UE id, ``-1`` for ids not in the network."""
+        return self._ue_index.positions(ue_ids)
+
+    def bs_cols(self, bs_ids) -> np.ndarray:
+        """Column of each BS id, ``-1`` for ids not in the network."""
+        return self._bs_index.positions(bs_ids)
+
+    def service_positions(self, service_ids) -> np.ndarray:
+        """Position of each service id in ``services``, ``-1`` if unknown."""
+        return self._service_index.positions(service_ids)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -31,19 +31,16 @@ class AllocationOutcome:
     wall_time_s: float
 
 
-def run_allocation(
-    scenario: Scenario, allocator: Allocator, validate: bool = True
-) -> AllocationOutcome:
-    """Execute ``allocator`` on ``scenario`` and evaluate the outcome.
+def run_allocation(scenario: Scenario, allocator: Allocator) -> AllocationOutcome:
+    """Execute ``allocator`` on ``scenario``, validate and evaluate the outcome.
 
-    ``validate=False`` skips the constraint re-check; only the
-    micro-benchmarks measuring raw algorithm time use that.
+    ``wall_time_s`` covers the allocator alone, not the validation or
+    the metrics.
     """
     start = time.perf_counter()
     assignment = allocator.allocate(scenario.network, scenario.radio_map)
     elapsed = time.perf_counter() - start
-    if validate:
-        assignment.validate(scenario.network, scenario.radio_map)
+    assignment.validate(scenario.network, scenario.radio_map)
     metrics = compute_metrics(scenario.network, assignment, scenario.pricing)
     return AllocationOutcome(
         allocator_name=allocator.name,

@@ -1,5 +1,7 @@
 """Unit tests for the Assignment result type and its TPM validation."""
 
+import dataclasses
+
 import pytest
 
 from conftest import make_tiny_network
@@ -7,7 +9,7 @@ from repro.compute.cru import Grant
 from repro.core.assignment import Assignment
 from repro.errors import AllocationError
 from repro.model.geometry import Point
-from repro.radio.channel import build_radio_map
+from repro.radio.channel import RadioMap, build_radio_map
 from repro.radio.sinr import LinkBudget
 
 
@@ -133,6 +135,88 @@ class TestValidation:
             Assignment(grants=(bad,), cloud_ue_ids=frozenset()).validate(
                 tiny_network, tiny_radio_map
             )
+
+    def test_unknown_bs_is_an_allocation_error(self, tiny_network, tiny_radio_map):
+        g = Grant(bs_id=9, ue_id=0, service_id=0, crus=4, rrbs=1)
+        with pytest.raises(AllocationError, match="UE 0 was granted unknown BS 9"):
+            Assignment(grants=(g,), cloud_ue_ids=frozenset()).validate(
+                tiny_network, tiny_radio_map
+            )
+
+    def test_link_missing_from_radio_map_is_an_allocation_error(
+        self, tiny_network, tiny_radio_map
+    ):
+        # BS 0 covers UE 0 and hosts its service, but the map lacks the link.
+        g = grant_for(tiny_network, tiny_radio_map, 0, 0)
+        radio_map = RadioMap.from_links(
+            m for m in tiny_radio_map if (m.ue_id, m.bs_id) != (0, 0)
+        )
+        with pytest.raises(AllocationError, match="radio map has no such link"):
+            Assignment(grants=(g,), cloud_ue_ids=frozenset()).validate(
+                tiny_network, radio_map
+            )
+
+    def test_duplicated_link_checks_against_the_one_link_returns(
+        self, tiny_network, tiny_radio_map
+    ):
+        link = tiny_radio_map.link(0, 0)
+        again = dataclasses.replace(link, rrbs_required=link.rrbs_required + 2)
+        radio_map = RadioMap.from_links(list(tiny_radio_map) + [again])
+        g = grant_for(tiny_network, radio_map, 0, 0)
+        assert g.rrbs == again.rrbs_required
+        Assignment(grants=(g,), cloud_ue_ids=frozenset()).validate(
+            tiny_network, radio_map
+        )
+
+    @pytest.mark.parametrize(
+        "bs_id, service_id, crus, rrbs, first_failure",
+        [
+            (9, 1, 5, 99, "unknown BS 9"),
+            (1, 1, 5, 99, "requests service 0"),
+            (1, 0, 5, 99, "does not host service 0"),
+            (2, 0, 5, 99, "does not cover UE 0"),
+            (0, 0, 5, 99, "granted 5 CRUs"),
+            (0, 0, 4, 99, "granted 99 RRBs"),
+        ],
+    )
+    def test_a_grant_reports_its_first_failing_check(
+        self, bs_id, service_id, crus, rrbs, first_failure
+    ):
+        # UE 0 (service 0, 4 CRUs) at x=100: BS 0 covers it and hosts
+        # service 0, BS 1 does neither, BS 2 hosts it out of coverage.
+        network = make_tiny_network(
+            bs_specs=[
+                dict(bs_id=0, sp_id=0, position=Point(0, 0)),
+                dict(bs_id=1, sp_id=1, position=Point(400, 0),
+                     cru_capacity={1: 20}),
+                dict(bs_id=2, sp_id=1, position=Point(800, 0)),
+            ],
+            coverage_radius_m=150.0,
+        )
+        radio_map = build_radio_map(network, LinkBudget())
+        g = Grant(
+            bs_id=bs_id, ue_id=0, service_id=service_id, crus=crus, rrbs=rrbs
+        )
+        with pytest.raises(AllocationError, match=first_failure):
+            Assignment(grants=(g,), cloud_ue_ids=frozenset()).validate(
+                network, radio_map
+            )
+
+    def test_lowest_failing_grant_is_reported(self):
+        network = make_tiny_network(
+            ue_specs=[
+                dict(ue_id=i, position=Point(50.0 + i, 0.0)) for i in range(3)
+            ]
+        )
+        radio_map = build_radio_map(network, LinkBudget())
+        good = [grant_for(network, radio_map, i, 0) for i in range(3)]
+        bad_rrbs = dataclasses.replace(good[1], rrbs=good[1].rrbs + 1)
+        bad_service = dataclasses.replace(good[2], service_id=1)
+        with pytest.raises(AllocationError, match="UE 1 on BS 0: granted"):
+            Assignment(
+                grants=(good[0], bad_rrbs, bad_service),
+                cloud_ue_ids=frozenset(),
+            ).validate(network, radio_map)
 
     def test_cru_capacity_overflow_detected(self):
         # 3 UEs x 8 CRUs = 24 > the BS's 20-CRU pool for service 0.

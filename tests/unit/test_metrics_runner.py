@@ -1,5 +1,7 @@
 """Unit tests for outcome metrics and the allocation runner."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.cloud_only import CloudOnlyAllocator
@@ -8,8 +10,11 @@ from repro.core.assignment import Assignment
 from repro.core.dmra import DMRAAllocator
 from repro.econ.accounting import compute_profit
 from repro.errors import AllocationError
+from repro.model.network import MECNetwork
+from repro.radio.channel import RadioMap, build_radio_map
 from repro.sim.metrics import compute_metrics
 from repro.sim.runner import run_allocation
+from repro.sim.scenario import Scenario
 
 
 class TestComputeMetrics:
@@ -112,10 +117,37 @@ class TestRunAllocation:
         with pytest.raises(AllocationError):
             run_allocation(small_scenario, BrokenAllocator())
 
-    def test_validation_can_be_skipped(self, small_scenario):
-        outcome = run_allocation(
-            small_scenario,
-            DMRAAllocator(pricing=small_scenario.pricing),
-            validate=False,
+    def test_audit_makes_no_point_lookups(self, small_scenario, monkeypatch):
+        """Validation and accounting read columns only: a per-grant
+        ``RadioMap.link`` or ``MECNetwork.distance_m`` call would build the
+        map's (ue, bs) hash index, which pins ~150 MB at 100k UEs."""
+        config = small_scenario.config
+        network = dataclasses.replace(small_scenario.network, geometry="grid")
+        radio_map = build_radio_map(
+            network, config.link_budget(), rate_model=config.rate_model_fn()
         )
-        assert outcome.metrics.total_profit > 0
+        scenario = Scenario(
+            config=config, network=network, radio_map=radio_map,
+            seed=small_scenario.seed,
+        )
+        expected = run_allocation(
+            small_scenario, DMRAAllocator(pricing=small_scenario.pricing)
+        )
+
+        class Replay(Allocator):
+            """Hands back the assignment solved before the lookups broke."""
+
+            name = "replay"
+
+            def allocate(self, network, radio_map):
+                return expected.assignment
+
+        def point_lookup(*args, **kwargs):
+            raise AssertionError("per-pair lookup on the audit path")
+
+        monkeypatch.setattr(RadioMap, "link", point_lookup)
+        monkeypatch.setattr(MECNetwork, "distance_m", point_lookup)
+        outcome = run_allocation(scenario, Replay())
+        assert network._geometry_mode == "grid"
+        assert radio_map._pos is None
+        assert outcome.metrics == expected.metrics

@@ -107,6 +107,24 @@ class TestNetworkGeometryModes:
                 ue.ue_id, bs.bs_id
             )
 
+    def test_pair_distances_equal_point_lookups(self, networks):
+        """The batched lookup returns distance_m's float for every pair,
+        in and out of coverage, in both modes, in any probe order."""
+        rng = np.random.default_rng(3)
+        for network in networks:
+            rows, cols = np.divmod(
+                rng.permutation(network.ue_count * network.bs_count),
+                network.bs_count,
+            )
+            expected = [
+                network.distance_m(
+                    network.user_equipments[row].ue_id,
+                    network.base_stations[col].bs_id,
+                )
+                for row, col in zip(rows.tolist(), cols.tolist())
+            ]
+            assert network.pair_distances_m(rows, cols).tolist() == expected
+
     def test_candidate_pairs_identical(self, networks):
         dense, grid = networks
         d_rows, d_cols, d_dists = dense.candidate_pairs()
