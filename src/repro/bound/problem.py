@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.soa import _price_term_array
+from repro.core.soa import _price_term_array, gather_candidates
 from repro.econ.pricing import PaperPricing, PricingPolicy
 from repro.model.network import MECNetwork
 from repro.radio.channel import RadioMap
@@ -83,18 +83,18 @@ def compile_bound_problem(
     :func:`repro.econ.accounting.marginal_profit` bit for bit.
     """
     pricing = pricing if pricing is not None else PaperPricing()
+    columns = network.columns()
+    gathered = gather_candidates(network, radio_map)
+    n_ue = len(gathered.ue_ids)
+    rows = gathered.rows
 
     base_stations = tuple(network.base_stations)
     n_bs = len(base_stations)
-    bs_id_arr = np.array([bs.bs_id for bs in base_stations], dtype=np.int64)
-    bs_sp = np.array([bs.sp_id for bs in base_stations], dtype=np.int64)
-
-    target_ids = sorted(ue.ue_id for ue in network.user_equipments)
-    n_ue = len(target_ids)
-    ues = [network.user_equipment(ue_id) for ue_id in target_ids]
+    bs_sp = columns.bs_sp
+    requested = columns.service_ids[columns.ue_service[rows]]
     service_ids = sorted(
         {s for bs in base_stations for s in bs.cru_capacity}
-        | {ue.service_id for ue in ues}
+        | set(requested.tolist())
     )
     svc_index = {sid: k for k, sid in enumerate(service_ids)}
     n_svc = len(service_ids)
@@ -107,42 +107,27 @@ def compile_bound_problem(
         [float(bs.rrb_capacity) for bs in base_stations], dtype=np.float64
     )
 
-    ue_svc = np.array([svc_index[ue.service_id] for ue in ues], dtype=np.int64)
-    ue_cru = np.array([ue.cru_demand for ue in ues], dtype=np.int64)
-    ue_sp = np.array([ue.sp_id for ue in ues], dtype=np.int64)
-    margin_of_sp = {
-        sp.sp_id: sp.cru_price - sp.other_cost for sp in network.providers
-    }
-    ue_margin = np.array(
-        [margin_of_sp[ue.sp_id] for ue in ues], dtype=np.float64
+    ue_svc = np.searchsorted(np.array(service_ids, dtype=np.int64), requested)
+    ue_cru = columns.ue_cru_demand[rows]
+    ue_sp = columns.ue_sp[rows]
+    margin_of_sp = np.array(
+        [sp.cru_price - sp.other_cost for sp in network.providers],
+        dtype=np.float64,
     )
+    ue_margin = margin_of_sp[ue_sp]
 
-    # Gather each target UE's radio-map columns (soa.py CSR idiom),
-    # then drop infeasible pairs and rebuild the row pointers.
-    slices = [radio_map.ue_slice(ue_id) for ue_id in target_ids]
-    counts = np.array([stop - start for start, stop in slices], dtype=np.int64)
-    row_starts = np.array([start for start, _ in slices], dtype=np.int64)
-    n_raw = int(counts.sum())
-    row_of_pair = np.repeat(np.arange(n_ue, dtype=np.int64), counts)
-    raw_indptr = np.concatenate(([0], np.cumsum(counts)))
-    sel = (
-        np.repeat(row_starts, counts)
-        + np.arange(n_raw, dtype=np.int64)
-        - np.repeat(raw_indptr[:-1], counts)
-    )
-
+    # Drop infeasible pairs and rebuild the row pointers.
+    sel = gathered.links
     pair_rrb = radio_map.rrb_demands[sel]
     feasible = (pair_rrb >= 1) & (radio_map.per_rrb_rates_bps[sel] > 0)
     sel = sel[feasible]
-    row_of_pair = row_of_pair[feasible]
+    row_of_pair = gathered.row_of_pair[feasible]
     pair_rrb = pair_rrb[feasible].astype(np.float64)
     counts = np.bincount(row_of_pair, minlength=n_ue)
     indptr = np.concatenate(([0], np.cumsum(counts)))
 
-    link_bs_ids = radio_map.bs_ids[sel]
     pair_dist = radio_map.distances_m[sel]
-    id_order = np.argsort(bs_id_arr)
-    pair_bs = id_order[np.searchsorted(bs_id_arr[id_order], link_bs_ids)]
+    pair_bs = gathered.pair_bs[feasible]
 
     pair_same_sp = ue_sp[row_of_pair] == bs_sp[pair_bs]
     price = _price_term_array(pricing, pair_dist, pair_same_sp)
@@ -151,7 +136,7 @@ def compile_bound_problem(
     pair_flat = pair_bs * n_svc + ue_svc[row_of_pair]
 
     return BoundProblem(
-        ue_ids=np.array(target_ids, dtype=np.int64),
+        ue_ids=gathered.ue_ids,
         indptr=indptr,
         row_of_pair=row_of_pair,
         pair_bs=pair_bs,
@@ -161,6 +146,6 @@ def compile_bound_problem(
         pair_rrb=pair_rrb,
         cap_cru=cap_cru,
         cap_rrb=cap_rrb,
-        bs_ids=bs_id_arr,
+        bs_ids=columns.bs_ids.copy(),
         service_ids=tuple(service_ids),
     )

@@ -11,7 +11,8 @@ accepted UE).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import starmap
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -48,8 +49,11 @@ class GrantColumns:
     rrbs: np.ndarray
 
     @classmethod
-    def of(cls, grants: Iterable[Grant]) -> "GrantColumns":
-        """Extract the columns of ``grants``, in grant order."""
+    def of(cls, grants: "Iterable[Grant] | GrantColumns") -> "GrantColumns":
+        """Extract the columns of ``grants``, in grant order (columns
+        pass through unchanged)."""
+        if isinstance(grants, GrantColumns):
+            return grants
         grants = tuple(grants)
         return cls(
             bs_ids=np.array([g.bs_id for g in grants], dtype=np.int64),
@@ -61,6 +65,21 @@ class GrantColumns:
 
     def __len__(self) -> int:
         return len(self.ue_ids)
+
+    def rows(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """``(bs_id, ue_id, service_id, crus, rrbs)`` of every grant, as
+        Python ints, in grant order."""
+        return zip(
+            self.bs_ids.tolist(),
+            self.ue_ids.tolist(),
+            self.service_ids.tolist(),
+            self.crus.tolist(),
+            self.rrbs.tolist(),
+        )
+
+    def grants(self) -> tuple[Grant, ...]:
+        """The :class:`Grant` of every row, in grant order."""
+        return tuple(starmap(Grant, self.rows()))
 
 
 class BSLedger:
@@ -117,25 +136,11 @@ class BSLedger:
         :class:`ConfigurationError` on nonsensical amounts or double grants.
         The ledger is unchanged on failure.
         """
-        if crus <= 0:
-            raise ConfigurationError(f"crus must be > 0, got {crus}")
-        if rrbs <= 0:
-            raise ConfigurationError(f"rrbs must be > 0, got {rrbs}")
-        if ue_id in self._grants:
-            raise ConfigurationError(
-                f"UE {ue_id} already holds a grant on BS {self.bs_id}"
-            )
         available_crus = self.remaining_crus(service_id)
-        if available_crus < crus:
-            raise CapacityError(
-                f"BS {self.bs_id}: service {service_id} has {available_crus} "
-                f"CRUs left, {crus} requested"
-            )
-        if self._remaining_rrbs < rrbs:
-            raise CapacityError(
-                f"BS {self.bs_id}: {self._remaining_rrbs} RRBs left, "
-                f"{rrbs} requested"
-            )
+        _check_grant(
+            self.bs_id, ue_id, service_id, crus, rrbs,
+            ue_id in self._grants, available_crus, self._remaining_rrbs,
+        )
         self._remaining_crus[service_id] = available_crus - crus
         self._remaining_rrbs -= rrbs
         grant = Grant(
@@ -223,7 +228,84 @@ class LedgerPool:
         """Every grant currently held across all BSs."""
         return [g for ledger in self for g in ledger.grants.values()]
 
+    def grant_all(self, grants: GrantColumns) -> tuple[Grant, ...]:
+        """Commit every row of ``grants`` in one call.
+
+        The pool ends as if each row had been passed to
+        :meth:`BSLedger.grant` in row order: the same remainders, and the
+        same grant order within each ledger.  All or nothing: every row
+        is checked against what the rows before it leave, and the first
+        failing row raises what its ``grant`` call would have raised
+        (:class:`UnknownEntityError`, :class:`ConfigurationError` or
+        :class:`CapacityError`, same message) before any ledger changes.
+
+        Returns the new grants in :meth:`all_grants` order: ledger order
+        first, row order within a ledger.
+        """
+        staged: dict[int, dict[int, Grant]] = {}
+        rrbs_left: dict[int, int] = {}
+        crus_left: dict[tuple[int, int], int] = {}
+        for bs_id, ue_id, service_id, crus, rrbs in grants.rows():
+            ledger = self.ledger(bs_id)
+            new = staged.get(bs_id)
+            if new is None:
+                new = staged[bs_id] = {}
+                rrbs_left[bs_id] = ledger.remaining_rrbs
+            pool = (bs_id, service_id)
+            available_crus = crus_left.get(pool)
+            if available_crus is None:
+                available_crus = ledger.remaining_crus(service_id)
+            _check_grant(
+                bs_id, ue_id, service_id, crus, rrbs,
+                ue_id in new or ue_id in ledger._grants,
+                available_crus, rrbs_left[bs_id],
+            )
+            crus_left[pool] = available_crus - crus
+            rrbs_left[bs_id] -= rrbs
+            new[ue_id] = Grant(bs_id, ue_id, service_id, crus, rrbs)
+        for (bs_id, service_id), crus in crus_left.items():
+            self._ledgers[bs_id]._remaining_crus[service_id] = crus
+        committed: list[Grant] = []
+        for bs_id, ledger in self._ledgers.items():
+            new = staged.get(bs_id)
+            if new is not None:
+                ledger._remaining_rrbs = rrbs_left[bs_id]
+                ledger._grants.update(new)
+                committed.extend(new.values())
+        return tuple(committed)
+
     def check_invariants(self) -> None:
         """Run :meth:`BSLedger.check_invariants` on every ledger."""
         for ledger in self:
             ledger.check_invariants()
+
+
+def _check_grant(
+    bs_id: int,
+    ue_id: int,
+    service_id: int,
+    crus: int,
+    rrbs: int,
+    held: bool,
+    available_crus: int,
+    available_rrbs: int,
+) -> None:
+    """Raise what granting these amounts would violate, in check order:
+    amounts, a double grant (``held``), CRUs, RRBs."""
+    if crus <= 0:
+        raise ConfigurationError(f"crus must be > 0, got {crus}")
+    if rrbs <= 0:
+        raise ConfigurationError(f"rrbs must be > 0, got {rrbs}")
+    if held:
+        raise ConfigurationError(
+            f"UE {ue_id} already holds a grant on BS {bs_id}"
+        )
+    if available_crus < crus:
+        raise CapacityError(
+            f"BS {bs_id}: service {service_id} has {available_crus} "
+            f"CRUs left, {crus} requested"
+        )
+    if available_rrbs < rrbs:
+        raise CapacityError(
+            f"BS {bs_id}: {available_rrbs} RRBs left, {rrbs} requested"
+        )

@@ -22,7 +22,7 @@ from repro.radio.channel import RadioMap
 __all__ = ["Assignment"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """A complete UE-to-{BS, cloud} association.
 
@@ -30,12 +30,21 @@ class Assignment:
     UE; ``cloud_ue_ids`` lists the UEs whose tasks went to the remote
     cloud.  Together they must partition the UE population (checked by
     :meth:`validate`).
+
+    The grants live in one of two forms: the ``Grant`` tuple (the
+    constructor, :meth:`from_grants`) or one
+    :class:`~repro.compute.cru.GrantColumns` (:meth:`of_columns`, as the
+    SoA kernel hands them over).  The other form -- :meth:`columns`, or
+    ``grants`` with its by-UE index -- is built at most once, on first
+    use.  Whole-assignment consumers (validation, accounting, metrics)
+    read :meth:`columns`.
     """
 
     grants: tuple[Grant, ...]
     cloud_ue_ids: frozenset[int]
     rounds: int = 0
-    _by_ue: Mapping[int, Grant] = field(init=False, repr=False)
+    _columns: GrantColumns | None = field(init=False, repr=False)
+    _by_ue: Mapping[int, Grant] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grants", tuple(self.grants))
@@ -43,17 +52,87 @@ class Assignment:
         by_ue: dict[int, Grant] = {}
         for grant in self.grants:
             if grant.ue_id in by_ue:
-                raise AllocationError(
-                    f"UE {grant.ue_id} appears in multiple grants "
-                    f"(violates Eq. 15)"
-                )
+                raise AllocationError(_duplicate_message(grant.ue_id))
             by_ue[grant.ue_id] = grant
         overlap = set(by_ue) & self.cloud_ue_ids
         if overlap:
-            raise AllocationError(
-                f"UEs both edge-served and cloud-forwarded: {sorted(overlap)}"
-            )
+            raise AllocationError(_overlap_message(overlap))
         object.__setattr__(self, "_by_ue", by_ue)
+        object.__setattr__(self, "_columns", None)
+
+    @classmethod
+    def of_columns(
+        cls,
+        columns: GrantColumns,
+        cloud_ue_ids: Iterable[int],
+        rounds: int = 0,
+    ) -> "Assignment":
+        """An assignment whose grants are the rows of ``columns``, in row
+        order; the Eq. 15 checks and their messages are the constructor's.
+        """
+        cloud_ue_ids = frozenset(cloud_ue_ids)
+        ue_ids = columns.ue_ids
+        order = np.argsort(ue_ids, kind="stable")
+        repeats = order[1:][ue_ids[order[1:]] == ue_ids[order[:-1]]]
+        if len(repeats):
+            raise AllocationError(
+                _duplicate_message(int(ue_ids[repeats.min()]))
+            )
+        cloud = np.fromiter(
+            cloud_ue_ids, dtype=np.int64, count=len(cloud_ue_ids)
+        )
+        overlap = ue_ids[np.isin(ue_ids, cloud)]
+        if len(overlap):
+            raise AllocationError(_overlap_message(overlap.tolist()))
+        assignment = object.__new__(cls)
+        for name, value in (
+            ("cloud_ue_ids", cloud_ue_ids),
+            ("rounds", rounds),
+            ("_columns", columns),
+            ("_by_ue", None),
+        ):
+            object.__setattr__(assignment, name, value)
+        return assignment
+
+    def __getattr__(self, name: str):
+        # Only ``grants`` can be missing: an assignment built from
+        # columns materializes its Grant tuple on first use.
+        if name != "grants" or self.__dict__.get("_columns") is None:
+            raise AttributeError(name)
+        grants = self._columns.grants()
+        object.__setattr__(self, "grants", grants)
+        return grants
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        if self.rounds != other.rounds:
+            return False
+        if self.cloud_ue_ids != other.cloud_ue_ids:
+            return False
+        if "grants" in self.__dict__ and "grants" in other.__dict__:
+            return self.grants == other.grants
+        mine, theirs = self.columns(), other.columns()
+        return all(
+            np.array_equal(getattr(mine, name), getattr(theirs, name))
+            for name in ("bs_ids", "ue_ids", "service_ids", "crus", "rrbs")
+        )
+
+    __hash__ = None
+
+    def columns(self) -> GrantColumns:
+        """The grants as aligned int64 columns, in ``grants`` order."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", GrantColumns.of(self.grants))
+        return self._columns
+
+    @property
+    def _grant_by_ue(self) -> Mapping[int, Grant]:
+        if self._by_ue is None:
+            object.__setattr__(
+                self, "_by_ue", {grant.ue_id: grant for grant in self.grants}
+            )
+        return self._by_ue
 
     # ------------------------------------------------------------------
     # Queries
@@ -61,16 +140,18 @@ class Assignment:
 
     @property
     def edge_served_ue_ids(self) -> frozenset[int]:
+        if self._by_ue is None:
+            return frozenset(self._columns.ue_ids.tolist())
         return frozenset(self._by_ue)
 
     def serving_bs(self, ue_id: int) -> int | None:
         """The BS serving a UE, or ``None`` when cloud-forwarded/unknown."""
-        grant = self._by_ue.get(ue_id)
+        grant = self._grant_by_ue.get(ue_id)
         return grant.bs_id if grant is not None else None
 
     def grant_of(self, ue_id: int) -> Grant | None:
         """The UE's grant, or ``None`` when it is not edge-served."""
-        return self._by_ue.get(ue_id)
+        return self._grant_by_ue.get(ue_id)
 
     def grants_of_bs(self, bs_id: int) -> tuple[Grant, ...]:
         """All grants realized on one BS (the paper's ``U'_i``)."""
@@ -78,7 +159,7 @@ class Assignment:
 
     @property
     def edge_served_count(self) -> int:
-        return len(self._by_ue)
+        return len(self._columns) if self._by_ue is None else len(self._by_ue)
 
     @property
     def cloud_count(self) -> int:
@@ -104,7 +185,7 @@ class Assignment:
         columns; no per-grant entity or link lookup is made.
         """
         columns = network.columns()
-        grants = GrantColumns.of(self.grants)
+        grants = self.columns()
         rows = columns.ue_rows(grants.ue_ids)
         cloud_ids = np.fromiter(
             self.cloud_ue_ids, dtype=np.int64, count=len(self.cloud_ue_ids)
@@ -228,11 +309,23 @@ class Assignment:
         all_ue_ids: Iterable[int],
         rounds: int = 0,
     ) -> "Assignment":
-        """Build an assignment, cloud-forwarding every unserved UE."""
+        """Build an assignment, cloud-forwarding every unserved UE.
+
+        The entry point for custom allocators: hand over the grants in
+        any order (it becomes ``grants`` order) and every UE id.
+        """
         grants = tuple(grants)
         served = {g.ue_id for g in grants}
         cloud = frozenset(set(all_ue_ids) - served)
         return Assignment(grants=grants, cloud_ue_ids=cloud, rounds=rounds)
+
+
+def _duplicate_message(ue_id: int) -> str:
+    return f"UE {ue_id} appears in multiple grants (violates Eq. 15)"
+
+
+def _overlap_message(ue_ids: Iterable[int]) -> str:
+    return f"UEs both edge-served and cloud-forwarded: {sorted(ue_ids)}"
 
 
 def _link_positions(

@@ -73,14 +73,15 @@ segment minimum, ``+inf`` included) — the parity suite assumes it.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.compute.cru import LedgerPool
+from repro.compute.cru import GrantColumns, LedgerPool
 from repro.core.assignment import Assignment
 from repro.core.matching import MatchingPolicy, RoundStats
-from repro.errors import AllocationError, ConfigurationError
+from repro.errors import AllocationError, ConfigurationError, UnknownEntityError
 from repro.model.network import MECNetwork
 from repro.obs.telemetry import get_telemetry
 from repro.radio.channel import RadioMap
@@ -91,6 +92,8 @@ __all__ = [
     "register_matching_backend",
     "available_matching_backends",
     "KERNELS",
+    "CandidateRows",
+    "gather_candidates",
 ]
 
 #: Valid ``--kernel`` / ``make_matching_engine`` choices.
@@ -258,78 +261,49 @@ class SoAMatchingEngine:
         it in the object engine's insertion order.
         """
         policy = self.policy
-        ledgers = ledgers if ledgers is not None else LedgerPool(
-            network.base_stations
-        )
-        if ue_ids is None:
-            target_ids = sorted(ue.ue_id for ue in network.user_equipments)
-        else:
-            target_ids = sorted(set(ue_ids))
-        preexisting = {
-            (grant.bs_id, grant.ue_id) for grant in ledgers.all_grants()
-        }
 
         # ---- Compile the run into the CSR problem ----
-        base_stations = tuple(network.base_stations)
-        n_bs = len(base_stations)
-        n_ue = len(target_ids)
-        bs_id_arr = np.array(
-            [bs.bs_id for bs in base_stations], dtype=np.int64
+        columns = network.columns()
+        gathered = gather_candidates(network, radio_map, ue_ids)
+        ue_id_arr = gathered.ue_ids
+        n_ue = len(ue_id_arr)
+        n_bs = network.bs_count
+        bs_id_arr = columns.bs_ids
+        bs_sp = columns.bs_sp
+        # Service pools are ranked by service id: the per-(BS, service)
+        # selection below breaks ties in that order.
+        n_svc = len(columns.service_ids)
+        svc_rank = np.empty(n_svc, dtype=np.int64)
+        svc_rank[np.argsort(columns.service_ids, kind="stable")] = (
+            np.arange(n_svc)
         )
-        bs_sp = np.array([bs.sp_id for bs in base_stations], dtype=np.int64)
+        if ledgers is None:
+            rem_rrb = columns.bs_rrb_capacity.copy()
+            rem_cru = np.zeros((n_bs, n_svc), dtype=np.int64)
+            rem_cru[:, svc_rank] = columns.bs_cru_capacity
+            rem_cru = rem_cru.ravel()
+        else:
+            rem_rrb, rem_cru = _pool_remainders(
+                ledgers, bs_id_arr, columns.service_ids, svc_rank
+            )
 
-        ues = [network.user_equipment(ue_id) for ue_id in target_ids]
-        service_ids = sorted(
-            {s for bs in base_stations for s in bs.cru_capacity}
-            | {ue.service_id for ue in ues}
-        )
-        svc_index = {sid: k for k, sid in enumerate(service_ids)}
-        n_svc = len(service_ids)
+        rows = gathered.rows
+        ue_svc_pos = columns.ue_service[rows]
+        ue_svc = svc_rank[ue_svc_pos]
+        ue_svc_id = columns.service_ids[ue_svc_pos]
+        ue_cru = columns.ue_cru_demand[rows]
+        ue_sp = columns.ue_sp[rows]
 
-        rem_rrb = np.array(
-            [ledgers.ledger(bs.bs_id).remaining_rrbs for bs in base_stations],
-            dtype=np.int64,
-        )
-        rem_cru = np.zeros(n_bs * n_svc, dtype=np.int64)
-        for b, bs in enumerate(base_stations):
-            ledger = ledgers.ledger(bs.bs_id)
-            for sid, crus in ledger.remaining_crus_by_service().items():
-                rem_cru[b * n_svc + svc_index[sid]] = crus
-
-        ue_id_arr = np.array(target_ids, dtype=np.int64)
-        ue_svc = np.array(
-            [svc_index[ue.service_id] for ue in ues], dtype=np.int64
-        )
-        ue_svc_id = np.array([ue.service_id for ue in ues], dtype=np.int64)
-        ue_cru = np.array([ue.cru_demand for ue in ues], dtype=np.int64)
-        ue_sp = np.array([ue.sp_id for ue in ues], dtype=np.int64)
-
-        # Candidate pairs: lift each target UE's radio-map columns, then
-        # order each row ascending in bs_id (the object engine's
-        # candidate-walk order, which the argmin tie-break relies on).
-        slices = [radio_map.ue_slice(ue_id) for ue_id in target_ids]
-        counts = np.array([stop - start for start, stop in slices], dtype=np.int64)
-        row_starts = np.array([start for start, _ in slices], dtype=np.int64)
-        n_pairs = int(counts.sum())
-        row_of_pair = np.repeat(np.arange(n_ue, dtype=np.int64), counts)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        sel = (
-            np.repeat(row_starts, counts)
-            + np.arange(n_pairs, dtype=np.int64)
-            - np.repeat(indptr[:-1], counts)
-        )
-        link_bs_ids = radio_map.bs_ids[sel]
-        order = np.lexsort((link_bs_ids, row_of_pair))
-        sel = sel[order]
-        link_bs_ids = link_bs_ids[order]
+        # Candidate pairs, each row ascending in bs_id (the object
+        # engine's candidate-walk order, which the argmin tie-break
+        # relies on).
+        row_of_pair = gathered.row_of_pair
+        sel, pair_bs = gathered.links, gathered.pair_bs
+        order = _bs_order_within_rows(row_of_pair, radio_map.bs_ids[sel])
+        if order is not None:
+            sel, pair_bs = sel[order], pair_bs[order]
         pair_rrbs = radio_map.rrb_demands[sel]
         pair_dist = radio_map.distances_m[sel]
-
-        # bs_id -> BS pool index, vectorized (ids need not be sorted).
-        id_order = np.argsort(bs_id_arr)
-        pair_bs = id_order[
-            np.searchsorted(bs_id_arr[id_order], link_bs_ids)
-        ]
 
         pair_same_sp = ue_sp[row_of_pair] == bs_sp[pair_bs]
         pair_static = _price_term_array(
@@ -562,39 +536,148 @@ class SoAMatchingEngine:
             if leftover.size:
                 cloud_rows.append(leftover)
             cloud = frozenset(
-                int(ue_id_arr[r])
-                for chunk in cloud_rows
-                for r in chunk.tolist()
+                ue_id_arr[np.concatenate(cloud_rows)].tolist()
+                if cloud_rows else ()
             )
             match_span.set(rounds=rounds - 1, cloud=len(cloud))
             tel.gauge("match.rounds", rounds - 1)
 
-        # Apply grants to the real pool in the object engine's insertion
-        # order: BS pool order major, chronological within a BS (the
-        # per-round parts were appended chronologically, so a stable
-        # sort on the BS index reproduces it exactly).
+        # The grants in the object engine's ledger insertion order: BS
+        # pool order major, chronological within a BS (the per-round
+        # parts were appended chronologically, so a stable sort on the BS
+        # index reproduces it exactly).
         if grant_bs_parts:
             all_bs = np.concatenate(grant_bs_parts)
-            all_row = np.concatenate(grant_row_parts)
-            all_rrb = np.concatenate(grant_rrb_parts)
-            for i in np.argsort(all_bs, kind="stable").tolist():
-                row = int(all_row[i])
-                ledgers.ledger(int(bs_id_arr[all_bs[i]])).grant(
-                    ue_id=int(ue_id_arr[row]),
-                    service_id=int(ue_svc_id[row]),
-                    crus=int(ue_cru[row]),
-                    rrbs=int(all_rrb[i]),
-                )
-        new_grants = tuple(
-            grant
-            for grant in ledgers.all_grants()
-            if (grant.bs_id, grant.ue_id) not in preexisting
+            order = np.argsort(all_bs, kind="stable")
+            all_row = np.concatenate(grant_row_parts)[order]
+            all_rrb = np.concatenate(grant_rrb_parts)[order]
+            all_bs = all_bs[order]
+        else:
+            all_bs = all_row = all_rrb = np.empty(0, dtype=np.int64)
+        granted = GrantColumns(
+            bs_ids=bs_id_arr[all_bs],
+            ue_ids=ue_id_arr[all_row],
+            service_ids=ue_svc_id[all_row],
+            crus=ue_cru[all_row],
+            rrbs=all_rrb,
         )
+        if ledgers is None:
+            return Assignment.of_columns(granted, cloud, rounds=rounds - 1)
         return Assignment(
-            grants=new_grants,
+            grants=ledgers.grant_all(granted),
             cloud_ue_ids=cloud,
             rounds=rounds - 1,
         )
+
+
+@dataclass(frozen=True)
+class CandidateRows:
+    """Target UEs' candidate links, gathered into CSR rows.
+
+    Row ``r`` is the ``r``-th target UE (ascending id); its pairs are
+    the positions ``row_of_pair == r``, contiguous and in radio-map
+    order.
+    """
+
+    ue_ids: np.ndarray  # (n_ue,) target UE ids, ascending
+    rows: np.ndarray  # (n_ue,) their rows in the network's columns
+    row_of_pair: np.ndarray  # (n_pairs,) target row of each pair
+    links: np.ndarray  # (n_pairs,) radio-map column position of each pair
+    pair_bs: np.ndarray  # (n_pairs,) the pair's BS column in the network
+
+
+def gather_candidates(
+    network: MECNetwork,
+    radio_map: RadioMap,
+    ue_ids: Iterable[int] | None = None,
+) -> CandidateRows:
+    """Lift the target UEs' links out of the radio map's columns.
+
+    ``ue_ids=None`` targets every UE of ``network``.  A UE's links are
+    its run in the map's UE-grouped ``ue_ids`` column (the last run if
+    it has several, as :meth:`RadioMap.ue_slice` resolves them); a UE
+    without links gets an empty row.  Whole-array work over
+    :meth:`MECNetwork.columns` and the map's columns: no per-UE lookup.
+
+    Raises :class:`UnknownEntityError` for the lowest target UE id, or
+    the first linked BS id, that the network does not know.
+    """
+    columns = network.columns()
+    if ue_ids is None:
+        targets = np.sort(columns.ue_ids)
+    else:
+        targets = np.unique(np.fromiter(ue_ids, dtype=np.int64))
+    rows = columns.ue_rows(targets)
+    if np.any(rows < 0):
+        raise UnknownEntityError(
+            f"unknown UE id {int(targets[np.argmax(rows < 0)])}"
+        )
+
+    map_ues = radio_map.ue_ids
+    run_start = np.ones(len(map_ues), dtype=bool)
+    run_start[1:] = map_ues[1:] != map_ues[:-1]
+    starts = np.flatnonzero(run_start)
+    stops = np.append(starts[1:], len(map_ues))
+    run_rows = columns.ue_rows(map_ues[starts])
+    runs = np.flatnonzero(run_rows >= 0)
+    if np.any(run_rows[runs][1:] <= run_rows[runs][:-1]):
+        # Out of row order, maybe repeated: keep each UE's last run.
+        last = runs[::-1]
+        runs = last[np.unique(run_rows[last], return_index=True)[1]]
+    # Run ``len(starts)`` is an empty sentinel for UEs without links.
+    run_of_row = np.full(network.ue_count, len(starts), dtype=np.int64)
+    run_of_row[run_rows[runs]] = runs
+    run = run_of_row[rows]
+    counts = np.append(stops - starts, 0)[run]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    n_pairs = int(indptr[-1])
+    links = np.repeat(
+        np.append(starts, 0)[run] - indptr[:-1], counts
+    ) + np.arange(n_pairs, dtype=np.int64)
+    link_bs_ids = radio_map.bs_ids[links]
+    pair_bs = columns.bs_cols(link_bs_ids)
+    if np.any(pair_bs < 0):
+        raise UnknownEntityError(
+            f"unknown BS id {int(link_bs_ids[np.argmax(pair_bs < 0)])}"
+        )
+    return CandidateRows(
+        ue_ids=targets,
+        rows=rows,
+        row_of_pair=np.repeat(np.arange(len(targets), dtype=np.int64), counts),
+        links=links,
+        pair_bs=pair_bs,
+    )
+
+
+def _bs_order_within_rows(
+    row_of_pair: np.ndarray, bs_ids: np.ndarray
+) -> np.ndarray | None:
+    """The stable order that sorts each row's pairs by BS id, or
+    ``None`` when they already are (as in maps ``build_radio_map``
+    builds)."""
+    same_row = row_of_pair[1:] == row_of_pair[:-1]
+    if not np.any(same_row & (bs_ids[1:] < bs_ids[:-1])):
+        return None
+    return np.lexsort((bs_ids, row_of_pair))
+
+
+def _pool_remainders(
+    ledgers: LedgerPool,
+    bs_ids: np.ndarray,
+    service_ids: np.ndarray,
+    svc_rank: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rem_rrb[n_bs], rem_cru[n_bs * n_svc])`` read off a pool."""
+    n_svc = len(service_ids)
+    svc_index = dict(zip(service_ids.tolist(), svc_rank.tolist()))
+    rem_rrb = np.zeros(len(bs_ids), dtype=np.int64)
+    rem_cru = np.zeros(len(bs_ids) * n_svc, dtype=np.int64)
+    for b, bs_id in enumerate(bs_ids.tolist()):
+        ledger = ledgers.ledger(bs_id)
+        rem_rrb[b] = ledger.remaining_rrbs
+        for sid, crus in ledger.remaining_crus_by_service().items():
+            rem_cru[b * n_svc + svc_index[sid]] = crus
+    return rem_rrb, rem_cru
 
 
 def _price_term_array(

@@ -399,9 +399,10 @@ class TCPTransport(Transport):
             with self._state_lock:
                 self._conns[name] = conn
                 self._conn_locks[name] = threading.Lock()
-                pending = self._backlog.pop(name, [])
-            for data in pending:
-                _send_framed(conn, data, self._conn_locks[name])
+                # Flush under the state lock: a frame routed to ``name``
+                # from now on must queue behind the buffered ones.
+                for data in self._backlog.pop(name, []):
+                    _send_framed(conn, data, self._conn_locks[name])
             reader = threading.Thread(
                 target=self._reader_loop,
                 args=(name, conn),

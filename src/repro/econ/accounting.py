@@ -75,7 +75,7 @@ class ProfitStatement:
 
 def compute_profit(
     network: MECNetwork,
-    grants: Iterable[Grant],
+    grants: Iterable[Grant] | GrantColumns,
     pricing: PricingPolicy,
 ) -> ProfitStatement:
     """Evaluate Eqs. 5--8 over a set of realized grants.
@@ -83,7 +83,8 @@ def compute_profit(
     Each grant attributes its CRU volume to the UE's subscribed SP; the
     BS payment uses the realized link's distance and ownership through
     the pricing policy — exactly the terms the optimization in Eq. 11
-    sums.
+    sums.  ``grants`` may also be their columns (e.g.
+    :meth:`Assignment.columns <repro.core.assignment.Assignment.columns>`).
 
     The per-grant terms are whole-array products over the grant
     columns, and each SP's totals add its terms left to right in grant

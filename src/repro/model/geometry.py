@@ -97,7 +97,7 @@ class Rectangle:
             raise ConfigurationError(f"count must be non-negative, got {count}")
         xs = rng.uniform(self.x_min, self.x_max, size=count)
         ys = rng.uniform(self.y_min, self.y_max, size=count)
-        return [Point(float(x), float(y)) for x, y in zip(xs, ys)]
+        return list(map(Point, xs.tolist(), ys.tolist()))
 
 
 class SpatialGrid:

@@ -704,10 +704,13 @@ class EntityColumns:
     ue_sp: np.ndarray
     ue_cru_demand: np.ndarray
     ue_rate_demand_bps: np.ndarray
+    bs_ids: np.ndarray
     bs_sp: np.ndarray
     bs_rrb_capacity: np.ndarray
     #: ``(n_bs, n_services)`` CRU capacities ``c_{i,j}``; 0 = not hosted.
     bs_cru_capacity: np.ndarray
+    #: Service ids in ``services`` order (what the positions point at).
+    service_ids: np.ndarray
     _ue_index: _IdIndex
     _bs_index: _IdIndex
     _service_index: _IdIndex
@@ -721,7 +724,8 @@ class EntityColumns:
         )
         service_ids = [s.service_id for s in network.services]
         service_pos = {service_id: j for j, service_id in enumerate(service_ids)}
-        service_index = _IdIndex(np.array(service_ids, dtype=np.int64))
+        service_id_array = np.array(service_ids, dtype=np.int64)
+        service_index = _IdIndex(service_id_array)
         ue_ids = np.array([ue.ue_id for ue in ues], dtype=np.int64)
         cru_capacity = np.zeros((len(bss), len(service_ids)), dtype=np.int64)
         for col, bs in enumerate(bss):
@@ -739,11 +743,13 @@ class EntityColumns:
             ue_rate_demand_bps=np.array(
                 [ue.rate_demand_bps for ue in ues], dtype=float
             ),
+            bs_ids=network._bs_id_array,
             bs_sp=sp_index.positions([bs.sp_id for bs in bss]),
             bs_rrb_capacity=np.array(
                 [bs.rrb_capacity for bs in bss], dtype=np.int64
             ),
             bs_cru_capacity=cru_capacity,
+            service_ids=service_id_array,
             _ue_index=_IdIndex(ue_ids),
             _bs_index=_IdIndex(network._bs_id_array),
             _service_index=service_index,

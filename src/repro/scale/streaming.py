@@ -1,24 +1,23 @@
-"""Chunked scenario construction for sharded runs.
+"""Scenario construction in two steps: the skeleton, then UE chunks.
 
 :func:`repro.sim.scenario.build_scenario` materializes one monolithic
 :class:`~repro.model.network.MECNetwork` plus its radio map — exactly
-the allocation the sharded path exists to avoid.  This module splits
-construction in two:
+the allocation the sharded path exists to avoid.  Both builders share
+this module's split of the construction:
 
 1. :func:`build_scenario_frame` draws everything *except* the UE
    entities — providers, BS placement and hosting, the UE position
-   scatter — consuming the seed's RNG in precisely the order
-   ``build_scenario`` does (providers, placement, per-BS hosting,
-   position scatter);
+   scatter — in that order from the seed's RNG;
 2. :meth:`ScenarioFrame.iter_ue_chunks` then materializes UE entities
    chunk by chunk with the *same continuing generator*.
 
-``generate_user_equipments`` draws per UE sequentially, so generating
-``[0, c)`` then ``[c, 2c)`` with one generator is bit-identical to one
-``[0, n)`` call — the streamed population equals the monolithic one
-entity for entity (pinned by the streaming parity test).  The sharded
-runner routes each chunk straight into per-shard buckets, so no step
-ever holds geometry proportional to ``UE x BS``.
+``generate_user_equipments`` leaves the generator exactly where per-UE
+draws would, so generating ``[0, c)`` then ``[c, 2c)`` with one
+generator is bit-identical to one ``[0, n)`` call — the streamed
+population equals the monolithic one (a single chunk) entity for entity,
+pinned by the streaming parity test.  The sharded runner routes each
+chunk straight into per-shard buckets, so no step ever holds geometry
+proportional to ``UE x BS``.
 """
 
 from __future__ import annotations
@@ -110,11 +109,12 @@ def build_scenario_frame(
 ) -> ScenarioFrame:
     """Draw a scenario's skeleton, leaving UE entities to be streamed.
 
-    RNG consumption mirrors :func:`repro.sim.scenario.build_scenario`
-    step for step — SPs, BS placement, per-BS hosting, the one-shot UE
-    position scatter — so the frame plus its streamed chunks reproduce
-    the monolithic scenario's entity populations exactly.  Tariffs are
-    validated here, like the monolithic builder does before returning.
+    RNG consumption is fixed — SPs, BS placement, per-BS hosting, the
+    one-shot UE position scatter — and
+    :func:`repro.sim.scenario.build_scenario` builds on this frame, so
+    the frame plus its streamed chunks reproduce the monolithic
+    scenario's entity populations exactly.  Tariffs are validated here
+    against Eq. 16.
     """
     rng = np.random.default_rng(seed)
     region = Rectangle.square(config.region_side_m)

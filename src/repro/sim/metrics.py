@@ -67,11 +67,9 @@ def compute_metrics(
     :meth:`~repro.model.network.MECNetwork.columns`; every float sum
     adds the same values in the same order as a per-entity loop would.
     """
-    statement: ProfitStatement = compute_profit(
-        network, assignment.grants, pricing
-    )
+    grants = assignment.columns()
+    statement: ProfitStatement = compute_profit(network, grants, pricing)
     columns = network.columns()
-    grants = GrantColumns.of(assignment.grants)
     # compute_profit has already refused unknown UE and BS ids.
     rows = columns.ue_rows(grants.ue_ids)
     cols = columns.bs_cols(grants.bs_ids)
@@ -152,9 +150,7 @@ def per_bs_utilization(
     saturation picture the load-balancing evaluations plot.  A BS with
     no CRU pool reports 0.0 CRU utilization.
     """
-    cru_utils, rrb_utils = _utilization_by_bs(
-        network, GrantColumns.of(assignment.grants)
-    )
+    cru_utils, rrb_utils = _utilization_by_bs(network, assignment.columns())
     return {
         bs.bs_id: utilization
         for bs, utilization in zip(

@@ -18,18 +18,12 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from repro.econ.pricing import PaperPricing
-from repro.econ.tariffs import validate_tariffs
-from repro.model.entities import BaseStation, ServiceProvider
-from repro.model.geometry import Rectangle
 from repro.model.network import MECNetwork
-from repro.model.placement import make_placement, scatter_ues
-from repro.model.workload import generate_user_equipments
 from repro.radio.channel import RadioMap, build_radio_map
-from repro.radio.ofdma import rrb_budget
+from repro.scale.streaming import build_scenario_frame
 from repro.sim.config import ScenarioConfig
 
 __all__ = [
@@ -72,71 +66,28 @@ def build_scenario(
 
     Construction order (fixed, so seeds stay comparable across configs):
     SPs, BS positions, per-BS service hosting, UE positions, UE demands.
-    Tariffs are validated against Eq. 16 before returning.
+    The entities come from :func:`~repro.scale.streaming.build_scenario_frame`
+    (which also validates the tariffs against Eq. 16) and its one-chunk
+    :meth:`~repro.scale.streaming.ScenarioFrame.iter_ue_chunks`, so the
+    monolithic and the streamed builds share one draw order.
     """
-    rng = np.random.default_rng(seed)
-    region = Rectangle.square(config.region_side_m)
-
-    providers = [
-        ServiceProvider(
-            sp_id=k,
-            name=f"SP-{k}",
-            cru_price=config.cru_price_of_sp(k),
-            other_cost=config.sp_other_cost,
-        )
-        for k in range(config.sp_count)
-    ]
-
-    placement_kwargs: dict[str, float] = {}
-    if config.placement == "regular":
-        placement_kwargs["inter_site_distance_m"] = config.inter_site_distance_m
-    strategy = make_placement(config.placement, **placement_kwargs)
-    positions = strategy.place(region, config.bs_count, rng)
-
-    catalog = config.service_catalog()
-    services = catalog.build_services()
-    rrbs = rrb_budget(config.uplink_bandwidth_hz, config.rrb_bandwidth_hz)
-    ownership = config.bs_ownership()
-    base_stations = [
-        BaseStation(
-            bs_id=index,
-            sp_id=ownership[index],  # interleaved for spatial mixing
-            position=position,
-            cru_capacity=catalog.sample_hosting(rng),
-            rrb_capacity=rrbs,
-            uplink_bandwidth_hz=config.uplink_bandwidth_hz,
-        )
-        for index, position in enumerate(positions)
-    ]
-
-    ue_positions = scatter_ues(region, ue_count, rng)
-    user_equipments = generate_user_equipments(
-        positions=ue_positions,
-        sp_count=config.sp_count,
-        service_count=config.service_count,
-        workload=config.workload_model(),
-        rng=rng,
-    )
+    frame = build_scenario_frame(config, ue_count, seed)
+    user_equipments = list(chain.from_iterable(
+        frame.iter_ue_chunks(chunk_size=max(ue_count, 1))
+    ))
 
     network = MECNetwork(
-        providers=providers,
-        base_stations=base_stations,
+        providers=frame.providers,
+        base_stations=frame.base_stations,
         user_equipments=user_equipments,
-        services=services,
-        region=region,
+        services=frame.services,
+        region=frame.region,
         coverage_radius_m=config.coverage_radius_m,
     )
 
     radio_map = build_radio_map(
         network, config.link_budget(), rate_model=config.rate_model_fn()
     )
-
-    pricing = PaperPricing(
-        base_price=config.base_price,
-        cross_sp_markup=config.cross_sp_markup,
-        distance_weight=config.distance_weight,
-    )
-    validate_tariffs(providers, pricing, config.coverage_radius_m)
 
     return Scenario(
         config=config, network=network, radio_map=radio_map, seed=seed

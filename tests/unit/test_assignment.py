@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from conftest import make_tiny_network
-from repro.compute.cru import Grant
+from repro.compute.cru import Grant, GrantColumns
 from repro.core.assignment import Assignment
 from repro.errors import AllocationError
 from repro.model.geometry import Point
@@ -54,6 +54,63 @@ class TestConstruction:
         assignment = Assignment.from_grants([g], all_ue_ids=[0, 1, 2])
         assert assignment.edge_served_ue_ids == {0}
         assert assignment.cloud_ue_ids == {1, 2}
+
+
+class TestColumnarForm:
+    """An assignment built from grant columns is the one built from the
+    same grants: equal, same ``grants`` order, same Eq. 15 messages."""
+
+    GRANTS = (
+        Grant(bs_id=2, ue_id=5, service_id=1, crus=4, rrbs=2),
+        Grant(bs_id=0, ue_id=1, service_id=0, crus=3, rrbs=1),
+        Grant(bs_id=2, ue_id=3, service_id=0, crus=5, rrbs=3),
+    )
+
+    def test_equal_to_the_grant_built_assignment(self):
+        columns = GrantColumns.of(self.GRANTS)
+        columnar = Assignment.of_columns(columns, {7, 8}, rounds=4)
+        built = Assignment(grants=self.GRANTS, cloud_ue_ids={8, 7}, rounds=4)
+        assert columnar.columns() is columns
+        assert columnar == built and built == columnar
+        assert columnar.grants == self.GRANTS
+        assert columnar.edge_served_ue_ids == {1, 3, 5}
+        assert columnar.edge_served_count == 3
+        assert columnar.serving_bs(3) == 2
+        assert columnar.grant_of(1) == self.GRANTS[1]
+        assert columnar.association_pairs() == built.association_pairs()
+        assert repr(columnar) == repr(built)
+        assert columnar != Assignment.of_columns(columns, {7, 8}, rounds=5)
+        assert columnar != Assignment(
+            grants=self.GRANTS[::-1], cloud_ue_ids={7, 8}, rounds=4
+        )
+
+    def test_each_form_is_built_once(self):
+        built = Assignment(grants=self.GRANTS, cloud_ue_ids=())
+        assert built.columns() is built.columns()
+        columnar = Assignment.of_columns(GrantColumns.of(self.GRANTS), ())
+        assert columnar.grants is columnar.grants
+
+    def test_immutable_and_picklable(self):
+        import pickle
+
+        columnar = Assignment.of_columns(GrantColumns.of(self.GRANTS), {9})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            columnar.rounds = 2
+        again = pickle.loads(pickle.dumps(columnar))
+        assert again == columnar and again.grants == self.GRANTS
+
+    @pytest.mark.parametrize("grants, cloud", [
+        (GRANTS + (Grant(bs_id=1, ue_id=3, service_id=0, crus=5, rrbs=1),), ()),
+        (GRANTS + (Grant(bs_id=1, ue_id=1, service_id=0, crus=3, rrbs=1),
+                   Grant(bs_id=1, ue_id=5, service_id=1, crus=4, rrbs=1)), ()),
+        (GRANTS, (3, 5, 11)),
+    ])
+    def test_same_eq15_messages(self, grants, cloud):
+        with pytest.raises(AllocationError) as expected:
+            Assignment(grants=grants, cloud_ue_ids=cloud)
+        with pytest.raises(AllocationError) as got:
+            Assignment.of_columns(GrantColumns.of(grants), cloud)
+        assert str(got.value) == str(expected.value)
 
 
 class TestValidation:

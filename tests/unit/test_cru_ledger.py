@@ -149,3 +149,67 @@ class TestLedgerPool:
         pool = LedgerPool([make_bs(0), make_bs(1)])
         pool.ledger(0).grant(ue_id=1, service_id=0, crus=2, rrbs=1)
         pool.check_invariants()
+
+
+class TestGrantAll:
+    """The bulk commit equals row-by-row ``grant`` calls."""
+
+    def pool(self):
+        pool = LedgerPool(
+            [make_bs(0), make_bs(1, crus={0: 8}, rrbs=4), make_bs(2)]
+        )
+        pool.ledger(1).grant(ue_id=50, service_id=0, crus=2, rrbs=1)
+        return pool
+
+    @staticmethod
+    def columns(rows):
+        import numpy as np
+
+        from repro.compute.cru import GrantColumns
+
+        names = ("bs_ids", "ue_ids", "service_ids", "crus", "rrbs")
+        return GrantColumns(**{
+            name: np.array([row[k] for row in rows], dtype=np.int64)
+            for k, name in enumerate(names)
+        })
+
+    @staticmethod
+    def state(pool):
+        return [
+            (l.bs_id, l.remaining_rrbs, l.remaining_crus_by_service(),
+             list(l.grants.items()))
+            for l in pool
+        ]
+
+    def test_same_state_and_order_as_sequential(self):
+        rows = [(2, 7, 1, 3, 2), (1, 8, 0, 3, 1), (0, 5, 0, 4, 2),
+                (1, 9, 0, 3, 2), (0, 6, 1, 5, 3)]
+        bulk, sequential = self.pool(), self.pool()
+        committed = bulk.grant_all(self.columns(rows))
+        for bs_id, ue_id, service_id, crus, rrbs in rows:
+            sequential.ledger(bs_id).grant(ue_id, service_id, crus, rrbs)
+        assert self.state(bulk) == self.state(sequential)
+        assert committed == tuple(
+            g for g in sequential.all_grants() if g.ue_id != 50
+        )
+        assert [g.ue_id for g in committed] == [5, 6, 8, 9, 7]
+
+    @pytest.mark.parametrize("rows, error", [
+        # BS 1 has 8 - 2 = 6 CRUs left after UE 50: the second row overflows.
+        ([(1, 8, 0, 4, 1), (1, 9, 0, 3, 1)], CapacityError),
+        ([(1, 8, 0, 1, 2), (1, 9, 0, 1, 2)], CapacityError),
+        ([(0, 5, 0, 4, 2), (1, 50, 0, 1, 1)], ConfigurationError),
+        ([(0, 5, 0, 4, 2), (0, 5, 1, 4, 2)], ConfigurationError),
+        ([(0, 5, 0, 0, 2)], ConfigurationError),
+        ([(0, 5, 0, 4, 2), (3, 6, 0, 1, 1)], UnknownEntityError),
+    ])
+    def test_same_error_and_pool_untouched(self, rows, error):
+        bulk, sequential = self.pool(), self.pool()
+        before = self.state(bulk)
+        with pytest.raises(error) as expected:
+            for bs_id, ue_id, service_id, crus, rrbs in rows:
+                sequential.ledger(bs_id).grant(ue_id, service_id, crus, rrbs)
+        with pytest.raises(error) as got:
+            bulk.grant_all(self.columns(rows))
+        assert str(got.value) == str(expected.value)
+        assert self.state(bulk) == before

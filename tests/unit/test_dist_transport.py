@@ -121,6 +121,35 @@ class TestTransports:
             sup.close()
             transport.shutdown()
 
+    def test_tcp_backlog_flush_keeps_fifo(self, monkeypatch):
+        """Frames buffered before the node dials in are delivered ahead
+        of the ones routed after it registers.  Slow sends widen the
+        window in which the router used to let a new frame overtake
+        the backlog flush."""
+        import time
+
+        import repro.dist.transport as transport_module
+
+        send = transport_module._send_framed
+
+        def slow_send(sock, data, lock):
+            time.sleep(0.001)
+            send(sock, data, lock)
+
+        monkeypatch.setattr(transport_module, "_send_framed", slow_send)
+        transport = make_transport("tcp", ("sup", "node"))
+        sup = transport.channel("sup")
+        try:
+            transport.spawn("node", _echo_body)
+            for i in range(200):
+                sup.send("node", {"t": "msg", "i": i})
+            got = [sup.recv(timeout=30)["echo"]["i"] for _ in range(200)]
+            assert got == list(range(200))
+            sup.send("node", {"t": "stop"})
+        finally:
+            sup.close()
+            transport.shutdown()
+
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_per_sender_fifo(self, kind):
         """Frames from one sender arrive in send order — the only

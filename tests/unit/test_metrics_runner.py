@@ -5,16 +5,18 @@ import dataclasses
 import pytest
 
 from repro.baselines.cloud_only import CloudOnlyAllocator
+from repro.compute.cru import Grant, LedgerPool
 from repro.core.allocator import Allocator
 from repro.core.assignment import Assignment
 from repro.core.dmra import DMRAAllocator
 from repro.econ.accounting import compute_profit
 from repro.errors import AllocationError
 from repro.model.network import MECNetwork
+from repro.model.workload import WorkloadModel
 from repro.radio.channel import RadioMap, build_radio_map
 from repro.sim.metrics import compute_metrics
 from repro.sim.runner import run_allocation
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import Scenario, build_scenario
 
 
 class TestComputeMetrics:
@@ -116,6 +118,31 @@ class TestRunAllocation:
 
         with pytest.raises(AllocationError):
             run_allocation(small_scenario, BrokenAllocator())
+
+    def test_static_path_builds_no_per_entity_objects(
+        self, paper_config, monkeypatch
+    ):
+        """Scenario build, SoA match, validation and accounting stay
+        columnar: no per-UE draw, no ``Grant``, no ``LedgerPool``."""
+        expected = run_allocation(
+            build_scenario(paper_config, 1100, 11),
+            DMRAAllocator(rho=paper_config.rho, kernel="auto"),
+        )
+
+        def per_entity(*args, **kwargs):
+            raise AssertionError("per-entity object on the static path")
+
+        for name in ("draw_service", "draw_cru_demand", "draw_rate_demand_bps"):
+            monkeypatch.setattr(WorkloadModel, name, per_entity)
+        monkeypatch.setattr(Grant, "__init__", per_entity)
+        monkeypatch.setattr(LedgerPool, "__init__", per_entity)
+        scenario = build_scenario(paper_config, 1100, 11)
+        outcome = run_allocation(
+            scenario, DMRAAllocator(rho=paper_config.rho, kernel="auto")
+        )
+        assert outcome.assignment == expected.assignment
+        assert outcome.metrics == expected.metrics
+        assert 0 < outcome.metrics.edge_served < 1100
 
     def test_audit_makes_no_point_lookups(self, small_scenario, monkeypatch):
         """Validation and accounting read columns only: a per-grant

@@ -23,12 +23,13 @@ from repro.core.soa import (
     SoAMatchingEngine,
     _segmented_argmin_numpy,
     available_matching_backends,
+    gather_candidates,
     make_matching_engine,
     register_matching_backend,
 )
 from repro.econ.pricing import FlatPricing, PaperPricing
-from repro.errors import AllocationError, ConfigurationError
-from repro.radio.channel import build_radio_map
+from repro.errors import AllocationError, ConfigurationError, UnknownEntityError
+from repro.radio.channel import RadioMap, build_radio_map
 from repro.radio.sinr import LinkBudget
 
 
@@ -244,6 +245,59 @@ class TestIncrementalMode:
             range(1, len(seen) + 1)
         )
         assert sum(s.accepted for s in seen) == 3
+
+
+class TestGatherCandidates:
+    """The CSR gather shared by the kernel and the bound compile."""
+
+    def test_matches_per_ue_slices_on_a_shuffled_map(self, small_scenario):
+        network, built = small_scenario.network, small_scenario.radio_map
+        links = list(built)
+        np.random.default_rng(3).shuffle(links)
+        for radio_map in (built, RadioMap.from_links(links)):
+            targets = [ue.ue_id for ue in network.user_equipments][::3]
+            gathered = gather_candidates(network, radio_map, set(targets))
+            expected = [
+                position
+                for ue_id in sorted(targets)
+                for position in range(*radio_map.ue_slice(ue_id))
+            ]
+            assert gathered.ue_ids.tolist() == sorted(targets)
+            assert gathered.links.tolist() == expected
+            assert gathered.pair_bs.tolist() == [
+                network.col_of_bs(bs_id)
+                for bs_id in radio_map.bs_ids[expected].tolist()
+            ]
+            rows_of = [network.row_of_ue(u) for u in sorted(targets)]
+            assert gathered.rows.tolist() == rows_of
+
+    def test_scrambled_map_matches_object_engine(self, loaded_scenario):
+        """UE groups out of order, and links out of BS order within each
+        group: the gather and the kernel's within-row sort restore the
+        object engine's candidate order."""
+        network = loaded_scenario.network
+        rng = np.random.default_rng(5)
+        groups: dict[int, list] = {}
+        for link in loaded_scenario.radio_map:
+            groups.setdefault(link.ue_id, []).append(link)
+        order = list(groups.values())
+        rng.shuffle(order)
+        links = []
+        for group in order:
+            rng.shuffle(group)
+            links.extend(group)
+        radio_map = RadioMap.from_links(links)
+        policy = DMRAPolicy(pricing=loaded_scenario.pricing)
+        soa = SoAMatchingEngine(policy).run(network, radio_map)
+        reference = IterativeMatchingEngine(policy).run(network, radio_map)
+        assert soa == reference
+        assert soa.cloud_count > 0
+
+    def test_unknown_ue_ids_raise(self):
+        network, radio_map = _tiny()
+        engine = SoAMatchingEngine(DMRAPolicy(pricing=PaperPricing()))
+        with pytest.raises(UnknownEntityError, match="unknown UE id 7"):
+            engine.run(network, radio_map, ue_ids=[9, 0, 7])
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,20 @@ class TestWorkloadModel:
         with pytest.raises(ConfigurationError):
             WorkloadModel().draw_service(0, rng)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_bounds_rejected(self, bad):
+        """NaN and infinite bounds fail at construction, not at the
+        first draw (where NumPy raised its own ValueError or
+        OverflowError, and a bulk decode would yield NaN demands)."""
+        with pytest.raises(ConfigurationError, match="rate demand range"):
+            WorkloadModel(rate_demand_max_bps=bad)
+        with pytest.raises(ConfigurationError, match="rate demand range"):
+            WorkloadModel(rate_demand_min_bps=bad)
+        with pytest.raises(ConfigurationError, match="CRU demand range"):
+            WorkloadModel(cru_demand_max=bad)
+        with pytest.raises(ConfigurationError, match="service_popularity"):
+            WorkloadModel(service_popularity=(bad, 1.0, 1.0))
+
 
 class TestGenerateUserEquipments:
     def positions(self, count=10):
