@@ -13,10 +13,9 @@ bounds on the TPM objective:
 ``lagrangian``
     A Lagrangian decomposition that dualizes the per-BS coupling
     constraints (Eqs. 12 and 14).  What remains is one independent
-    closed-form subproblem per UE, evaluated with segmented array
-    reductions over the same CSR candidate layout as
-    :mod:`repro.core.soa` -- so the bound runs at 100k-UE scale in
-    memory-bounded UE chunks.
+    closed-form subproblem per UE, evaluated with contiguous per-slot
+    array passes over the candidates :mod:`repro.core.soa` gathers,
+    laid out slot-major -- so the bound runs at 100k-UE scale.
 
 Any nonnegative multiplier vector yields a valid bound, so a truncated
 subgradient run still certifies.  See ``docs/bounds.md`` for the

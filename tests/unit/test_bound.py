@@ -41,28 +41,80 @@ def tiny_problem():
     return network, radio_map
 
 
-class TestBoundProblem:
-    def test_csr_layout_is_consistent(self):
-        network, radio_map = tiny_problem()
-        problem = compile_bound_problem(network, radio_map, PRICING)
-        assert problem.n_ue == len(network.user_equipments)
-        assert problem.indptr.shape == (problem.n_ue + 1,)
-        assert problem.indptr[-1] == problem.n_pairs
-        assert problem.pair_profit.shape == (problem.n_pairs,)
-        # Every pair row index lies inside its UE's CSR slice.
-        for row in range(problem.n_ue):
-            lo, hi = problem.indptr[row], problem.indptr[row + 1]
-            assert (problem.row_of_pair[lo:hi] == row).all()
+def rows_of(problem):
+    """Each UE row's pair indices, in slot order."""
+    rows = problem.pair_rows()
+    return [np.flatnonzero(rows == row) for row in range(problem.n_ue)]
 
-    def test_pair_profit_matches_scalar_accounting(self):
+
+class TestBoundProblem:
+    def test_slot_layout_is_consistent(self, small_scenario):
+        network, radio_map = small_scenario.network, small_scenario.radio_map
+        problem = compile_bound_problem(
+            network, radio_map, small_scenario.pricing
+        )
+        assert problem.n_ue == len(network.user_equipments)
+        assert problem.slot_ptr[0] == 0
+        assert problem.slot_ptr[-1] == problem.n_pairs
+        assert problem.pair_profit.shape == (problem.n_pairs,)
+        assert sorted(problem.slot_rows.tolist()) == list(range(problem.n_ue))
+        widths = np.diff(problem.slot_ptr)
+        assert problem.n_slots > 1 and (widths > 0).all()
+        assert (widths[1:] <= widths[:-1]).all()
+        # Rows by descending candidate count, ties in row order.
+        counts = np.array([
+            sum(link.feasible for link in radio_map.links_of_ue(int(ue_id)))
+            for ue_id in problem.ue_ids
+        ])
+        expected = sorted(range(problem.n_ue), key=lambda row: -counts[row])
+        assert problem.slot_rows.tolist() == expected
+        for k, width in enumerate(widths):
+            assert width == np.count_nonzero(counts > k)
+
+    def test_each_row_lists_its_feasible_links_once_in_map_order(
+        self, small_scenario
+    ):
+        network, radio_map = small_scenario.network, small_scenario.radio_map
+        problem = compile_bound_problem(
+            network, radio_map, small_scenario.pricing
+        )
+        position = {row: j for j, row in enumerate(problem.slot_rows)}
+        for row, pairs in enumerate(rows_of(problem)):
+            ue_id = int(problem.ue_ids[row])
+            feasible = [
+                link for link in radio_map.links_of_ue(ue_id) if link.feasible
+            ]
+            assert problem.bs_ids[problem.pair_bs[pairs]].tolist() == [
+                link.bs_id for link in feasible
+            ]
+            assert problem.pair_rrb[pairs].tolist() == [
+                float(link.rrbs_required) for link in feasible
+            ]
+            # The row's k-th candidate sits in slot k, at the row's place.
+            assert pairs.tolist() == [
+                int(problem.slot_ptr[k]) + position[row]
+                for k in range(len(pairs))
+            ]
+
+    def test_pair_profit_matches_scalar_accounting(self, small_scenario):
         """The vectorized profit column is the scalar marginal_profit."""
-        network, radio_map = tiny_problem()
-        problem = compile_bound_problem(network, radio_map, PRICING)
+        network = small_scenario.network
+        pricing = small_scenario.pricing
+        problem = compile_bound_problem(
+            network, small_scenario.radio_map, pricing
+        )
+        rows = problem.pair_rows()
         for k in range(problem.n_pairs):
-            ue_id = int(problem.ue_ids[problem.row_of_pair[k]])
+            ue_id = int(problem.ue_ids[rows[k]])
             bs_id = int(problem.bs_ids[problem.pair_bs[k]])
-            expected = marginal_profit(network, ue_id, bs_id, PRICING)
-            assert problem.pair_profit[k] == pytest.approx(expected)
+            expected = marginal_profit(network, ue_id, bs_id, pricing)
+            assert problem.pair_profit[k] == expected
+            ue = network.user_equipment(ue_id)
+            assert problem.pair_cru[k] == ue.cru_demand
+            service = problem.service_ids.index(ue.service_id)
+            assert problem.pair_flat[k] == (
+                problem.pair_bs[k] * len(problem.service_ids) + service
+            )
 
     def test_capacity_vectors_cover_every_bs(self):
         network, radio_map = tiny_problem()
@@ -80,39 +132,58 @@ class TestBoundProblem:
 
 
 class TestLagrangianBound:
-    def test_dominates_lp_value(self):
-        network, radio_map = tiny_problem()
-        problem = compile_bound_problem(network, radio_map, PRICING)
+    @pytest.fixture
+    def problem(self, small_scenario):
+        return compile_bound_problem(
+            small_scenario.network,
+            small_scenario.radio_map,
+            small_scenario.pricing,
+        )
+
+    def test_dominates_lp_value(self, small_scenario, problem):
         outcome = lagrangian_bound(problem, max_iterations=200)
-        lp = lp_bound(network, radio_map, PRICING)
+        lp = lp_bound(
+            small_scenario.network,
+            small_scenario.radio_map,
+            small_scenario.pricing,
+        )
         assert outcome.upper_bound >= lp - 1e-6 * max(1.0, abs(lp))
 
-    def test_initial_bound_is_capacity_blind_sum(self):
+    def test_initial_bound_is_capacity_blind_sum(self, problem):
         """At zero multipliers the dual is the sum of each UE's best
         positive profit, ignoring capacity — the loosest valid bound."""
-        network, radio_map = tiny_problem()
-        problem = compile_bound_problem(network, radio_map, PRICING)
         outcome = lagrangian_bound(problem, max_iterations=0)
         blind = 0.0
-        for row in range(problem.n_ue):
-            lo, hi = problem.indptr[row], problem.indptr[row + 1]
-            if hi > lo:
-                blind += max(0.0, float(problem.pair_profit[lo:hi].max()))
+        for pairs in rows_of(problem):
+            if pairs.size:
+                blind += max(0.0, float(problem.pair_profit[pairs].max()))
         assert outcome.initial_bound == pytest.approx(blind)
         assert outcome.upper_bound <= outcome.initial_bound + 1e-12
 
-    def test_iterations_respect_budget(self):
-        network, radio_map = tiny_problem()
-        problem = compile_bound_problem(network, radio_map, PRICING)
+    def test_iterations_respect_budget(self, problem):
         outcome = lagrangian_bound(problem, max_iterations=3)
         assert outcome.iterations <= 3
 
-    def test_chunked_solve_matches_unchunked(self):
-        network, radio_map = tiny_problem()
-        problem = compile_bound_problem(network, radio_map, PRICING)
-        whole = lagrangian_bound(problem, max_iterations=50)
-        chunked = lagrangian_bound(problem, max_iterations=50, chunk_ues=1)
-        assert chunked.upper_bound == pytest.approx(whole.upper_bound)
+    def test_chunked_solve_matches_unchunked(self, problem):
+        """``chunk_ues`` only regroups the dual's sum: float noise."""
+        assert problem.n_ue > 50
+        whole = lagrangian_bound(problem, max_iterations=50, target=0.0)
+        for chunk_ues in (1, 7, 50):
+            chunked = lagrangian_bound(
+                problem, max_iterations=50, target=0.0, chunk_ues=chunk_ues
+            )
+            assert chunked.iterations == whole.iterations
+            assert chunked.upper_bound == pytest.approx(
+                whole.upper_bound, rel=1e-12
+            )
+            assert chunked.initial_bound == pytest.approx(
+                whole.initial_bound, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("chunk_ues", [0, -1])
+    def test_non_positive_chunk_rejected(self, problem, chunk_ues):
+        with pytest.raises(ConfigurationError, match="chunk_ues"):
+            lagrangian_bound(problem, chunk_ues=chunk_ues)
 
 
 class TestLPBound:
@@ -153,6 +224,20 @@ class TestCertifyGap:
         network, radio_map = tiny_problem()
         with pytest.raises(ConfigurationError):
             certify_gap(network, radio_map, PRICING, method="milp")
+
+    @pytest.mark.parametrize("chunk_ues", [0, -1])
+    def test_non_positive_chunk_cannot_forge_a_certificate(
+        self, small_scenario, chunk_ues
+    ):
+        """A chunk size below 1 once summed no UE: bound 0, gap 0."""
+        with pytest.raises(ConfigurationError, match="chunk_ues"):
+            certify_gap(
+                small_scenario.network,
+                small_scenario.radio_map,
+                small_scenario.pricing,
+                incumbent_profit=1.0,
+                chunk_ues=chunk_ues,
+            )
 
     def test_lp_and_lagrangian_certificates_agree_on_tiny(self):
         network, radio_map = tiny_problem()
@@ -236,6 +321,6 @@ class TestNumpyHygiene:
     def test_problem_arrays_are_numpy(self):
         network, radio_map = tiny_problem()
         problem = compile_bound_problem(network, radio_map, PRICING)
-        for name in ("indptr", "pair_profit", "pair_cru", "pair_rrb",
-                     "cap_cru", "cap_rrb"):
+        for name in ("slot_ptr", "slot_rows", "pair_profit", "pair_cru",
+                     "pair_rrb", "cap_cru", "cap_rrb"):
             assert isinstance(getattr(problem, name), np.ndarray), name

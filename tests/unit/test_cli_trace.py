@@ -58,6 +58,20 @@ class TestTraceFlag:
         names = {span.name for span in trace.all_spans()}
         assert "failures.inject" in names
 
+    def test_bound_trace_records_certification(self, tmp_path, capsys):
+        path = tmp_path / "bound.jsonl"
+        assert main([
+            "bound", "--ues", "60", "--seed", "1", "--iterations", "5",
+            "--trace", str(path),
+        ]) == 0
+        spans = {span.name: span for span in read_trace(path).all_spans()}
+        problem = spans["bound.problem"]
+        assert problem.attrs["pairs"] > 0
+        assert 0 < problem.attrs["slots"] <= problem.attrs["pairs"]
+        lagrangian = spans["bound.lagrangian"]
+        assert 1 <= lagrangian.attrs["iterations"] <= 5
+        assert lagrangian.attrs["converged"] in (True, False)
+
 
 class TestTraceCommand:
     @pytest.fixture()
