@@ -13,6 +13,7 @@ for a scheme that jointly tracks both resources.
 
 from __future__ import annotations
 
+from repro.compute.cru import BSLedger
 from repro.core.allocator import Allocator
 from repro.core.assignment import Assignment
 from repro.core.matching import (
@@ -35,9 +36,7 @@ class DCSPPolicy(MatchingPolicy):
     def ue_score(
         self, ue: UserEquipment, bs_id: int, ctx: MatchingContext
     ) -> float:
-        ledger = ctx.ledgers.ledger(bs_id)
-        cru_util, rrb_util = ledger.utilization()
-        return (cru_util + rrb_util) / 2.0
+        return _occupation(ctx.ledgers.ledger(bs_id))
 
     # Engine hot-path hooks: the DCSP score is pure per-BS occupation —
     # nothing varies per UE — so the "static" part is zero and the whole
@@ -53,11 +52,11 @@ class DCSPPolicy(MatchingPolicy):
     def round_additive_terms(
         self, ctx: MatchingContext, service_ids: frozenset[int]
     ) -> dict[int, dict[int, float]] | None:
-        def occupation(ledger) -> float:
-            cru_util, rrb_util = ledger.utilization()
-            return (cru_util + rrb_util) / 2.0
-
-        by_bs = {ledger.bs_id: occupation(ledger) for ledger in ctx.ledgers}
+        ledger_of = ctx.ledgers.ledger
+        by_bs = {
+            bs_id: _occupation(ledger_of(bs_id))
+            for bs_id in ctx.candidate_bs_ids
+        }
         # The score ignores the service, so every service shares one map.
         return {service_id: by_bs for service_id in service_ids}
 
@@ -78,6 +77,12 @@ class DCSPPolicy(MatchingPolicy):
         self, ue_id: int, bs_id: int, static: tuple, ctx: MatchingContext
     ) -> tuple:
         return (ctx.feasible_bs_count(ue_id), static[0])
+
+
+def _occupation(ledger: BSLedger) -> float:
+    """A BS's mean utilization across its computing and radio pools."""
+    cru_util, rrb_util = ledger.utilization()
+    return (cru_util + rrb_util) / 2.0
 
 
 class DCSPAllocator(Allocator):

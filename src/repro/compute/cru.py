@@ -169,7 +169,9 @@ class BSLedger:
     def utilization(self) -> tuple[float, float]:
         """(CRU utilization, RRB utilization) as fractions in [0, 1]."""
         total_crus = self._bs.total_cru_capacity
-        used_crus = sum(g.crus for g in self._grants.values())
+        # Remaining plus granted equals capacity per service, so this is
+        # the sum of the held grants' CRUs without walking the grants.
+        used_crus = total_crus - sum(self._remaining_crus.values())
         cru_util = used_crus / total_crus if total_crus else 0.0
         used_rrbs = self._bs.rrb_capacity - self._remaining_rrbs
         rrb_util = used_rrbs / self._bs.rrb_capacity
@@ -210,6 +212,7 @@ class LedgerPool:
 
     def __init__(self, base_stations) -> None:
         self._ledgers = {bs.bs_id: BSLedger(bs) for bs in base_stations}
+        self._position = {bs_id: i for i, bs_id in enumerate(self._ledgers)}
 
     def ledger(self, bs_id: int) -> BSLedger:
         """The ledger of one base station."""
@@ -223,6 +226,14 @@ class LedgerPool:
 
     def __len__(self) -> int:
         return len(self._ledgers)
+
+    def position(self, bs_id: int) -> int:
+        """Where ``bs_id``'s ledger comes in iteration (and
+        :meth:`all_grants`) order."""
+        try:
+            return self._position[bs_id]
+        except KeyError:
+            raise UnknownEntityError(f"unknown BS id {bs_id}") from None
 
     def all_grants(self) -> list[Grant]:
         """Every grant currently held across all BSs."""
@@ -266,12 +277,11 @@ class LedgerPool:
         for (bs_id, service_id), crus in crus_left.items():
             self._ledgers[bs_id]._remaining_crus[service_id] = crus
         committed: list[Grant] = []
-        for bs_id, ledger in self._ledgers.items():
-            new = staged.get(bs_id)
-            if new is not None:
-                ledger._remaining_rrbs = rrbs_left[bs_id]
-                ledger._grants.update(new)
-                committed.extend(new.values())
+        for bs_id in sorted(staged, key=self.position):
+            ledger = self._ledgers[bs_id]
+            ledger._remaining_rrbs = rrbs_left[bs_id]
+            ledger._grants.update(staged[bs_id])
+            committed.extend(staged[bs_id].values())
         return tuple(committed)
 
     def check_invariants(self) -> None:

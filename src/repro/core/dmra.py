@@ -44,18 +44,19 @@ class DMRAPolicy(MatchingPolicy):
         self.pricing = pricing
         self.rho = rho
         self.same_sp_priority = same_sp_priority
-        # {bs_id: sp_id} for the most recent network seen, rebuilt on
-        # identity change (networks are immutable).  Saves a guarded
-        # dict lookup per (UE, BS) pair during cache builds.
+        # {bs_id: sp_id} for the most recent BS side seen, rebuilt when
+        # the ``base_stations`` tuple changes identity.  Batch networks
+        # share the tuple with their template, so a stream of batches
+        # builds it once.  Saves a guarded dict lookup per (UE, BS) pair
+        # during cache builds.
         self._sp_of_bs: dict[int, int] = {}
-        self._sp_map_network: MECNetwork | None = None
+        self._sp_map_base_stations: tuple | None = None
 
     def _bs_owner_map(self, network: MECNetwork) -> dict[int, int]:
-        if self._sp_map_network is not network:
-            self._sp_of_bs = {
-                bs.bs_id: bs.sp_id for bs in network.base_stations
-            }
-            self._sp_map_network = network
+        base_stations = network.base_stations
+        if self._sp_map_base_stations is not base_stations:
+            self._sp_of_bs = {bs.bs_id: bs.sp_id for bs in base_stations}
+            self._sp_map_base_stations = base_stations
         return self._sp_of_bs
 
     def ue_score(
@@ -100,8 +101,8 @@ class DMRAPolicy(MatchingPolicy):
         rho = self.rho
         return {
             service_id: {
-                ledger.bs_id: dmra_slack_term(service_id, ledger.bs_id, ctx, rho)
-                for ledger in ctx.ledgers
+                bs_id: dmra_slack_term(service_id, bs_id, ctx, rho)
+                for bs_id in ctx.candidate_bs_ids
             }
             for service_id in service_ids
         }

@@ -50,6 +50,12 @@ the golden parity tests) while scaling to large populations:
   the per-UE lists during the argmin scan (amortized O(1) per removal)
   instead of the reference's O(n) ``list.remove`` calls, and per-round
   bookkeeping of the unassociated set is a single linear filter.
+* **O(batch) incremental runs** — a run reads, snapshots, and prices
+  only the ledgers of its UEs' candidate BSs
+  (:attr:`MatchingContext.candidate_bs_ids`), and reports the grants it
+  books as it books them, so matching a few UEs against a pool that
+  already holds many grants costs nothing per held grant or per
+  untouched BS.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.compute.cru import BSLedger, LedgerPool
+from repro.compute.cru import BSLedger, Grant, LedgerPool
 from repro.core.assignment import Assignment
 from repro.errors import AllocationError
 from repro.model.entities import UserEquipment
@@ -110,6 +116,9 @@ class MatchingContext:
     ledgers: LedgerPool
     candidate_sets: dict[int, list[int]] = field(default_factory=dict)
     f_u_snapshot: dict[int, int] = field(default_factory=dict)
+    #: The sorted union of ``candidate_sets``: every BS a run's UEs can
+    #: propose to, and so every BS whose ledger the run reads.
+    candidate_bs_ids: tuple[int, ...] = ()
 
     def rrbs_required(self, ue_id: int, bs_id: int) -> int:
         """``n_{u,i}`` for a candidate link."""
@@ -220,8 +229,11 @@ class MatchingPolicy(ABC):
 
         *exactly* — the golden parity tests hold implementations to
         bit-identical assignments.  ``service_ids`` lists the services
-        of the UEs being matched; every ledgered BS must appear in each
-        inner mapping.
+        of the UEs being matched; every candidate BS of the run
+        (:attr:`MatchingContext.candidate_bs_ids`) must appear in each
+        inner mapping.  No other BS is needed, so a policy that prices
+        only those keeps an incremental run's cost independent of the
+        pool's size.
         """
         return None
 
@@ -289,14 +301,15 @@ class _FeasibilityTracker:
         self.retired = 0
         cru_heaps: dict[tuple[int, int], list] = {}
         rrb_heaps: dict[int, list] = {}
-        # Snapshot remaining capacities once (ledgers are quiescent
-        # here) so the per-pair feasibility test is two dict reads.
-        remaining_rrbs = {
-            ledger.bs_id: ledger.remaining_rrbs for ledger in ctx.ledgers
-        }
+        # Snapshot the candidate BSs' remaining capacities once
+        # (ledgers are quiescent here) so the per-pair feasibility test
+        # is two dict reads.
+        remaining_rrbs: dict[int, int] = {}
         remaining_crus: dict[tuple[int, int], int] = {}
-        for ledger in ctx.ledgers:
-            bs_id = ledger.bs_id
+        ledger_of = ctx.ledgers.ledger
+        for bs_id in ctx.candidate_bs_ids:
+            ledger = ledger_of(bs_id)
+            remaining_rrbs[bs_id] = ledger.remaining_rrbs
             for service_id, crus in ledger.remaining_crus_by_service().items():
                 remaining_crus[(bs_id, service_id)] = crus
         seq = 0
@@ -393,7 +406,11 @@ class IterativeMatchingEngine:
         earlier arrivals plus the ids of the newly arrived UEs, and only
         those UEs are matched against the remaining capacity.  The
         returned assignment covers exactly ``ue_ids``; pre-existing
-        grants are left untouched and not reported.
+        grants are left untouched and not reported.  Its grants are the
+        ones this run booked, in :meth:`LedgerPool.all_grants` order
+        (ledger order, then booking order): nothing in a run releases a
+        booking, so that is exactly "the pool's grants after the run
+        minus those before it".
 
         ``observer`` receives one :class:`RoundStats` per round — the
         hook the convergence diagnostics and phase profiling build on.
@@ -410,19 +427,21 @@ class IterativeMatchingEngine:
             target_ids = sorted(ue.ue_id for ue in network.user_equipments)
         else:
             target_ids = sorted(set(ue_ids))
-        preexisting = {
-            (grant.bs_id, grant.ue_id) for grant in ledgers.all_grants()
+        # Sorted so the proposal scan's first-wins tie-break equals the
+        # reference's (score, bs_id) argmin ordering.
+        candidate_sets = {
+            ue_id: sorted(network.candidate_base_stations(ue_id))
+            for ue_id in target_ids
         }
         ctx = MatchingContext(
             network=network,
             radio_map=radio_map,
             ledgers=ledgers,
-            # Sorted so the proposal scan's first-wins tie-break equals
-            # the reference's (score, bs_id) argmin ordering.
-            candidate_sets={
-                ue_id: sorted(network.candidate_base_stations(ue_id))
-                for ue_id in target_ids
-            },
+            candidate_sets=candidate_sets,
+            candidate_bs_ids=tuple(sorted({
+                bs_id for bs_ids in candidate_sets.values()
+                for bs_id in bs_ids
+            })),
         )
         network_ue = network.user_equipment
         ue_by_id = {ue_id: network_ue(ue_id) for ue_id in target_ids}
@@ -431,6 +450,7 @@ class IterativeMatchingEngine:
         tracker = _FeasibilityTracker(ctx, target_ids, cands, ue_by_id)
         unassociated = list(target_ids)
         cloud: set[int] = set()
+        booked: dict[int, list[Grant]] = {}
         rounds = 0
         tel = get_telemetry()
 
@@ -474,7 +494,7 @@ class IterativeMatchingEngine:
                     phase_start = time.perf_counter()
                     retired_before = tracker.retired
                     accepted, evictions = self._process_base_stations(
-                        ctx, requests, tracker, ue_by_id
+                        ctx, requests, tracker, ue_by_id, booked
                     )
                     accept_time = time.perf_counter() - phase_start
                     fu_retired = tracker.retired - retired_before
@@ -514,10 +534,11 @@ class IterativeMatchingEngine:
             cloud.update(unassociated)
             match_span.set(rounds=rounds - 1, cloud=len(cloud))
             tel.gauge("match.rounds", rounds - 1)
+        position = ledgers.position
         new_grants = tuple(
             grant
-            for grant in ledgers.all_grants()
-            if (grant.bs_id, grant.ue_id) not in preexisting
+            for bs_id in sorted(booked, key=position)
+            for grant in booked[bs_id]
         )
         return Assignment(
             grants=new_grants,
@@ -700,14 +721,15 @@ class IterativeMatchingEngine:
         requests: dict[int, dict[int, list[_PairState]]],
         tracker: _FeasibilityTracker,
         ue_by_id: dict[int, UserEquipment],
+        booked: dict[int, list[Grant]],
     ) -> tuple[set[int], int]:
         """Phases 2--3: per-service selection plus the RRB budget check.
 
         Returns the set of UE ids granted an association this round and
-        the number of tentative picks evicted by the RRB budget check.
-        Requests arrive as :class:`_PairState` objects, so the grant
-        below spends the pair's cached ``n_{u,i}`` instead of a
-        radio-map lookup.
+        the number of tentative picks evicted by the RRB budget check,
+        and appends each new grant to ``booked[bs_id]``.  Requests
+        arrive as :class:`_PairState` objects, so the grant below spends
+        the pair's cached ``n_{u,i}`` instead of a radio-map lookup.
         """
         accepted: set[int] = set()
         evictions = 0
@@ -716,14 +738,15 @@ class IterativeMatchingEngine:
             picks = self._pick_per_service(ctx, bs_id, requests[bs_id])
             survivors = self._fit_radio_budget(ctx, bs_id, ledger, picks)
             evictions += len(picks) - len(survivors)
+            bs_booked = booked.setdefault(bs_id, [])
             for pair in survivors:
                 ue = ue_by_id[pair.ue_id]
-                ledger.grant(
+                bs_booked.append(ledger.grant(
                     ue_id=pair.ue_id,
                     service_id=ue.service_id,
                     crus=ue.cru_demand,
                     rrbs=pair.rrbs,
-                )
+                ))
                 tracker.on_grant(ledger, ue.service_id)
                 accepted.add(pair.ue_id)
         return accepted, evictions

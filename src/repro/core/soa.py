@@ -284,7 +284,8 @@ class SoAMatchingEngine:
             rem_cru = rem_cru.ravel()
         else:
             rem_rrb, rem_cru = _pool_remainders(
-                ledgers, bs_id_arr, columns.service_ids, svc_rank
+                ledgers, bs_id_arr, np.unique(gathered.pair_bs),
+                columns.service_ids, svc_rank,
             )
 
         rows = gathered.rows
@@ -664,15 +665,21 @@ def _bs_order_within_rows(
 def _pool_remainders(
     ledgers: LedgerPool,
     bs_ids: np.ndarray,
+    read: np.ndarray,
     service_ids: np.ndarray,
     svc_rank: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(rem_rrb[n_bs], rem_cru[n_bs * n_svc])`` read off a pool."""
+    """``(rem_rrb[n_bs], rem_cru[n_bs * n_svc])`` read off a pool.
+
+    Only the ledgers of the BS columns in ``read`` (those the run's
+    pairs reference) are read; the other columns stay 0, and the kernel
+    never indexes them.
+    """
     n_svc = len(service_ids)
     svc_index = dict(zip(service_ids.tolist(), svc_rank.tolist()))
     rem_rrb = np.zeros(len(bs_ids), dtype=np.int64)
     rem_cru = np.zeros(len(bs_ids) * n_svc, dtype=np.int64)
-    for b, bs_id in enumerate(bs_ids.tolist()):
+    for b, bs_id in zip(read.tolist(), bs_ids[read].tolist()):
         ledger = ledgers.ledger(bs_id)
         rem_rrb[b] = ledger.remaining_rrbs
         for sid, crus in ledger.remaining_crus_by_service().items():

@@ -13,9 +13,11 @@ template, computing only the UE-side grid geometry (the same
 ``query_radius`` + hosting filter as
 ``MECNetwork._init_grid_geometry``, so coverage pairs, candidate sets,
 and distances are bit-identical to constructing the network directly —
-pinned by the batch-parity tests).  Cost per batch is
-O(batch UEs x coverage degree), independent of how many UEs ever
-existed.
+pinned by the batch-parity tests).  The shared structures include the
+BS half of the entity columns (:meth:`MECNetwork.bs_columns`), so a
+batch network's :meth:`~MECNetwork.columns` builds only its own UE
+arrays.  Cost per batch is O(batch UEs x coverage degree), independent
+of how many UEs ever existed.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ class BatchNetworkBuilder:
         coverage_radius_m: float,
     ) -> None:
         # The zero-UE template runs full construction once: entity
-        # validation, id indexes, hosting columns, and the BS spatial
-        # grid.  Every batch network shares these objects.
+        # validation, id indexes, hosting columns, the BS spatial grid,
+        # and the BS-side columns.  Every batch network shares these
+        # objects.
         self._template = MECNetwork(
             providers=providers,
             base_stations=base_stations,
@@ -60,6 +63,7 @@ class BatchNetworkBuilder:
             geometry="grid",
         )
         template = self._template
+        template.bs_columns()
         self._service_index = {
             service.service_id: i
             for i, service in enumerate(template.services)
@@ -110,6 +114,7 @@ class BatchNetworkBuilder:
             "_bs_col",
             "_hosts_by_service",
             "_bs_id_array",
+            "_bs_columns",
             "_grid",
         ):
             object.__setattr__(clone, name, getattr(template, name))

@@ -12,7 +12,7 @@ keep their own resource ledgers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from repro.model.geometry import (
     pairwise_distances_m,
 )
 
-__all__ = ["EntityColumns", "MECNetwork"]
+__all__ = ["BSColumns", "EntityColumns", "MECNetwork"]
 
 #: ``auto`` geometry keeps the dense UE x BS distance matrix up to this
 #: many cells (~32 MB of float64) and switches to the sparse spatial
@@ -91,10 +91,14 @@ class MECNetwork:
     _cand_indptr: np.ndarray | None = field(init=False, repr=False)
     _cand_cols: np.ndarray | None = field(init=False, repr=False)
     _cand_dists: np.ndarray | None = field(init=False, repr=False)
-    # Built on first use by :meth:`columns`.  The class-level default
-    # also covers clones assembled with ``object.__new__``, which then
-    # build their own columns on first use.
+    # Built on first use by :meth:`columns` / :meth:`bs_columns`.  The
+    # class-level defaults also cover clones assembled with
+    # ``object.__new__``, which then build their own on first use unless
+    # the clone copies them from a network with the same BS side.
     _columns: "EntityColumns | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _bs_columns: "BSColumns | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -380,12 +384,27 @@ class MECNetwork:
         return distances
 
     def columns(self) -> "EntityColumns":
-        """The per-entity attribute arrays, built on first use and cached."""
+        """The per-entity attribute arrays, built on first use and cached.
+
+        Their BS half is :meth:`bs_columns`, shared rather than rebuilt.
+        """
         columns = self._columns
         if columns is None:
             columns = EntityColumns.of(self)
             object.__setattr__(self, "_columns", columns)
         return columns
+
+    def bs_columns(self) -> "BSColumns":
+        """The BS-side attribute arrays, built on first use and cached.
+
+        Building them never touches the UE population, so a consumer
+        that needs only BS fields does not pay for :meth:`columns`.
+        """
+        bs_columns = self._bs_columns
+        if bs_columns is None:
+            bs_columns = BSColumns.of(self)
+            object.__setattr__(self, "_bs_columns", bs_columns)
+        return bs_columns
 
     def distance_matrix_m(self) -> np.ndarray:
         """Copy of the full ``(n_ue, n_bs)`` distance matrix in meters.
@@ -543,6 +562,7 @@ class MECNetwork:
             "_bs_col",
             "_hosts_by_service",
             "_bs_id_array",
+            "_bs_columns",
             "_grid",
             "_cov_indptr",
             "_cov_cols",
@@ -688,22 +708,15 @@ class _IdIndex:
 
 
 @dataclass(frozen=True, eq=False)
-class EntityColumns:
-    """A network's per-entity attributes as aligned NumPy arrays.
+class BSColumns:
+    """A network's BS-side attributes as aligned NumPy arrays.
 
-    UE arrays follow ``user_equipments`` (distance-matrix rows) and BS
-    arrays follow ``base_stations`` (columns).  SP and service fields
-    hold *positions* in ``providers`` / ``services``, not ids.
-    Whole-assignment consumers (validation, profit accounting, outcome
-    metrics) read these instead of looking entities up one id at a
-    time; get them from :meth:`MECNetwork.columns`.
+    BS arrays follow ``base_stations`` (columns); SP fields hold
+    *positions* in ``providers``, not ids.  Get them from
+    :meth:`MECNetwork.bs_columns`; networks that share a BS side (the
+    stream's batch networks and their template) share one instance.
     """
 
-    ue_ids: np.ndarray
-    ue_service: np.ndarray
-    ue_sp: np.ndarray
-    ue_cru_demand: np.ndarray
-    ue_rate_demand_bps: np.ndarray
     bs_ids: np.ndarray
     bs_sp: np.ndarray
     bs_rrb_capacity: np.ndarray
@@ -711,38 +724,26 @@ class EntityColumns:
     bs_cru_capacity: np.ndarray
     #: Service ids in ``services`` order (what the positions point at).
     service_ids: np.ndarray
-    _ue_index: _IdIndex
+    _sp_index: _IdIndex
     _bs_index: _IdIndex
     _service_index: _IdIndex
 
     @classmethod
-    def of(cls, network: MECNetwork) -> "EntityColumns":
-        """Extract the columns of ``network`` (one pass per population)."""
-        ues, bss = network.user_equipments, network.base_stations
+    def of(cls, network: MECNetwork) -> "BSColumns":
+        """Extract the BS-side columns of ``network`` (one pass over its
+        BSs; the UE population is not read)."""
+        bss = network.base_stations
         sp_index = _IdIndex(
             np.array([sp.sp_id for sp in network.providers], dtype=np.int64)
         )
         service_ids = [s.service_id for s in network.services]
         service_pos = {service_id: j for j, service_id in enumerate(service_ids)}
         service_id_array = np.array(service_ids, dtype=np.int64)
-        service_index = _IdIndex(service_id_array)
-        ue_ids = np.array([ue.ue_id for ue in ues], dtype=np.int64)
         cru_capacity = np.zeros((len(bss), len(service_ids)), dtype=np.int64)
         for col, bs in enumerate(bss):
             for service_id, crus in bs.cru_capacity.items():
                 cru_capacity[col, service_pos[service_id]] = crus
         return cls(
-            ue_ids=ue_ids,
-            ue_service=service_index.positions(
-                [ue.service_id for ue in ues]
-            ),
-            ue_sp=sp_index.positions([ue.sp_id for ue in ues]),
-            ue_cru_demand=np.array(
-                [ue.cru_demand for ue in ues], dtype=np.int64
-            ),
-            ue_rate_demand_bps=np.array(
-                [ue.rate_demand_bps for ue in ues], dtype=float
-            ),
             bs_ids=network._bs_id_array,
             bs_sp=sp_index.positions([bs.sp_id for bs in bss]),
             bs_rrb_capacity=np.array(
@@ -750,14 +751,10 @@ class EntityColumns:
             ),
             bs_cru_capacity=cru_capacity,
             service_ids=service_id_array,
-            _ue_index=_IdIndex(ue_ids),
+            _sp_index=sp_index,
             _bs_index=_IdIndex(network._bs_id_array),
-            _service_index=service_index,
+            _service_index=_IdIndex(service_id_array),
         )
-
-    def ue_rows(self, ue_ids) -> np.ndarray:
-        """Row of each UE id, ``-1`` for ids not in the network."""
-        return self._ue_index.positions(ue_ids)
 
     def bs_cols(self, bs_ids) -> np.ndarray:
         """Column of each BS id, ``-1`` for ids not in the network."""
@@ -766,6 +763,54 @@ class EntityColumns:
     def service_positions(self, service_ids) -> np.ndarray:
         """Position of each service id in ``services``, ``-1`` if unknown."""
         return self._service_index.positions(service_ids)
+
+
+@dataclass(frozen=True, eq=False)
+class EntityColumns(BSColumns):
+    """A network's per-entity attributes as aligned NumPy arrays.
+
+    The BS half is the network's :class:`BSColumns` (the same array
+    objects); UE arrays follow ``user_equipments`` (distance-matrix
+    rows), with SP and service fields holding *positions* in
+    ``providers`` / ``services``, not ids.  Whole-assignment consumers
+    (validation, profit accounting, outcome metrics) read these instead
+    of looking entities up one id at a time; get them from
+    :meth:`MECNetwork.columns`.
+    """
+
+    ue_ids: np.ndarray
+    ue_service: np.ndarray
+    ue_sp: np.ndarray
+    ue_cru_demand: np.ndarray
+    ue_rate_demand_bps: np.ndarray
+    _ue_index: _IdIndex
+
+    @classmethod
+    def of(cls, network: MECNetwork) -> "EntityColumns":
+        """Extract the columns of ``network``: one pass over its UEs,
+        plus its cached :meth:`MECNetwork.bs_columns`."""
+        bs_side = network.bs_columns()
+        ues = network.user_equipments
+        ue_ids = np.array([ue.ue_id for ue in ues], dtype=np.int64)
+        return cls(
+            **{f.name: getattr(bs_side, f.name) for f in fields(BSColumns)},
+            ue_ids=ue_ids,
+            ue_service=bs_side._service_index.positions(
+                [ue.service_id for ue in ues]
+            ),
+            ue_sp=bs_side._sp_index.positions([ue.sp_id for ue in ues]),
+            ue_cru_demand=np.array(
+                [ue.cru_demand for ue in ues], dtype=np.int64
+            ),
+            ue_rate_demand_bps=np.array(
+                [ue.rate_demand_bps for ue in ues], dtype=float
+            ),
+            _ue_index=_IdIndex(ue_ids),
+        )
+
+    def ue_rows(self, ue_ids) -> np.ndarray:
+        """Row of each UE id, ``-1`` for ids not in the network."""
+        return self._ue_index.positions(ue_ids)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

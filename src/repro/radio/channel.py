@@ -439,12 +439,9 @@ def _vectorized_columns(
     tx_power = np.array([ue.tx_power_dbm for ue in ues])[rows]
     rate_demand = np.array([ue.rate_demand_bps for ue in ues])[rows]
     ue_id_col = np.array([ue.ue_id for ue in ues], dtype=np.int64)[rows]
-    bs_id_col = np.array(
-        [bs.bs_id for bs in network.base_stations], dtype=np.int64
-    )[cols]
-    over_budget = np.array(
-        [bs.rrb_capacity + 1 for bs in network.base_stations], dtype=np.int64
-    )[cols]
+    bs_side = network.bs_columns()
+    bs_id_col = bs_side.bs_ids[cols]
+    over_budget = (bs_side.bs_rrb_capacity + 1)[cols]
 
     sinr = budget.sinr_array(link_distances, tx_power)
     array_model = _ARRAY_RATE_MODELS.get(rate_model)

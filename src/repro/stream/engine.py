@@ -7,7 +7,12 @@ kernel:
 
 * :class:`IncrementalShardEngine` re-proposes arrivals, displaced UEs,
   and the *dirty* subset of cloud-forwarded UEs.  Steady-state cost per
-  event is proportional to the changed neighborhood.
+  event is proportional to the changed neighborhood, on either kernel:
+  a flush builds a network and radio map of just the batch, and the
+  match reads and prices only the ledgers of the batch's candidate BSs.
+  So it depends on the batch's UEs, their candidate links and those
+  BSs' hosted services; it does no work per grant the shard holds, and
+  none per BS it owns beyond a few BS-wide NumPy arrays on SoA.
 * :class:`RescratchShardEngine` re-proposes arrivals, displaced UEs,
   and **every** cloud-forwarded UE against a monolithic network that is
   patched with :meth:`~repro.model.network.MECNetwork.with_moved_ues` /
@@ -64,9 +69,11 @@ __all__ = [
 
 #: Under ``kernel="auto"`` the incremental engine compiles batches of at
 #: least this many UEs with the SoA kernel; smaller batches stay on the
-#: object engine, whose per-run setup is cheaper.  Both kernels are
-#: bit-identical for a plain :class:`~repro.core.dmra.DMRAPolicy`, so
-#: the threshold is purely a throughput knob.
+#: object engine, whose per-run setup is cheaper: most flushes match one
+#: UE, and there the object engine is faster (docs/streaming.md,
+#: *Kernels*, has the measurement).  Both kernels are bit-identical for a
+#: plain :class:`~repro.core.dmra.DMRAPolicy`, so the threshold is purely
+#: a throughput knob.
 SOA_BATCH_THRESHOLD = 64
 
 
