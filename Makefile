@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-scale bench-kernel bench-stream bench-bound metrics-baseline gap-baseline bench-paper figures extensions examples clean
+.PHONY: install test bench bench-smoke bench-scale bench-kernel bench-stream bench-bound metrics-baseline metrics-baseline-grid gap-baseline bench-paper figures extensions examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -66,6 +66,12 @@ bench-bound:
 metrics-baseline:
 	$(PYTHON) -m repro run --ues 300 --seed 3 \
 		--metrics benchmarks/results/baseline_metrics.json
+
+# The grid-geometry twin of the metrics gate (400 BSs x 20000 UEs, past
+# the dense cell limit).
+metrics-baseline-grid:
+	$(PYTHON) -m repro run --ues 20000 --region-m 6000 --bs-per-sp 80 \
+		--seed 3 --metrics benchmarks/results/baseline_metrics_grid.json
 
 # Regenerate the committed gap baseline the gap-gate CI job diffs
 # against (certified gap + bound values + strategic-baseline profits

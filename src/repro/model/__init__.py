@@ -1,6 +1,12 @@
 """Network model: geometry, entities, placement, and workload generation."""
 
-from repro.model.entities import BaseStation, Service, ServiceProvider, UserEquipment
+from repro.model.entities import (
+    BaseStation,
+    Service,
+    ServiceProvider,
+    UEColumns,
+    UserEquipment,
+)
 from repro.model.geometry import Point, Rectangle, distance_m, pairwise_distances_m
 from repro.model.network import MECNetwork
 from repro.model.placement import (
@@ -12,7 +18,11 @@ from repro.model.placement import (
     make_placement,
     scatter_ues,
 )
-from repro.model.workload import WorkloadModel, generate_user_equipments
+from repro.model.workload import (
+    WorkloadModel,
+    draw_ue_columns,
+    generate_user_equipments,
+)
 
 __all__ = [
     "BaseStation",
@@ -24,11 +34,13 @@ __all__ = [
     "RegularGridPlacement",
     "Service",
     "ServiceProvider",
+    "UEColumns",
     "UniformRandomPlacement",
     "UserEquipment",
     "WorkloadModel",
     "coverage_overlap_count",
     "distance_m",
+    "draw_ue_columns",
     "generate_user_equipments",
     "make_placement",
     "pairwise_distances_m",

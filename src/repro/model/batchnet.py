@@ -30,6 +30,7 @@ from repro.model.entities import (
     BaseStation,
     Service,
     ServiceProvider,
+    UEColumns,
     UserEquipment,
 )
 from repro.model.geometry import Rectangle
@@ -98,6 +99,7 @@ class BatchNetworkBuilder:
         template = self._template
         ues = tuple(ues)
         n_ue = len(ues)
+        ue_columns = UEColumns.of(ues)
 
         clone = object.__new__(MECNetwork)
         for name in (
@@ -119,18 +121,13 @@ class BatchNetworkBuilder:
         ):
             object.__setattr__(clone, name, getattr(template, name))
         object.__setattr__(clone, "user_equipments", ues)
+        object.__setattr__(clone, "_ue_columns", ue_columns)
         object.__setattr__(
             clone, "_ue_by_id", {ue.ue_id: ue for ue in ues}
         )
-        object.__setattr__(
-            clone, "_ue_row", {ue.ue_id: row for row, ue in enumerate(ues)}
-        )
 
-        ue_xy = np.asarray(
-            [ue.position.as_tuple() for ue in ues], dtype=float
-        ).reshape(-1, 2)
         rows, cols, dists = template._grid.query_radius(
-            ue_xy, template.coverage_radius_m
+            ue_columns.xy, template.coverage_radius_m
         )
         cov_indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(rows, minlength=n_ue)))

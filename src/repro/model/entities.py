@@ -4,17 +4,25 @@ These are deliberately *passive* data records.  Mutable allocation state
 (remaining CRUs / RRBs during a matching run) lives in the ledgers under
 :mod:`repro.compute` and :mod:`repro.core.state`, so a single immutable
 network can be shared by many concurrent simulation runs.
+
+:class:`UEColumns` holds a UE population as aligned arrays instead of
+objects; the static path draws, validates and indexes UEs in that form
+and builds :class:`UserEquipment` objects only on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.model.geometry import Point
 
-__all__ = ["Service", "ServiceProvider", "BaseStation", "UserEquipment"]
+__all__ = [
+    "Service", "ServiceProvider", "BaseStation", "UserEquipment", "UEColumns",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,8 +162,110 @@ class UserEquipment:
             raise ConfigurationError(
                 f"UE {self.ue_id}: cru_demand must be > 0, got {self.cru_demand}"
             )
-        if self.rate_demand_bps <= 0:
+        if not self.rate_demand_bps > 0:
             raise ConfigurationError(
                 f"UE {self.ue_id}: rate_demand_bps must be > 0, "
                 f"got {self.rate_demand_bps}"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class UEColumns:
+    """A UE population as aligned arrays: row ``r`` is one UE.
+
+    The columnar form of a :class:`UserEquipment` sequence, field for
+    field, with positions as one float ``(n, 2)`` array ``xy``.  Ids are
+    *ids* here (not positions in some other sequence).  Arrays are
+    coerced to int64 / float64 and made read-only on construction (a
+    writable array passed in is copied first, so no caller keeps a
+    handle that could change them); :meth:`check` applies
+    :class:`UserEquipment`'s own validation to every row at once.
+    """
+
+    ue_ids: np.ndarray
+    sp_ids: np.ndarray
+    xy: np.ndarray
+    service_ids: np.ndarray
+    cru_demand: np.ndarray
+    rate_demand_bps: np.ndarray
+    tx_power_dbm: np.ndarray
+
+    def __post_init__(self) -> None:
+        coerce = object.__setattr__
+        coerce(self, "ue_ids", _owned(self.ue_ids, np.int64))
+        coerce(self, "sp_ids", _owned(self.sp_ids, np.int64))
+        coerce(self, "xy", _owned(self.xy, float).reshape(-1, 2))
+        coerce(self, "service_ids", _owned(self.service_ids, np.int64))
+        coerce(self, "cru_demand", _owned(self.cru_demand, np.int64))
+        coerce(self, "rate_demand_bps", _owned(self.rate_demand_bps, float))
+        coerce(self, "tx_power_dbm", _owned(self.tx_power_dbm, float))
+        if not (
+            len(self.ue_ids) == len(self.sp_ids) == len(self.xy)
+            == len(self.service_ids) == len(self.cru_demand)
+            == len(self.rate_demand_bps) == len(self.tx_power_dbm)
+        ):
+            raise ConfigurationError("UE columns must have equal lengths")
+
+    @classmethod
+    def of(cls, ues: Iterable[UserEquipment]) -> "UEColumns":
+        """Extract the columns of ``ues`` in one pass."""
+        rows = [
+            (ue.ue_id, ue.sp_id, ue.position.x, ue.position.y, ue.service_id,
+             ue.cru_demand, ue.rate_demand_bps, ue.tx_power_dbm)
+            for ue in ues
+        ]
+        ids, sps, xs, ys, services, crus, rates, powers = (
+            zip(*rows) if rows else ((),) * 8
+        )
+        xy = np.array((xs, ys), dtype=float).T
+        return cls(ids, sps, xy, services, crus, rates, powers)
+
+    def __len__(self) -> int:
+        return len(self.ue_ids)
+
+    def check(self) -> None:
+        """Raise :class:`UserEquipment`'s error for the first invalid row.
+
+        The same exception and message constructing the rows' objects
+        in order would raise; rows that are all valid pass silently.
+        """
+        bad = (
+            (self.ue_ids < 0)
+            | (self.cru_demand <= 0)
+            | ~(self.rate_demand_bps > 0)
+        )
+        if bad.any():
+            self.materialize([int(np.argmax(bad))])
+
+    def materialize(
+        self, rows: Sequence[int] | None = None
+    ) -> list[UserEquipment]:
+        """The :class:`UserEquipment` objects of ``rows`` (default: all),
+        with the field values a per-UE build would give them."""
+        if rows is None:
+            rows = slice(None)
+        xy = self.xy[rows]
+        return list(map(
+            UserEquipment,
+            self.ue_ids[rows].tolist(),
+            self.sp_ids[rows].tolist(),
+            map(Point, xy[:, 0].tolist(), xy[:, 1].tolist()),
+            self.service_ids[rows].tolist(),
+            self.cru_demand[rows].tolist(),
+            self.rate_demand_bps[rows].tolist(),
+            self.tx_power_dbm[rows].tolist(),
+        ))
+
+
+def _owned(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array no caller can write to.
+
+    A conversion makes a new array; ``np.asarray`` hands back an array
+    of the right dtype as is, so a writable one (or a writable view of
+    other memory) is copied.  A read-only array is shared.
+    """
+    array = np.asarray(values, dtype=dtype)
+    if array.flags.writeable and (array is values or not array.flags.owndata):
+        array = array.copy()
+    array.setflags(write=False)
+    return array

@@ -93,11 +93,19 @@ class Rectangle:
 
     def sample_uniform(self, rng: np.random.Generator, count: int) -> list[Point]:
         """Draw ``count`` points uniformly at random inside the rectangle."""
+        xy = self.sample_uniform_xy(rng, count)
+        return list(map(Point, xy[:, 0].tolist(), xy[:, 1].tolist()))
+
+    def sample_uniform_xy(
+        self, rng: np.random.Generator, count: int
+    ) -> np.ndarray:
+        """:meth:`sample_uniform` as a float ``(count, 2)`` array: the
+        same draws (all x, then all y), no :class:`Point` objects."""
         if count < 0:
             raise ConfigurationError(f"count must be non-negative, got {count}")
         xs = rng.uniform(self.x_min, self.x_max, size=count)
         ys = rng.uniform(self.y_min, self.y_max, size=count)
-        return list(map(Point, xs.tolist(), ys.tolist()))
+        return np.column_stack((xs, ys))
 
 
 class SpatialGrid:
@@ -115,7 +123,7 @@ class SpatialGrid:
     dense geometry modes of ``MECNetwork`` rely on that.
     """
 
-    __slots__ = ("_xy", "_cell_size", "_buckets")
+    __slots__ = ("_xy", "_cell_size", "_buckets", "_copies")
 
     def __init__(
         self, points: Sequence[Point] | np.ndarray, cell_size_m: float
@@ -128,8 +136,29 @@ class SpatialGrid:
         self._xy = xy
         self._cell_size = float(cell_size_m)
         buckets: dict[tuple[int, int], np.ndarray] = {}
+        index = np.arange(len(xy))
         if len(xy):
-            cells = np.floor(xy / self._cell_size).astype(np.int64)
+            scaled = xy / self._cell_size
+            cells = np.floor(scaled).astype(np.int64)
+            # A point within rounding distance of a cell edge is also
+            # filed in the cell(s) across it: a pair's computed distance
+            # can round to exactly the radius while their cells are one
+            # further apart than a query scans.
+            frac = scaled - cells
+            pad = 1e-9 * (1.0 + np.abs(scaled))
+            shift = (frac > 1.0 - pad).astype(np.int64) - (frac < pad)
+            near_x, near_y = shift[:, 0] != 0, shift[:, 1] != 0
+            copies = (
+                (near_x, shift * (1, 0)),
+                (near_y, shift * (0, 1)),
+                (near_x & near_y, shift),
+            )
+            index = np.concatenate(
+                [index] + [index[near] for near, _ in copies]
+            )
+            cells = np.concatenate(
+                [cells] + [(cells + offset)[near] for near, offset in copies]
+            )
             # Group point indices by cell via one lexsort; each bucket
             # keeps its indices ascending so query output column order
             # matches the dense row-major nonzero() order after sorting.
@@ -142,8 +171,9 @@ class SpatialGrid:
             for i in range(len(starts) - 1):
                 lo, hi = starts[i], starts[i + 1]
                 key = (int(sorted_cells[lo, 0]), int(sorted_cells[lo, 1]))
-                buckets[key] = np.sort(order[lo:hi])
+                buckets[key] = np.sort(index[order[lo:hi]])
         self._buckets = buckets
+        self._copies = len(index) > len(xy)
 
     def __len__(self) -> int:
         return len(self._xy)
@@ -159,6 +189,8 @@ class SpatialGrid:
         indexing into ``queries`` and ``cols`` into the indexed points —
         sorted lexicographically by ``(row, col)``, i.e. exactly the
         order ``np.nonzero(dense_distances <= radius)`` would produce.
+        Each pair occurs once, so one sort by the unique flat key
+        ``row * len(self) + col`` gives that order.
         """
         if radius_m <= 0:
             raise ConfigurationError(
@@ -194,6 +226,12 @@ class SpatialGrid:
             if not neighbor_parts:
                 continue
             cand = np.sort(np.concatenate(neighbor_parts))
+            if self._copies:
+                # An edge point filed twice may be gathered twice.
+                first = np.empty(len(cand), dtype=bool)
+                first[0] = True
+                np.not_equal(cand[1:], cand[:-1], out=first[1:])
+                cand = cand[first]
             group_rows = order[lo:hi]
             q_block = q_xy[group_rows]
             t_block = self._xy[cand]
@@ -213,7 +251,7 @@ class SpatialGrid:
         rows = np.concatenate(rows_parts)
         cols = np.concatenate(cols_parts)
         dists = np.concatenate(dist_parts)
-        final = np.lexsort((cols, rows))
+        final = np.argsort(rows * len(self._xy) + cols)
         return rows[final], cols[final], dists[final]
 
 
@@ -237,17 +275,18 @@ def distance_m(a: Point, b: Point) -> float:
 
 
 def pairwise_distances_m(
-    sources: Sequence[Point] | Iterable[Point],
-    targets: Sequence[Point] | Iterable[Point],
+    sources: Sequence[Point] | Iterable[Point] | np.ndarray,
+    targets: Sequence[Point] | Iterable[Point] | np.ndarray,
 ) -> np.ndarray:
     """Distance matrix (meters) between two point collections.
 
+    Either side may be points or a float ``(n, 2)`` coordinate array.
     Returns an array of shape ``(len(sources), len(targets))``.  This is the
     vectorized building block used when precomputing UE--BS link metrics for
     a whole scenario at once.
     """
-    src = np.asarray([p.as_tuple() for p in sources], dtype=float)
-    tgt = np.asarray([p.as_tuple() for p in targets], dtype=float)
+    src = _as_xy(sources)
+    tgt = _as_xy(targets)
     if src.size == 0 or tgt.size == 0:
         return np.zeros((len(src), len(tgt)))
     diff = src[:, None, :] - tgt[None, :, :]

@@ -8,6 +8,13 @@ Alg. 1, line 1 of the paper).
 
 The container itself never mutates during an allocation run; allocators
 keep their own resource ledgers.
+
+The UE side can be given as objects or as
+:class:`~repro.model.entities.UEColumns`.  Either way validation, the
+id index and the geometry read columns only; a network built from
+columns makes :class:`~repro.model.entities.UserEquipment` objects on
+demand — all of them on the first read of ``user_equipments``, or just
+the ones a scalar lookup returns.
 """
 
 from __future__ import annotations
@@ -18,7 +25,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, UnknownEntityError
-from repro.model.entities import BaseStation, Service, ServiceProvider, UserEquipment
+from repro.model.entities import (
+    BaseStation,
+    Service,
+    ServiceProvider,
+    UEColumns,
+    UserEquipment,
+)
 from repro.model.geometry import (
     Point,
     Rectangle,
@@ -34,6 +47,29 @@ __all__ = ["BSColumns", "EntityColumns", "MECNetwork"]
 _DENSE_CELL_LIMIT = 4_000_000
 
 
+class _MaterializedUEs:
+    """``MECNetwork.user_equipments`` of a network built from columns.
+
+    A non-data descriptor: the constructor stores an object tuple in the
+    instance, which then shadows this; a network built from columns has
+    none, so the first read makes every object once (keeping any a
+    scalar lookup already made) and stores the tuple.
+    """
+
+    def __get__(self, network, owner=None):
+        if network is None:
+            # No class-level value, so the dataclass field has no default.
+            raise AttributeError("user_equipments")
+        ues = network._ue_columns.materialize()
+        made = network._ue_by_id
+        for ue_id, ue in made.items():
+            ues[network._row_of(ue_id)] = ue
+        ues = tuple(ues)
+        made.update((ue.ue_id, ue) for ue in ues)
+        object.__setattr__(network, "user_equipments", ues)
+        return ues
+
+
 @dataclass(frozen=True)
 class MECNetwork:
     """Immutable snapshot of a multi-SP MEC deployment.
@@ -45,6 +81,9 @@ class MECNetwork:
     ----------
     providers, base_stations, user_equipments, services:
         The entity populations.  Ids must be unique per entity type.
+        ``user_equipments`` may also be a
+        :class:`~repro.model.entities.UEColumns`; the attribute then
+        holds the equal tuple of objects, built on first access.
     region:
         The deployment region (used for reporting only).
     coverage_radius_m:
@@ -65,18 +104,19 @@ class MECNetwork:
 
     providers: Sequence[ServiceProvider]
     base_stations: Sequence[BaseStation]
-    user_equipments: Sequence[UserEquipment]
+    user_equipments: Sequence[UserEquipment] | UEColumns = _MaterializedUEs()
     services: Sequence[Service]
     region: Rectangle
     coverage_radius_m: float = 500.0
     geometry: str = "auto"
     _sp_by_id: Mapping[int, ServiceProvider] = field(init=False, repr=False)
     _bs_by_id: Mapping[int, BaseStation] = field(init=False, repr=False)
-    _ue_by_id: Mapping[int, UserEquipment] = field(init=False, repr=False)
+    # Every UE object of an object-built network; for a network built
+    # from columns, the ones scalar lookups have made so far.
+    _ue_by_id: dict[int, UserEquipment] = field(init=False, repr=False)
     _service_by_id: Mapping[int, Service] = field(init=False, repr=False)
     _geometry_mode: str = field(init=False, repr=False)
     _distances: np.ndarray | None = field(init=False, repr=False)
-    _ue_row: Mapping[int, int] = field(init=False, repr=False)
     _bs_col: Mapping[int, int] = field(init=False, repr=False)
     _candidates: Mapping[int, tuple[int, ...]] | None = field(
         init=False, repr=False
@@ -91,10 +131,18 @@ class MECNetwork:
     _cand_indptr: np.ndarray | None = field(init=False, repr=False)
     _cand_cols: np.ndarray | None = field(init=False, repr=False)
     _cand_dists: np.ndarray | None = field(init=False, repr=False)
-    # Built on first use by :meth:`columns` / :meth:`bs_columns`.  The
-    # class-level defaults also cover clones assembled with
-    # ``object.__new__``, which then build their own on first use unless
-    # the clone copies them from a network with the same BS side.
+    # Built on first use: the UE columns of an object-built clone
+    # (:meth:`ue_columns`), the UE id -> row index (:meth:`_row_of`),
+    # and :meth:`columns` / :meth:`bs_columns`.  The class-level
+    # defaults also cover clones assembled with ``object.__new__``,
+    # which then build their own on first use unless the clone copies
+    # them from a network with the same UE or BS side.
+    _ue_columns: UEColumns | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _ue_row: dict[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _columns: "EntityColumns | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -103,26 +151,40 @@ class MECNetwork:
     )
 
     def __post_init__(self) -> None:
+        ues = self.user_equipments
+        if isinstance(ues, UEColumns):
+            # What constructing the objects would have refused first.
+            ues.check()
+            # ``user_equipments`` is then built on first access
+            # (``_MaterializedUEs``).
+            object.__delattr__(self, "user_equipments")
+            object.__setattr__(self, "_ue_by_id", {})
+        else:
+            ues = tuple(ues)
+            object.__setattr__(self, "user_equipments", ues)
+            object.__setattr__(
+                self, "_ue_by_id", {ue.ue_id: ue for ue in ues}
+            )
+            ues = UEColumns.of(ues)
+        object.__setattr__(self, "_ue_columns", ues)
         if self.coverage_radius_m <= 0:
             raise ConfigurationError(
                 f"coverage_radius_m must be > 0, got {self.coverage_radius_m}"
             )
         object.__setattr__(self, "providers", tuple(self.providers))
         object.__setattr__(self, "base_stations", tuple(self.base_stations))
-        object.__setattr__(self, "user_equipments", tuple(self.user_equipments))
         object.__setattr__(self, "services", tuple(self.services))
 
         sp_by_id = _index_unique("SP", [(sp.sp_id, sp) for sp in self.providers])
         bs_by_id = _index_unique("BS", [(bs.bs_id, bs) for bs in self.base_stations])
-        ue_by_id = _index_unique(
-            "UE", [(ue.ue_id, ue) for ue in self.user_equipments]
-        )
+        repeat = _first_repeat(ues.ue_ids)
+        if repeat is not None:
+            raise ConfigurationError(f"duplicate UE id {ues.ue_ids[repeat]}")
         service_by_id = _index_unique(
             "service", [(s.service_id, s) for s in self.services]
         )
         object.__setattr__(self, "_sp_by_id", sp_by_id)
         object.__setattr__(self, "_bs_by_id", bs_by_id)
-        object.__setattr__(self, "_ue_by_id", ue_by_id)
         object.__setattr__(self, "_service_by_id", service_by_id)
 
         for bs in self.base_stations:
@@ -135,15 +197,24 @@ class MECNetwork:
                     raise ConfigurationError(
                         f"BS {bs.bs_id} hosts unknown service {service_id}"
                     )
-        for ue in self.user_equipments:
-            if ue.sp_id not in sp_by_id:
+        bs_id_array = np.array(
+            [bs.bs_id for bs in self.base_stations], dtype=np.int64
+        )
+        object.__setattr__(self, "_bs_id_array", bs_id_array)
+        bs_side = self.bs_columns()
+        ue_sp = bs_side._sp_index.positions(ues.sp_ids)
+        ue_service = bs_side.service_positions(ues.service_ids)
+        unknown = (ue_sp < 0) | (ue_service < 0)
+        if unknown.any():
+            row = int(np.argmax(unknown))
+            ue_id = ues.ue_ids[row]
+            if ue_sp[row] < 0:
                 raise ConfigurationError(
-                    f"UE {ue.ue_id} references unknown SP {ue.sp_id}"
+                    f"UE {ue_id} references unknown SP {ues.sp_ids[row]}"
                 )
-            if ue.service_id not in service_by_id:
-                raise ConfigurationError(
-                    f"UE {ue.ue_id} requests unknown service {ue.service_id}"
-                )
+            raise ConfigurationError(
+                f"UE {ue_id} requests unknown service {ues.service_ids[row]}"
+            )
 
         if self.geometry not in ("auto", "dense", "grid"):
             raise ConfigurationError(
@@ -152,62 +223,44 @@ class MECNetwork:
             )
         mode = self.geometry
         if mode == "auto":
-            cells = len(self.user_equipments) * len(self.base_stations)
+            cells = len(ues) * len(self.base_stations)
             mode = "dense" if cells <= _DENSE_CELL_LIMIT else "grid"
         object.__setattr__(self, "_geometry_mode", mode)
 
-        ue_row = {ue.ue_id: row for row, ue in enumerate(self.user_equipments)}
         bs_col = {bs.bs_id: col for col, bs in enumerate(self.base_stations)}
-        object.__setattr__(self, "_ue_row", ue_row)
         object.__setattr__(self, "_bs_col", bs_col)
 
-        hosts_by_service = {
-            service.service_id: np.array(
-                [bs.hosts_service(service.service_id) for bs in self.base_stations],
-                dtype=bool,
-            )
-            for service in self.services
-        }
-        bs_id_array = np.array(
-            [bs.bs_id for bs in self.base_stations], dtype=np.int64
+        # z_{i,j}: one (n_services, n_bs) row per service; row
+        # ``ue_service`` of it is the hosting half of each UE's B_u.
+        hosting = np.ascontiguousarray(bs_side.bs_cru_capacity.T > 0)
+        object.__setattr__(
+            self,
+            "_hosts_by_service",
+            dict(zip(bs_side.service_ids.tolist(), hosting)),
         )
-        object.__setattr__(self, "_hosts_by_service", hosts_by_service)
-        object.__setattr__(self, "_bs_id_array", bs_id_array)
 
         if mode == "dense":
-            self._init_dense_geometry(ue_row, hosts_by_service, bs_id_array)
+            self._init_dense_geometry(ues, hosting, ue_service)
         else:
-            self._init_grid_geometry(hosts_by_service)
+            self._init_grid_geometry(ues, hosting, ue_service)
 
     def _init_dense_geometry(
-        self,
-        ue_row: Mapping[int, int],
-        hosts_by_service: Mapping[int, np.ndarray],
-        bs_id_array: np.ndarray,
+        self, ues: UEColumns, hosting: np.ndarray, ue_service: np.ndarray
     ) -> None:
         """Precompute the full distance matrix and candidate mask."""
-        distances = pairwise_distances_m(
-            [ue.position for ue in self.user_equipments],
-            [bs.position for bs in self.base_stations],
-        )
+        distances = pairwise_distances_m(ues.xy, self.bs_columns().bs_xy)
         object.__setattr__(self, "_distances", distances)
 
         # Candidate sets B_u, computed as one (n_ue, n_bs) boolean mask:
         # coverage (distance <= radius) AND hosting (z_{i,j} = 1 for the
-        # UE's service).  Hosting columns are shared per service, so the
+        # UE's service).  Hosting rows are shared per service, so the
         # whole mask costs one fancy-index plus one logical AND.
-        coverage = distances <= self.coverage_radius_m
-        if self.user_equipments:
-            hosting = np.stack(
-                [hosts_by_service[ue.service_id] for ue in self.user_equipments]
-            )
-            mask = coverage & hosting
-        else:
-            mask = np.zeros_like(coverage, dtype=bool)
-        candidates: dict[int, tuple[int, ...]] = {
-            ue.ue_id: tuple(bs_id_array[mask[ue_row[ue.ue_id]]].tolist())
-            for ue in self.user_equipments
-        }
+        mask = (distances <= self.coverage_radius_m) & hosting[ue_service]
+        bs_id_array = self._bs_id_array
+        candidates: dict[int, tuple[int, ...]] = dict(zip(
+            ues.ue_ids.tolist(),
+            (tuple(bs_id_array[row].tolist()) for row in mask),
+        ))
         mask.setflags(write=False)
         object.__setattr__(self, "_candidates", candidates)
         object.__setattr__(self, "_candidate_mask", mask)
@@ -218,7 +271,7 @@ class MECNetwork:
             object.__setattr__(self, name, None)
 
     def _init_grid_geometry(
-        self, hosts_by_service: Mapping[int, np.ndarray]
+        self, ues: UEColumns, hosting: np.ndarray, ue_service: np.ndarray
     ) -> None:
         """Index BSs in a spatial grid; store only in-coverage pairs.
 
@@ -227,36 +280,16 @@ class MECNetwork:
         is exactly the ``np.nonzero`` row-major order of the dense mask
         — so :meth:`candidate_pairs` is bit-identical across modes.
         """
-        n_ue = len(self.user_equipments)
-        bs_xy = np.asarray(
-            [bs.position.as_tuple() for bs in self.base_stations],
-            dtype=float,
-        ).reshape(-1, 2)
-        ue_xy = np.asarray(
-            [ue.position.as_tuple() for ue in self.user_equipments],
-            dtype=float,
-        ).reshape(-1, 2)
-        grid = SpatialGrid(bs_xy, cell_size_m=self.coverage_radius_m)
-        rows, cols, dists = grid.query_radius(ue_xy, self.coverage_radius_m)
+        n_ue = len(ues)
+        grid = SpatialGrid(
+            self.bs_columns().bs_xy, cell_size_m=self.coverage_radius_m
+        )
+        rows, cols, dists = grid.query_radius(ues.xy, self.coverage_radius_m)
         cov_indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(rows, minlength=n_ue)))
         ).astype(np.int64)
 
-        if len(rows) and self.services:
-            service_index = {
-                service.service_id: i
-                for i, service in enumerate(self.services)
-            }
-            hosting_matrix = np.stack(
-                [hosts_by_service[s.service_id] for s in self.services]
-            )
-            ue_service_idx = np.array(
-                [service_index[ue.service_id] for ue in self.user_equipments],
-                dtype=np.intp,
-            )
-            keep = hosting_matrix[ue_service_idx[rows], cols]
-        else:
-            keep = np.zeros(len(rows), dtype=bool)
+        keep = hosting[ue_service[rows], cols]
         cand_rows = rows[keep]
         cand_indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(cand_rows, minlength=n_ue)))
@@ -289,8 +322,14 @@ class MECNetwork:
         return _get(self._bs_by_id, bs_id, "BS")
 
     def user_equipment(self, ue_id: int) -> UserEquipment:
-        """Return the UE with id ``ue_id``."""
-        return _get(self._ue_by_id, ue_id, "UE")
+        """Return the UE with id ``ue_id`` (building only that object
+        when the network was built from columns)."""
+        ue = self._ue_by_id.get(ue_id)
+        if ue is None:
+            # Only a network built from columns misses a known id.
+            (ue,) = self.ue_columns().materialize([self._row_of(ue_id)])
+            self._ue_by_id[ue.ue_id] = ue
+        return ue
 
     def service(self, service_id: int) -> Service:
         """Return the service with id ``service_id``."""
@@ -298,7 +337,7 @@ class MECNetwork:
 
     def provider_of_ue(self, ue_id: int) -> ServiceProvider:
         """The SP the UE subscribes to."""
-        return self.provider(self.user_equipment(ue_id).sp_id)
+        return self.provider(self._ue_sp_id(ue_id))
 
     def base_stations_of_sp(self, sp_id: int) -> tuple[BaseStation, ...]:
         """All BSs deployed by SP ``sp_id``."""
@@ -308,7 +347,11 @@ class MECNetwork:
     def user_equipments_of_sp(self, sp_id: int) -> tuple[UserEquipment, ...]:
         """All UEs subscribing to SP ``sp_id``."""
         self.provider(sp_id)  # validate the id
-        return tuple(ue for ue in self.user_equipments if ue.sp_id == sp_id)
+        columns = self.ue_columns()
+        return tuple(
+            self.user_equipment(ue_id)
+            for ue_id in columns.ue_ids[columns.sp_ids == sp_id].tolist()
+        )
 
     # ------------------------------------------------------------------
     # Geometry and coverage
@@ -316,8 +359,11 @@ class MECNetwork:
 
     def distance_m(self, ue_id: int, bs_id: int) -> float:
         """UE--BS distance ``d_{i,u}`` in meters."""
+        rows = self._ue_row
+        if rows is None:
+            rows = self._index_ue_rows()
         try:
-            row = self._ue_row[ue_id]
+            row = rows[ue_id]
             col = self._bs_col[bs_id]
         except KeyError as exc:
             raise UnknownEntityError(f"unknown entity id {exc.args[0]}") from None
@@ -330,9 +376,9 @@ class MECNetwork:
         pos = lo + int(np.searchsorted(self._cov_cols[lo:hi], col))
         if pos < hi and self._cov_cols[pos] == col:
             return float(self._cov_dists[pos])
-        ue_pos = self.user_equipments[row].position
+        ue_x, ue_y = self.ue_columns().xy[row].tolist()
         bs_pos = self.base_stations[col].position
-        return float(np.hypot(ue_pos.x - bs_pos.x, ue_pos.y - bs_pos.y))
+        return float(np.hypot(ue_x - bs_pos.x, ue_y - bs_pos.y))
 
     def pair_distances_m(
         self, rows: np.ndarray, cols: np.ndarray
@@ -368,20 +414,22 @@ class MECNetwork:
         distances = np.empty(len(keys), dtype=float)
         distances[stored] = self._cov_dists[pos[stored]]
         outside = ~stored
-        ue_xy = np.array(
-            [self.user_equipments[row].position.as_tuple()
-             for row in rows[outside].tolist()],
-            dtype=float,
-        ).reshape(-1, 2)
-        bs_xy = np.array(
-            [self.base_stations[col].position.as_tuple()
-             for col in cols[outside].tolist()],
-            dtype=float,
-        ).reshape(-1, 2)
+        ue_xy = self.ue_columns().xy[rows[outside]]
+        bs_xy = self.bs_columns().bs_xy[cols[outside]]
         distances[outside] = np.hypot(
             ue_xy[:, 0] - bs_xy[:, 0], ue_xy[:, 1] - bs_xy[:, 1]
         )
         return distances
+
+    def ue_columns(self) -> UEColumns:
+        """The UE population as columns, row for row with
+        ``user_equipments``: the constructor's, or extracted from the
+        objects in one pass on first use."""
+        columns = self._ue_columns
+        if columns is None:
+            columns = UEColumns.of(self.user_equipments)
+            object.__setattr__(self, "_ue_columns", columns)
+        return columns
 
     def columns(self) -> "EntityColumns":
         """The per-entity attribute arrays, built on first use and cached.
@@ -417,8 +465,7 @@ class MECNetwork:
         if self._geometry_mode == "dense":
             return self._distances.copy()
         return pairwise_distances_m(
-            [ue.position for ue in self.user_equipments],
-            [bs.position for bs in self.base_stations],
+            self.ue_columns().xy, self.bs_columns().bs_xy
         )
 
     def covers(self, bs_id: int, ue_id: int) -> bool:
@@ -520,9 +567,7 @@ class MECNetwork:
         """
         if not new_positions:
             return self
-        rows = []
-        for ue_id in new_positions:
-            rows.append(self._row_of(ue_id))  # validates the id
+        rows = [self._row_of(ue_id) for ue_id in new_positions]  # validates
         moved_ues = tuple(
             replace(ue, position=new_positions[ue.ue_id])
             if ue.ue_id in new_positions
@@ -576,12 +621,16 @@ class MECNetwork:
         object.__setattr__(
             clone, "_ue_by_id", {ue.ue_id: ue for ue in moved_ues}
         )
+        ue_columns = self.ue_columns()
+        xy = ue_columns.xy.copy()
+        xy[rows] = [position.as_tuple() for position in new_positions.values()]
+        moved = replace(ue_columns, xy=xy)
+        object.__setattr__(clone, "_ue_columns", moved)
 
         row_index = np.array(sorted(rows), dtype=np.intp)
         distances = self._distances.copy()
         distances[row_index] = pairwise_distances_m(
-            [moved_ues[row].position for row in row_index],
-            [bs.position for bs in self.base_stations],
+            xy[row_index], self.bs_columns().bs_xy
         )
         distances.setflags(write=False)
         object.__setattr__(clone, "_distances", distances)
@@ -590,25 +639,24 @@ class MECNetwork:
         coverage = distances[row_index] <= self.coverage_radius_m
         hosting = np.stack(
             [
-                self._hosts_by_service[moved_ues[row].service_id]
-                for row in row_index
+                self._hosts_by_service[service_id]
+                for service_id in moved.service_ids[row_index].tolist()
             ]
         )
         mask[row_index] = coverage & hosting
         mask.setflags(write=False)
         candidates = dict(self._candidates)
-        for row in row_index:
-            ue = moved_ues[row]
-            candidates[ue.ue_id] = tuple(
-                self._bs_id_array[mask[row]].tolist()
-            )
+        for row, ue_id in zip(
+            row_index.tolist(), moved.ue_ids[row_index].tolist()
+        ):
+            candidates[ue_id] = tuple(self._bs_id_array[mask[row]].tolist())
         object.__setattr__(clone, "_candidate_mask", mask)
         object.__setattr__(clone, "_candidates", candidates)
         return clone
 
     def same_sp(self, ue_id: int, bs_id: int) -> bool:
         """Whether the UE and the BS belong to the same SP."""
-        return self.user_equipment(ue_id).sp_id == self.base_station(bs_id).sp_id
+        return self._ue_sp_id(ue_id) == self.base_station(bs_id).sp_id
 
     # ------------------------------------------------------------------
     # Summary statistics
@@ -616,7 +664,7 @@ class MECNetwork:
 
     @property
     def ue_count(self) -> int:
-        return len(self.user_equipments)
+        return len(self.ue_columns())
 
     @property
     def bs_count(self) -> int:
@@ -632,13 +680,11 @@ class MECNetwork:
 
     def mean_coverage_degree(self) -> float:
         """Average number of candidate BSs per UE (the paper's ``f_u``)."""
-        if not self.user_equipments:
+        if not self.ue_count:
             return 0.0
         if self._geometry_mode == "grid":
             return float(np.mean(np.diff(self._cand_indptr)))
-        return float(
-            np.mean([len(self._candidates[ue.ue_id]) for ue in self.user_equipments])
-        )
+        return float(np.mean(np.count_nonzero(self._candidate_mask, axis=1)))
 
     def estimated_geometry_bytes(self) -> int:
         """Approximate bytes held by the precomputed geometry arrays.
@@ -672,10 +718,26 @@ class MECNetwork:
         )
 
     def _row_of(self, ue_id: int) -> int:
+        rows = self._ue_row
+        if rows is None:
+            rows = self._index_ue_rows()
         try:
-            return self._ue_row[ue_id]
+            return rows[ue_id]
         except KeyError:
             raise UnknownEntityError(f"unknown UE id {ue_id}") from None
+
+    def _index_ue_rows(self) -> dict[int, int]:
+        """Build the UE id -> row index (on the first scalar lookup)."""
+        ue_ids = self.ue_columns().ue_ids.tolist()
+        rows = dict(zip(ue_ids, range(len(ue_ids))))
+        object.__setattr__(self, "_ue_row", rows)
+        return rows
+
+    def _ue_sp_id(self, ue_id: int) -> int:
+        ue = self._ue_by_id.get(ue_id)
+        if ue is not None:
+            return ue.sp_id
+        return int(self.ue_columns().sp_ids[self._row_of(ue_id)])
 
 
 class _IdIndex:
@@ -719,6 +781,8 @@ class BSColumns:
 
     bs_ids: np.ndarray
     bs_sp: np.ndarray
+    #: ``(n_bs, 2)`` float positions.
+    bs_xy: np.ndarray
     bs_rrb_capacity: np.ndarray
     #: ``(n_bs, n_services)`` CRU capacities ``c_{i,j}``; 0 = not hosted.
     bs_cru_capacity: np.ndarray
@@ -746,6 +810,9 @@ class BSColumns:
         return cls(
             bs_ids=network._bs_id_array,
             bs_sp=sp_index.positions([bs.sp_id for bs in bss]),
+            bs_xy=np.array(
+                [bs.position.as_tuple() for bs in bss], dtype=float
+            ).reshape(-1, 2),
             bs_rrb_capacity=np.array(
                 [bs.rrb_capacity for bs in bss], dtype=np.int64
             ),
@@ -787,25 +854,19 @@ class EntityColumns(BSColumns):
 
     @classmethod
     def of(cls, network: MECNetwork) -> "EntityColumns":
-        """Extract the columns of ``network``: one pass over its UEs,
-        plus its cached :meth:`MECNetwork.bs_columns`."""
+        """Extract the columns of ``network`` from its
+        :meth:`MECNetwork.ue_columns` and cached
+        :meth:`MECNetwork.bs_columns`."""
         bs_side = network.bs_columns()
-        ues = network.user_equipments
-        ue_ids = np.array([ue.ue_id for ue in ues], dtype=np.int64)
+        ues = network.ue_columns()
         return cls(
             **{f.name: getattr(bs_side, f.name) for f in fields(BSColumns)},
-            ue_ids=ue_ids,
-            ue_service=bs_side._service_index.positions(
-                [ue.service_id for ue in ues]
-            ),
-            ue_sp=bs_side._sp_index.positions([ue.sp_id for ue in ues]),
-            ue_cru_demand=np.array(
-                [ue.cru_demand for ue in ues], dtype=np.int64
-            ),
-            ue_rate_demand_bps=np.array(
-                [ue.rate_demand_bps for ue in ues], dtype=float
-            ),
-            _ue_index=_IdIndex(ue_ids),
+            ue_ids=ues.ue_ids,
+            ue_service=bs_side.service_positions(ues.service_ids),
+            ue_sp=bs_side._sp_index.positions(ues.sp_ids),
+            ue_cru_demand=ues.cru_demand,
+            ue_rate_demand_bps=ues.rate_demand_bps,
+            _ue_index=_IdIndex(ues.ue_ids),
         )
 
     def ue_rows(self, ue_ids) -> np.ndarray:
@@ -818,6 +879,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     if array.base is None and array.flags.owndata:
         array.setflags(write=False)
     return array
+
+
+def _first_repeat(ids: np.ndarray) -> int | None:
+    """Index of the first id equal to an earlier one, or ``None``."""
+    if len(ids) < 2 or np.all(ids[1:] > ids[:-1]):
+        return None
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    return int(repeats.min()) if len(repeats) else None
 
 
 def _index_unique(kind: str, pairs: Iterable[tuple[int, object]]) -> dict:

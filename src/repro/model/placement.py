@@ -73,8 +73,9 @@ class RegularGridPlacement:
                 f"a {rows}x{cols} grid at {d} m spacing does not fit in a "
                 f"{region.width:.0f} m x {region.height:.0f} m region"
             )
-        origin_x = region.center.x - grid_width / 2
-        origin_y = region.center.y - grid_height / 2
+        # The region's center, without making a Point for it.
+        origin_x = (region.x_min + region.x_max) / 2 - grid_width / 2
+        origin_y = (region.y_min + region.y_max) / 2 - grid_height / 2
         points: list[Point] = []
         for index in range(count):
             row, col = divmod(index, cols)

@@ -6,10 +6,12 @@ transmit power.  :class:`WorkloadModel` captures those distributions with
 configurable bounds so ablations can stress other regimes (e.g. heavy
 tasks or skewed service popularity).
 
-:func:`generate_user_equipments` draws a whole population from one block
-of raw PCG64 outputs and decodes it the way NumPy's per-call methods
-would have consumed it, so the UEs and the generator state left behind
-are bit-identical to drawing UE by UE (see ``_decode_draws``).
+:func:`draw_ue_columns` draws a whole population from one block of raw
+PCG64 outputs and decodes it the way NumPy's per-call methods would have
+consumed it, so the UE columns and the generator state left behind are
+bit-identical to drawing UE by UE (see ``_decode_draws``).
+:func:`generate_user_equipments` is that decode plus one
+:class:`~repro.model.entities.UserEquipment` per UE.
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.model.entities import UserEquipment
+from repro.model.entities import UEColumns, UserEquipment
 from repro.model.geometry import Point
 
-__all__ = ["WorkloadModel", "generate_user_equipments"]
+__all__ = ["WorkloadModel", "draw_ue_columns", "generate_user_equipments"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,33 +111,35 @@ def _finite(*values: float) -> bool:
     )
 
 
-def generate_user_equipments(
-    positions: Sequence[Point],
+def draw_ue_columns(
+    xy: np.ndarray | Sequence[tuple[float, float]],
     sp_count: int,
     service_count: int,
     workload: WorkloadModel,
     rng: np.random.Generator,
     start_ue_id: int = 0,
-) -> list[UserEquipment]:
-    """Materialize UEs at the given positions with sampled demands.
+) -> UEColumns:
+    """Draw the demands of UEs at positions ``xy``, as columns.
 
     Each UE subscribes to a uniformly random SP (the paper gives no
-    subscription skew) and requests one service per ``workload``.
+    subscription skew) and requests one service per ``workload``; ids
+    run from ``start_ue_id`` in row order.
 
     Per UE the draws are, in order: ``rng.integers(sp_count)``, the
     service (:meth:`WorkloadModel.draw_service`), the CRU demand and the
-    rate demand.  The UEs and the state ``rng`` is left in are exactly
-    those of making these calls UE by UE; on the common path they are
-    decoded from one block of raw outputs instead (``_decode_draws``).
-    The per-UE calls remain the fallback for service popularity
-    weights, one-value integer ranges, bit generators other than PCG64,
-    a block whose decode would take Lemire's rejection branch, and a
-    process whose one-time self-check finds the decode and NumPy's
-    per-call draws differ.
+    rate demand.  The values and the state ``rng`` is left in are
+    exactly those of making these calls UE by UE; on the common path
+    they are decoded from one block of raw outputs instead
+    (``_decode_draws``).  The per-UE calls remain the fallback for
+    service popularity weights, one-value integer ranges, bit generators
+    other than PCG64, a block whose decode would take Lemire's rejection
+    branch, and a process whose one-time self-check finds the decode and
+    NumPy's per-call draws differ.
     """
     if sp_count <= 0:
         raise ConfigurationError(f"sp_count must be > 0, got {sp_count}")
-    count = len(positions)
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    count = len(xy)
     draws = None
     if count and workload.service_popularity is None:
         draws = _decode_draws(
@@ -147,45 +150,54 @@ def generate_user_equipments(
             (workload.rate_demand_min_bps, workload.rate_demand_max_bps),
         )
     if draws is None:
-        return _generate_per_ue(
-            positions, sp_count, service_count, workload, rng, start_ue_id
-        )
+        draws = _draw_per_ue(count, sp_count, service_count, workload, rng)
     sp_ids, service_ids, cru_demands, rate_demands = draws
-    return list(map(
-        UserEquipment,
-        range(start_ue_id, start_ue_id + count),
-        sp_ids,
-        positions,
-        service_ids,
-        cru_demands,
-        rate_demands,
-        repeat(workload.tx_power_dbm, count),
-    ))
+    return UEColumns(
+        ue_ids=np.arange(start_ue_id, start_ue_id + count, dtype=np.int64),
+        sp_ids=sp_ids,
+        xy=xy,
+        service_ids=service_ids,
+        cru_demand=cru_demands,
+        rate_demand_bps=rate_demands,
+        tx_power_dbm=np.full(count, workload.tx_power_dbm, dtype=float),
+    )
 
 
-def _generate_per_ue(
+def generate_user_equipments(
     positions: Sequence[Point],
     sp_count: int,
     service_count: int,
     workload: WorkloadModel,
     rng: np.random.Generator,
-    start_ue_id: int,
+    start_ue_id: int = 0,
 ) -> list[UserEquipment]:
-    """The UE-by-UE draws that define :func:`generate_user_equipments`."""
-    ues: list[UserEquipment] = []
-    for offset, position in enumerate(positions):
-        ues.append(
-            UserEquipment(
-                ue_id=start_ue_id + offset,
-                sp_id=int(rng.integers(sp_count)),
-                position=position,
-                service_id=workload.draw_service(service_count, rng),
-                cru_demand=workload.draw_cru_demand(rng),
-                rate_demand_bps=workload.draw_rate_demand_bps(rng),
-                tx_power_dbm=workload.tx_power_dbm,
-            )
-        )
-    return ues
+    """Materialize UEs at the given positions with sampled demands.
+
+    :func:`draw_ue_columns` followed by
+    :meth:`~repro.model.entities.UEColumns.materialize`: the same draws,
+    the same generator state afterwards, one object per UE.
+    """
+    return draw_ue_columns(
+        [p.as_tuple() for p in positions], sp_count, service_count,
+        workload, rng, start_ue_id,
+    ).materialize()
+
+
+def _draw_per_ue(
+    count: int,
+    sp_count: int,
+    service_count: int,
+    workload: WorkloadModel,
+    rng: np.random.Generator,
+) -> tuple[list, ...]:
+    """The UE-by-UE draws that define :func:`draw_ue_columns`."""
+    draws: tuple[list, ...] = ([], [], [], [])
+    for _ in range(count):
+        draws[0].append(int(rng.integers(sp_count)))
+        draws[1].append(workload.draw_service(service_count, rng))
+        draws[2].append(workload.draw_cru_demand(rng))
+        draws[3].append(workload.draw_rate_demand_bps(rng))
+    return draws
 
 
 # ----------------------------------------------------------------------
@@ -214,13 +226,13 @@ def _decode_draws(
     count: int,
     int_bounds: tuple[tuple[int, int], ...],
     rate_bounds: tuple[float, float],
-) -> tuple[list, ...] | None:
+) -> tuple[np.ndarray, ...] | None:
     """Per UE: one ``rng.integers(low, high)`` per ``int_bounds`` entry,
     then ``rng.uniform(*rate_bounds)``; ``count`` UEs, decoded in bulk.
 
-    Returns one list per draw (integer draws first, then the rates), or
-    ``None`` when the decode cannot reproduce the per-call draws; ``rng``
-    is then exactly as it was on entry.
+    Returns one array per draw (int64 integer draws first, then the
+    float64 rates), or ``None`` when the decode cannot reproduce the
+    per-call draws; ``rng`` is then exactly as it was on entry.
     """
     if not isinstance(rng, np.random.Generator) or (
         type(rng.bit_generator) is not np.random.PCG64
@@ -245,7 +257,7 @@ def _decode(
     count: int,
     bounds: list[tuple[int, int]],
     rate_bounds: tuple[float, float],
-) -> tuple[list, ...] | None:
+) -> tuple[np.ndarray, ...] | None:
     """The decode proper (see the comment block above)."""
     saved = bit_generator.state
     buffered = saved["has_uint32"]
@@ -277,11 +289,10 @@ def _decode(
         if np.any((scaled & _LOW32) < np.uint64((1 << 32) % (high - low))):
             bit_generator.state = saved
             return None
-        values = (scaled >> np.uint64(32)).astype(np.int64) + low
-        draws.append(values.tolist())
+        draws.append((scaled >> np.uint64(32)).astype(np.int64) + low)
     low, high = float(rate_bounds[0]), float(rate_bounds[1])
     unit = (double_raw >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
-    draws.append((low + (high - low) * unit).tolist())
+    draws.append(low + (high - low) * unit)
 
     state = bit_generator.state
     state["has_uint32"] = fresh & 1
@@ -313,7 +324,7 @@ def _decoder_agrees() -> bool:
             for k, (low, high) in enumerate(bounds):
                 expected[k].append(int(calls.integers(low, high)))
             expected[-1].append(float(calls.uniform(*rate_bounds)))
-        if decoded is None or list(decoded) != expected:
+        if decoded is None or [d.tolist() for d in decoded] != expected:
             return False
         if bulk.bit_generator.state != calls.bit_generator.state:
             return False

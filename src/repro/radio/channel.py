@@ -413,32 +413,33 @@ def _vectorized_columns(
     if rate_model is None:
         rate_model = per_rrb_rate_bps
 
-    ues = network.user_equipments
+    ues = network.ue_columns()
     if only_ues is None:
         # Full build: the network's flat candidate pairs are already in
         # row-major (UE-grouped, BS-ascending) order and avoid touching
-        # the dense mask/matrix in grid geometry mode.
-        rows, cols, link_distances = network.candidate_pairs()
-        counts = np.bincount(rows, minlength=len(ues))
+        # the dense mask/matrix in grid geometry mode.  The map derives
+        # its per-UE slices from its UE-grouped ids when first asked.
+        ue_rows, cols, link_distances = network.candidate_pairs()
+        ue_slices = None
     else:
-        wanted = set(only_ues)
-        ues = tuple(ue for ue in ues if ue.ue_id in wanted)
-
-        mask = network.candidate_mask()
-        distances = network.distance_matrix_m()
-        row_index = np.array(
-            [network.row_of_ue(ue.ue_id) for ue in ues], dtype=np.intp
+        row_index = np.flatnonzero(
+            np.isin(ues.ue_ids, np.fromiter(set(only_ues), dtype=np.int64))
         )
-        mask = mask[row_index]
-        distances = distances[row_index]
+        mask = network.candidate_mask()[row_index]
+        distances = network.distance_matrix_m()[row_index]
 
         rows, cols = np.nonzero(mask)  # row-major: grouped by UE
         link_distances = distances[rows, cols]
-        counts = mask.sum(axis=1)
+        ue_rows = row_index[rows]
+        offsets = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        ue_slices = {
+            ue_id: (int(offsets[i]), int(offsets[i + 1]))
+            for i, ue_id in enumerate(ues.ue_ids[row_index].tolist())
+        }
 
-    tx_power = np.array([ue.tx_power_dbm for ue in ues])[rows]
-    rate_demand = np.array([ue.rate_demand_bps for ue in ues])[rows]
-    ue_id_col = np.array([ue.ue_id for ue in ues], dtype=np.int64)[rows]
+    tx_power = ues.tx_power_dbm[ue_rows]
+    rate_demand = ues.rate_demand_bps[ue_rows]
+    ue_id_col = ues.ue_ids[ue_rows]
     bs_side = network.bs_columns()
     bs_id_col = bs_side.bs_ids[cols]
     over_budget = (bs_side.bs_rrb_capacity + 1)[cols]
@@ -454,11 +455,6 @@ def _vectorized_columns(
         )
     rrbs = rrbs_required_array(rate_demand, rate, over_budget)
 
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    ue_slices = {
-        ue.ue_id: (int(offsets[i]), int(offsets[i + 1]))
-        for i, ue in enumerate(ues)
-    }
     return {
         "ue_ids": ue_id_col,
         "bs_ids": bs_id_col,

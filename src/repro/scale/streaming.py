@@ -6,18 +6,20 @@ the allocation the sharded path exists to avoid.  Both builders share
 this module's split of the construction:
 
 1. :func:`build_scenario_frame` draws everything *except* the UE
-   entities — providers, BS placement and hosting, the UE position
-   scatter — in that order from the seed's RNG;
-2. :meth:`ScenarioFrame.iter_ue_chunks` then materializes UE entities
-   chunk by chunk with the *same continuing generator*.
+   demands — providers, BS placement and hosting, the UE position
+   scatter (one float ``(n, 2)`` array) — in that order from the seed's
+   RNG;
+2. the UE demands are then drawn with the *same continuing generator*:
+   all at once as columns (:meth:`ScenarioFrame.ue_columns`, the static
+   path) or as UE entities chunk by chunk
+   (:meth:`ScenarioFrame.iter_ue_chunks`).
 
-``generate_user_equipments`` leaves the generator exactly where per-UE
-draws would, so generating ``[0, c)`` then ``[c, 2c)`` with one
-generator is bit-identical to one ``[0, n)`` call — the streamed
-population equals the monolithic one (a single chunk) entity for entity,
-pinned by the streaming parity test.  The sharded runner routes each
-chunk straight into per-shard buckets, so no step ever holds geometry
-proportional to ``UE x BS``.
+``draw_ue_columns`` leaves the generator exactly where per-UE draws
+would, so generating ``[0, c)`` then ``[c, 2c)`` with one generator is
+bit-identical to one ``[0, n)`` call — the streamed population equals
+the monolithic one entity for entity, pinned by the streaming parity
+test.  The sharded runner routes each chunk straight into per-shard
+buckets, so no step ever holds geometry proportional to ``UE x BS``.
 """
 
 from __future__ import annotations
@@ -30,10 +32,16 @@ import numpy as np
 from repro.econ.pricing import PaperPricing
 from repro.econ.tariffs import validate_tariffs
 from repro.errors import ConfigurationError
-from repro.model.entities import BaseStation, Service, ServiceProvider, UserEquipment
+from repro.model.entities import (
+    BaseStation,
+    Service,
+    ServiceProvider,
+    UEColumns,
+    UserEquipment,
+)
 from repro.model.geometry import Point, Rectangle
-from repro.model.placement import make_placement, scatter_ues
-from repro.model.workload import generate_user_equipments
+from repro.model.placement import make_placement
+from repro.model.workload import draw_ue_columns
 from repro.radio.ofdma import rrb_budget
 from repro.sim.config import ScenarioConfig
 
@@ -45,10 +53,11 @@ DEFAULT_CHUNK_SIZE = 10_000
 
 @dataclass
 class ScenarioFrame:
-    """Everything of a scenario except the materialized UE entities.
+    """Everything of a scenario except the UE demands.
 
-    Holds the continuing RNG, so UE chunks must be consumed exactly
-    once and in order; :meth:`iter_ue_chunks` enforces that.
+    Holds the continuing RNG, so the UE demands must be drawn exactly
+    once, either by :meth:`ue_columns` or by :meth:`iter_ue_chunks`;
+    both enforce that.
     """
 
     config: ScenarioConfig
@@ -58,7 +67,8 @@ class ScenarioFrame:
     providers: tuple[ServiceProvider, ...]
     base_stations: tuple[BaseStation, ...]
     services: tuple[Service, ...]
-    ue_positions: tuple[Point, ...]
+    #: UE positions as one float ``(ue_count, 2)`` array, in ``ue_id`` order.
+    ue_xy: np.ndarray
     _rng: np.random.Generator
     _consumed: bool = False
 
@@ -70,6 +80,21 @@ class ScenarioFrame:
             cross_sp_markup=self.config.cross_sp_markup,
             distance_weight=self.config.distance_weight,
         )
+
+    @property
+    def ue_positions(self) -> tuple[Point, ...]:
+        """The UE positions as points (built on each access)."""
+        xs, ys = self.ue_xy.T.tolist()
+        return tuple(map(Point, xs, ys))
+
+    def ue_columns(self) -> UEColumns:
+        """Draw every UE's demands at once, as columns (one-shot).
+
+        Equal, row for row, to the concatenated :meth:`iter_ue_chunks`
+        of any chunk size, and leaves the RNG where they do.
+        """
+        self._claim()
+        return self._draw(0, self.ue_count)
 
     def iter_ue_chunks(
         self, chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -85,23 +110,28 @@ class ScenarioFrame:
             raise ConfigurationError(
                 f"chunk_size must be > 0, got {chunk_size}"
             )
+        self._claim()
+        for start in range(0, self.ue_count, chunk_size):
+            stop = min(start + chunk_size, self.ue_count)
+            yield self._draw(start, stop).materialize()
+
+    def _claim(self) -> None:
         if self._consumed:
             raise ConfigurationError(
                 "scenario frame already streamed; build a new frame to "
                 "re-generate its UEs"
             )
         self._consumed = True
-        workload = self.config.workload_model()
-        for start in range(0, self.ue_count, chunk_size):
-            stop = min(start + chunk_size, self.ue_count)
-            yield generate_user_equipments(
-                positions=self.ue_positions[start:stop],
-                sp_count=self.config.sp_count,
-                service_count=self.config.service_count,
-                workload=workload,
-                rng=self._rng,
-                start_ue_id=start,
-            )
+
+    def _draw(self, start: int, stop: int) -> UEColumns:
+        return draw_ue_columns(
+            self.ue_xy[start:stop],
+            sp_count=self.config.sp_count,
+            service_count=self.config.service_count,
+            workload=self.config.workload_model(),
+            rng=self._rng,
+            start_ue_id=start,
+        )
 
 
 def build_scenario_frame(
@@ -110,7 +140,8 @@ def build_scenario_frame(
     """Draw a scenario's skeleton, leaving UE entities to be streamed.
 
     RNG consumption is fixed — SPs, BS placement, per-BS hosting, the
-    one-shot UE position scatter — and
+    one-shot UE position scatter (drawn as ``scatter_ues`` draws it, all
+    x then all y) — and
     :func:`repro.sim.scenario.build_scenario` builds on this frame, so
     the frame plus its streamed chunks reproduce the monolithic
     scenario's entity populations exactly.  Tariffs are validated here
@@ -151,7 +182,7 @@ def build_scenario_frame(
         for index, position in enumerate(positions)
     )
 
-    ue_positions = tuple(scatter_ues(region, ue_count, rng))
+    ue_xy = region.sample_uniform_xy(rng, ue_count)
 
     pricing = PaperPricing(
         base_price=config.base_price,
@@ -168,6 +199,6 @@ def build_scenario_frame(
         providers=providers,
         base_stations=base_stations,
         services=services,
-        ue_positions=ue_positions,
+        ue_xy=ue_xy,
         _rng=rng,
     )

@@ -166,17 +166,22 @@ def per_service_cru_utilization(
 
     Exposes which *service* pools are scarce network-wide, independent
     of which BS hosts them; services provisioned nowhere are omitted.
+    Grants for services outside the network count nowhere.  Whole-array
+    sums over the grant and BS columns (integer-exact).
     """
-    capacity: dict[int, int] = {}
-    for bs in network.base_stations:
-        for service_id, crus in bs.cru_capacity.items():
-            capacity[service_id] = capacity.get(service_id, 0) + crus
-    used: dict[int, int] = {}
-    for grant in assignment.grants:
-        used[grant.service_id] = used.get(grant.service_id, 0) + grant.crus
+    bs_side = network.bs_columns()
+    capacity = bs_side.bs_cru_capacity.sum(axis=0)
+    grants = assignment.columns()
+    services = bs_side.service_positions(grants.service_ids)
+    known = services >= 0
+    used = np.bincount(
+        services[known], weights=grants.crus[known], minlength=len(capacity)
+    )
     return {
-        service_id: used.get(service_id, 0) / total
-        for service_id, total in capacity.items()
+        service_id: crus / total
+        for service_id, crus, total in zip(
+            bs_side.service_ids.tolist(), used.tolist(), capacity.tolist()
+        )
         if total
     }
 
@@ -187,10 +192,27 @@ def per_sp_forwarded_traffic(
     """``{sp_id: bits/s forwarded to the cloud}`` (Fig. 7, split by SP).
 
     Every SP appears, zero-filled, so series across runs align even
-    when an SP forwards nothing.
+    when an SP forwards nothing.  Each SP's sum adds its cloud UEs'
+    demands in ``cloud_ue_ids`` order (``np.bincount`` adds in input
+    order), as a per-UE loop would.
     """
-    forwarded = {sp.sp_id: 0.0 for sp in network.providers}
-    for ue_id in assignment.cloud_ue_ids:
-        ue = network.user_equipment(ue_id)
-        forwarded[ue.sp_id] += ue.rate_demand_bps
-    return forwarded
+    columns = network.columns()
+    cloud_ids = np.fromiter(
+        assignment.cloud_ue_ids,
+        dtype=np.int64,
+        count=len(assignment.cloud_ue_ids),
+    )
+    rows = columns.ue_rows(cloud_ids)
+    if np.any(rows < 0):
+        raise UnknownEntityError(
+            f"unknown UE id {cloud_ids[np.argmax(rows < 0)]}"
+        )
+    forwarded = np.bincount(
+        columns.ue_sp[rows],
+        weights=columns.ue_rate_demand_bps[rows],
+        minlength=network.sp_count,
+    )
+    return {
+        sp.sp_id: bps
+        for sp, bps in zip(network.providers, forwarded.tolist())
+    }

@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
 
 from repro.econ.pricing import PaperPricing
 from repro.model.network import MECNetwork
@@ -66,15 +65,18 @@ def build_scenario(
 
     Construction order (fixed, so seeds stay comparable across configs):
     SPs, BS positions, per-BS service hosting, UE positions, UE demands.
-    The entities come from :func:`~repro.scale.streaming.build_scenario_frame`
-    (which also validates the tariffs against Eq. 16) and its one-chunk
-    :meth:`~repro.scale.streaming.ScenarioFrame.iter_ue_chunks`, so the
-    monolithic and the streamed builds share one draw order.
+    The skeleton comes from
+    :func:`~repro.scale.streaming.build_scenario_frame` (which also
+    validates the tariffs against Eq. 16) and the UEs from its
+    :meth:`~repro.scale.streaming.ScenarioFrame.ue_columns`, so the
+    monolithic and the streamed builds share one draw order.  The UEs
+    stay columns: :class:`~repro.model.network.MECNetwork` validates and
+    indexes them as arrays, the radio map reads them as arrays, and
+    :class:`~repro.model.entities.UserEquipment` objects are built only
+    when something asks for them.
     """
     frame = build_scenario_frame(config, ue_count, seed)
-    user_equipments = list(chain.from_iterable(
-        frame.iter_ue_chunks(chunk_size=max(ue_count, 1))
-    ))
+    user_equipments = frame.ue_columns()
 
     network = MECNetwork(
         providers=frame.providers,

@@ -158,11 +158,8 @@ class StreamDispatcher:
                 [bs.position.as_tuple() for bs in frame.base_stations]
             ).reshape(-1, 2)
             bs_shard = assign_shards(bs_xy, frame.region, nx, ny)
-            ue_xy = np.asarray(
-                [p.as_tuple() for p in frame.ue_positions]
-            ).reshape(-1, 2)
             self._arrival_shard = assign_shards(
-                ue_xy, frame.region, nx, ny
+                frame.ue_xy, frame.region, nx, ny
             )
         else:
             bs_shard = np.zeros(len(frame.base_stations), dtype=np.int64)

@@ -1,8 +1,9 @@
 """Scalar reference for the allocation audit: TPM validation and accounting.
 
 These are the per-grant loops that ``Assignment.validate``,
-``repro.econ.accounting.compute_profit`` and the per-grant parts of
-``repro.sim.metrics.compute_metrics`` replace with whole-array passes.
+``repro.econ.accounting.compute_profit``, the per-grant parts of
+``repro.sim.metrics.compute_metrics``, and the per-service and per-SP
+breakdowns of ``repro.sim.metrics`` replace with whole-array passes.
 Every check, message and floating-point operation is here in the order
 the production code must reproduce: ``+=`` accumulations in grant order,
 builtin ``sum()`` over the same values in the same order, and the first
@@ -22,7 +23,13 @@ from repro.model.network import MECNetwork
 from repro.radio.channel import RadioMap
 from repro.sim.metrics import OutcomeMetrics
 
-__all__ = ["validate", "compute_profit", "compute_metrics"]
+__all__ = [
+    "validate",
+    "compute_profit",
+    "compute_metrics",
+    "per_service_cru_utilization",
+    "per_sp_forwarded_traffic",
+]
 
 
 def validate(
@@ -200,3 +207,32 @@ def compute_metrics(
         ),
         rounds=assignment.rounds,
     )
+
+
+def per_service_cru_utilization(
+    network: MECNetwork, assignment: Assignment
+) -> dict[int, float]:
+    """``{service_id: used / provisioned CRUs}``, summed grant by grant."""
+    capacity: dict[int, int] = {}
+    for bs in network.base_stations:
+        for service_id, crus in bs.cru_capacity.items():
+            capacity[service_id] = capacity.get(service_id, 0) + crus
+    used: dict[int, int] = {}
+    for grant in assignment.grants:
+        used[grant.service_id] = used.get(grant.service_id, 0) + grant.crus
+    return {
+        service_id: used.get(service_id, 0) / total
+        for service_id, total in capacity.items()
+        if total
+    }
+
+
+def per_sp_forwarded_traffic(
+    network: MECNetwork, assignment: Assignment
+) -> dict[int, float]:
+    """``{sp_id: bits/s forwarded to the cloud}``, one cloud UE at a time."""
+    forwarded = {sp.sp_id: 0.0 for sp in network.providers}
+    for ue_id in assignment.cloud_ue_ids:
+        ue = network.user_equipment(ue_id)
+        forwarded[ue.sp_id] += ue.rate_demand_bps
+    return forwarded

@@ -9,6 +9,9 @@ batched fast paths and one that takes the scalar fallback), and either
 the DMRA assignment as is or with injected violations.  Both sides must
 raise the same exception with the same message, or return equal
 ``ProfitStatement`` and ``OutcomeMetrics`` values, float for float.
+The per-service CRU and per-SP forwarded-traffic breakdowns of the
+``--metrics`` document are held to their per-grant and per-UE loops
+the same way.
 """
 
 import dataclasses
@@ -29,7 +32,11 @@ from repro.errors import ConfigurationError
 from repro.model.network import MECNetwork
 from repro.radio.channel import RadioMap, build_radio_map
 from repro.sim.config import ScenarioConfig
-from repro.sim.metrics import compute_metrics
+from repro.sim.metrics import (
+    compute_metrics,
+    per_service_cru_utilization,
+    per_sp_forwarded_traffic,
+)
 from repro.sim.scenario import build_scenario
 
 AUDIT = settings(
@@ -297,3 +304,39 @@ def test_audit_matches_scalar_oracle(
         # differs between the two; the exception type may not.
         assert type(error) is type(expected_error)
         assert got == expected
+
+
+@pytest.mark.parametrize(
+    "violation", ("none", "missing_ue", "unknown_ue", "wrong_service",
+                  "unhosted", "eq12_overflow"),
+)
+@AUDIT
+@given(
+    ue_count=st.integers(min_value=1, max_value=120),
+    seed=st.integers(min_value=0, max_value=40),
+    crowded=st.booleans(),
+    geometry=st.sampled_from(["dense", "grid"]),
+    relabel=st.booleans(),
+    data=st.data(),
+)
+def test_metric_breakdowns_match_scalar_oracle(
+    violation, ue_count, seed, crowded, geometry, relabel, data
+):
+    network, radio_map = _instance(ue_count, seed, crowded, geometry, relabel)
+    solved = DMRAAllocator(pricing=PRICINGS["paper"]).allocate(
+        network, radio_map
+    )
+    network, assignment = _inject(violation, network, solved, data)
+    for columnar, scalar in (
+        (per_service_cru_utilization, oracle.per_service_cru_utilization),
+        (per_sp_forwarded_traffic, oracle.per_sp_forwarded_traffic),
+    ):
+        expected, expected_error = _outcome(
+            lambda: scalar(network, assignment)
+        )
+        got, error = _outcome(lambda: columnar(network, assignment))
+        assert type(error) is type(expected_error)
+        assert str(error) == str(expected_error)
+        assert got == expected
+        if got is not None:
+            assert sorted(got) == sorted(expected)

@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+import repro.model.network as network_module
+import repro.radio.channel as channel_module
 from repro.baselines.cloud_only import CloudOnlyAllocator
 from repro.compute.cru import Grant, LedgerPool
 from repro.core.allocator import Allocator
@@ -11,8 +13,11 @@ from repro.core.assignment import Assignment
 from repro.core.dmra import DMRAAllocator
 from repro.econ.accounting import compute_profit
 from repro.errors import AllocationError
+from repro.model.entities import UserEquipment
+from repro.model.geometry import Point
 from repro.model.network import MECNetwork
 from repro.model.workload import WorkloadModel
+from repro.obs.metrics import metrics_from_outcome
 from repro.radio.channel import RadioMap, build_radio_map
 from repro.sim.metrics import compute_metrics
 from repro.sim.runner import run_allocation
@@ -122,26 +127,60 @@ class TestRunAllocation:
     def test_static_path_builds_no_per_entity_objects(
         self, paper_config, monkeypatch
     ):
-        """Scenario build, SoA match, validation and accounting stay
-        columnar: no per-UE draw, no ``Grant``, no ``LedgerPool``."""
-        expected = run_allocation(
-            build_scenario(paper_config, 1100, 11),
-            DMRAAllocator(rho=paper_config.rho, kernel="auto"),
-        )
+        """Scenario build, SoA match, validation, accounting and the
+        ``--metrics`` document stay columnar, in dense and in grid
+        geometry: no per-UE draw, no ``UserEquipment``, no ``Point``
+        beyond the BSs', no eager per-UE radio slice index, no
+        ``Grant``, no ``LedgerPool``."""
+        for geometry, cell_limit in (("dense", None), ("grid", 0)):
+            with monkeypatch.context() as patch:
+                if cell_limit is not None:
+                    patch.setattr(network_module, "_DENSE_CELL_LIMIT", cell_limit)
+                self._assert_static_path_columnar(
+                    paper_config, patch, geometry
+                )
+
+    @staticmethod
+    def _assert_static_path_columnar(paper_config, patch, geometry):
+        def solve():
+            scenario = build_scenario(paper_config, 1100, 11)
+            outcome = run_allocation(
+                scenario, DMRAAllocator(rho=paper_config.rho, kernel="auto")
+            )
+            document = metrics_from_outcome(
+                scenario.network, outcome.assignment, scenario.pricing
+            )
+            return scenario, outcome, document
+
+        _, expected, expected_document = solve()
 
         def per_entity(*args, **kwargs):
             raise AssertionError("per-entity object on the static path")
 
+        points = []
+        make_point = Point.__init__
+
+        def counted_point(self, *args, **kwargs):
+            points.append(1)
+            make_point(self, *args, **kwargs)
+
         for name in ("draw_service", "draw_cru_demand", "draw_rate_demand_bps"):
-            monkeypatch.setattr(WorkloadModel, name, per_entity)
-        monkeypatch.setattr(Grant, "__init__", per_entity)
-        monkeypatch.setattr(LedgerPool, "__init__", per_entity)
-        scenario = build_scenario(paper_config, 1100, 11)
-        outcome = run_allocation(
-            scenario, DMRAAllocator(rho=paper_config.rho, kernel="auto")
-        )
+            patch.setattr(WorkloadModel, name, per_entity)
+        patch.setattr(UserEquipment, "__init__", per_entity)
+        patch.setattr(Point, "__init__", counted_point)
+        patch.setattr(channel_module, "_slices_from_grouped_ids", per_entity)
+        patch.setattr(Grant, "__init__", per_entity)
+        patch.setattr(LedgerPool, "__init__", per_entity)
+        scenario, outcome, document = solve()
+        network = scenario.network
+        assert network._geometry_mode == geometry
+        assert len(points) <= network.bs_count
+        assert "user_equipments" not in network.__dict__
+        assert network._ue_by_id == {}
+        assert scenario.radio_map._ue_slice is None
         assert outcome.assignment == expected.assignment
         assert outcome.metrics == expected.metrics
+        assert document.families == expected_document.families
         assert 0 < outcome.metrics.edge_served < 1100
 
     def test_audit_makes_no_point_lookups(self, small_scenario, monkeypatch):

@@ -47,6 +47,26 @@ class TestSpatialGrid:
             for a, b in zip(got, want):
                 assert a.tolist() == b.tolist()
 
+    @pytest.mark.parametrize(
+        "target, query",
+        [
+            (Point(-1.7e-130, 0.0), Point(100.0, 0.0)),
+            (Point(0.0, -1.7e-130), Point(0.0, 100.0)),
+        ],
+    )
+    def test_pair_at_radius_just_past_the_scanned_cells(self, target, query):
+        # The computed distance rounds to exactly the radius, but the
+        # target sits one cell beyond the query's reach (cell -1 vs the
+        # scanned 0..20): only its copy across the cell edge finds it.
+        # Hypothesis found this case; it fails without the edge copies.
+        radius = 100.0
+        grid = SpatialGrid([target], cell_size_m=10.0)
+        rows, cols, dists = grid.query_radius([query], radius)
+        dense = pairwise_distances_m([query], [target])
+        assert dense[0, 0] == radius
+        assert rows.tolist() == [0] and cols.tolist() == [0]
+        assert dists.tolist() == [radius]
+
     def test_empty_point_set_and_empty_queries(self):
         grid = SpatialGrid([], cell_size_m=100.0)
         rows, cols, dists = grid.query_radius([Point(0, 0)], 50.0)
