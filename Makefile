@@ -67,8 +67,8 @@ metrics-baseline:
 	$(PYTHON) -m repro run --ues 300 --seed 3 \
 		--metrics benchmarks/results/baseline_metrics.json
 
-# The grid-geometry twin of the metrics gate (400 BSs x 20000 UEs, past
-# the dense cell limit).
+# The 400-BS / 20k-UE scale gate: the metrics gate at 400 BSs x 20000
+# UEs.
 metrics-baseline-grid:
 	$(PYTHON) -m repro run --ues 20000 --region-m 6000 --bs-per-sp 80 \
 		--seed 3 --metrics benchmarks/results/baseline_metrics_grid.json

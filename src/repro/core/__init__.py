@@ -24,9 +24,7 @@ from repro.core.preferences import dmra_bs_rank_key, dmra_ue_score
 from repro.core.soa import (
     KERNELS,
     SoAMatchingEngine,
-    available_matching_backends,
     make_matching_engine,
-    register_matching_backend,
 )
 from repro.core.steering import (
     CongestionSteeredAllocator,
@@ -53,9 +51,7 @@ __all__ = [
     "ServiceRequest",
     "SoAMatchingEngine",
     "UEAgent",
-    "available_matching_backends",
     "dmra_bs_rank_key",
     "dmra_ue_score",
     "make_matching_engine",
-    "register_matching_backend",
 ]

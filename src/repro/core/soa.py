@@ -57,17 +57,6 @@ two kernels is clean on the derived match families.  The property suite
 this.  Policies other than exactly ``DMRAPolicy`` (subclasses included:
 their overridden hooks cannot be compiled here) must use the object
 engine — :func:`make_matching_engine` with ``kernel="auto"`` arbitrates.
-
-Backend hook
-------------
-The innermost step — the segmented first-occurrence argmin — is
-pluggable via :func:`register_matching_backend`, mirroring
-``register_array_rate_model`` from the radio layer.  ``"numpy"`` (the
-default) uses ``minimum.reduceat``; ``"numba"`` JIT-compiles a fused
-loop when the optional numba package is installed and raises a clear
-:class:`~repro.errors.ConfigurationError` when it is not.  Backends
-must agree with the numpy implementation exactly (first index of the
-segment minimum, ``+inf`` included) — the parity suite assumes it.
 """
 
 from __future__ import annotations
@@ -89,8 +78,6 @@ from repro.radio.channel import RadioMap
 __all__ = [
     "SoAMatchingEngine",
     "make_matching_engine",
-    "register_matching_backend",
-    "available_matching_backends",
     "KERNELS",
     "CandidateRows",
     "gather_candidates",
@@ -99,16 +86,11 @@ __all__ = [
 #: Valid ``--kernel`` / ``make_matching_engine`` choices.
 KERNELS = ("object", "soa", "auto")
 
-#: A segmented argmin: ``(scores, seg_starts) -> first-min index per
-#: segment`` (indices into ``scores``; segments are contiguous,
-#: ``seg_starts`` ascending, the last segment ends at ``len(scores)``).
-SegmentedArgmin = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def _segmented_argmin_numpy(
     scores: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
-    """Reference backend: first occurrence of each segment's minimum."""
+    """Index of the first minimum of each contiguous segment of
+    ``scores`` (``starts`` ascending; ``+inf`` scores included)."""
     mins = np.minimum.reduceat(scores, starts)
     counts = np.diff(np.append(starts, scores.size))
     is_min = scores == np.repeat(mins, counts)
@@ -116,70 +98,10 @@ def _segmented_argmin_numpy(
     return np.minimum.reduceat(position, starts)
 
 
-def _numba_backend_factory() -> SegmentedArgmin:
-    """JIT-compiled twin of the numpy backend (optional dependency)."""
-    try:
-        from numba import njit
-    except ImportError as exc:
-        raise ConfigurationError(
-            "matching backend 'numba' requires the optional numba "
-            "package, which is not installed; use backend='numpy'"
-        ) from exc
-
-    @njit(cache=True)
-    def _kernel(scores, starts, out):  # pragma: no cover - needs numba
-        n = scores.shape[0]
-        for s in range(starts.shape[0]):
-            lo = starts[s]
-            hi = starts[s + 1] if s + 1 < starts.shape[0] else n
-            best = lo
-            best_value = scores[lo]
-            for j in range(lo + 1, hi):
-                if scores[j] < best_value:
-                    best_value = scores[j]
-                    best = j
-            out[s] = best
-        return out
-
-    def segmented_argmin(scores, starts):  # pragma: no cover - needs numba
-        out = np.empty(starts.shape[0], dtype=np.int64)
-        return _kernel(scores, np.asarray(starts, dtype=np.int64), out)
-
-    return segmented_argmin
-
-
-#: Known kernel backends; factories run at engine construction so an
-#: unavailable optional dependency fails fast with a clear error.
-_MATCHING_BACKENDS: dict[str, Callable[[], SegmentedArgmin]] = {
-    "numpy": lambda: _segmented_argmin_numpy,
-    "numba": _numba_backend_factory,
-}
-
-
-def register_matching_backend(
-    name: str, factory: Callable[[], SegmentedArgmin]
-) -> None:
-    """Register a compiled segmented-argmin backend under ``name``.
-
-    ``factory`` is called once per engine construction and must return
-    a :data:`SegmentedArgmin` that agrees with the numpy implementation
-    exactly — first index of each segment's minimum, ``+inf`` scores
-    included.  Mirrors ``register_array_rate_model``: unregistered
-    names raise at engine construction, never mid-run.
-    """
-    _MATCHING_BACKENDS[name] = factory
-
-
-def available_matching_backends() -> tuple[str, ...]:
-    """Registered backend names (availability is checked on use)."""
-    return tuple(_MATCHING_BACKENDS)
-
-
 def make_matching_engine(
     policy: MatchingPolicy,
     kernel: str = "auto",
     max_rounds: int = 100_000,
-    backend: str = "numpy",
 ):
     """Pick the matching engine implementation for a policy.
 
@@ -196,16 +118,12 @@ def make_matching_engine(
     if kernel == "object":
         return IterativeMatchingEngine(policy, max_rounds=max_rounds)
     if kernel == "soa":
-        return SoAMatchingEngine(
-            policy, max_rounds=max_rounds, backend=backend
-        )
+        return SoAMatchingEngine(policy, max_rounds=max_rounds)
     if kernel == "auto":
         from repro.core.dmra import DMRAPolicy
 
         if type(policy) is DMRAPolicy:
-            return SoAMatchingEngine(
-                policy, max_rounds=max_rounds, backend=backend
-            )
+            return SoAMatchingEngine(policy, max_rounds=max_rounds)
         return IterativeMatchingEngine(policy, max_rounds=max_rounds)
     raise ConfigurationError(
         f"unknown matching kernel {kernel!r}; choose one of {KERNELS}"
@@ -219,7 +137,6 @@ class SoAMatchingEngine:
         self,
         policy: MatchingPolicy,
         max_rounds: int = 100_000,
-        backend: str = "numpy",
     ) -> None:
         from repro.core.dmra import DMRAPolicy
 
@@ -231,17 +148,8 @@ class SoAMatchingEngine:
                 f"{type(policy).__name__} — use kernel='object' for "
                 f"custom or subclassed policies"
             )
-        try:
-            factory = _MATCHING_BACKENDS[backend]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown matching backend {backend!r}; registered: "
-                f"{', '.join(sorted(_MATCHING_BACKENDS))}"
-            ) from None
         self.policy = policy
         self.max_rounds = max_rounds
-        self.backend = backend
-        self._segmented_argmin = factory()
 
     # ------------------------------------------------------------------
 
@@ -329,7 +237,6 @@ class SoAMatchingEngine:
 
         rho = policy.rho
         same_sp_priority = policy.same_sp_priority
-        segmented_argmin = self._segmented_argmin
         alive_count = int(alive.sum())
         rounds = 0
         tel = get_telemetry()
@@ -406,7 +313,7 @@ class SoAMatchingEngine:
                             f"{int(ue_id_arr[row_of_pair[first_bad]])}, "
                             f"BS {int(bs_id_arr[pair_bs[first_bad]])}"
                         )
-                    chosen = idx[segmented_argmin(scores, starts)]
+                    chosen = idx[_segmented_argmin_numpy(scores, starts)]
                     propose_time += time.perf_counter() - phase_start
 
                     phase_start = time.perf_counter()

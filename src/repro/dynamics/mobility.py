@@ -322,9 +322,7 @@ def run_mobility(
             displaced = {
                 ues[row].ue_id: stepped[row] for row in displaced_rows
             }
-            network = network.with_moved_ues(
-                displaced, rebuild_fraction=rebuild_fraction
-            )
+            network = network.with_moved_ues(displaced)
             radio_map = radio_map.with_updated_ues(
                 network, budget, displaced.keys(), rate_model=rate_model,
                 rebuild_fraction=rebuild_fraction,

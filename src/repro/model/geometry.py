@@ -119,8 +119,8 @@ class SpatialGrid:
 
     Distances are computed with the same float64 ``np.hypot`` applied to
     the same coordinate differences as the dense path, so query results
-    are bit-identical to filtering a dense distance matrix — the grid and
-    dense geometry modes of ``MECNetwork`` rely on that.
+    are bit-identical to filtering a dense distance matrix —
+    ``MECNetwork``'s coverage and candidate pairs rely on that.
     """
 
     __slots__ = ("_xy", "_cell_size", "_buckets", "_copies")

@@ -2,9 +2,12 @@
 
 :class:`MECNetwork` bundles SPs, base stations, user equipments, and the
 service catalog, and precomputes the geometry every allocator needs:
-UE--BS distances, coverage sets, and the per-UE candidate BS sets
-``B_u`` (BSs that cover the UE *and* host its requested service —
-Alg. 1, line 1 of the paper).
+the coverage pairs (UE--BS pairs within the coverage radius, with their
+distances) and the per-UE candidate BS sets ``B_u`` (BSs that cover the
+UE *and* host its requested service — Alg. 1, line 1 of the paper).
+Both are found with a :class:`~repro.model.geometry.SpatialGrid` over
+the BS positions and kept as CSR arrays (rows grouped by UE, BS columns
+ascending), so memory is O(pairs), never O(UE x BS).
 
 The container itself never mutates during an allocation run; allocators
 keep their own resource ledgers.
@@ -32,19 +35,27 @@ from repro.model.entities import (
     UEColumns,
     UserEquipment,
 )
-from repro.model.geometry import (
-    Point,
-    Rectangle,
-    SpatialGrid,
-    pairwise_distances_m,
-)
+from repro.model.geometry import Point, Rectangle, SpatialGrid
 
 __all__ = ["BSColumns", "EntityColumns", "MECNetwork"]
 
-#: ``auto`` geometry keeps the dense UE x BS distance matrix up to this
-#: many cells (~32 MB of float64) and switches to the sparse spatial
-#: grid beyond it, where the dense build would dominate memory.
-_DENSE_CELL_LIMIT = 4_000_000
+#: The fields that depend on the deployment only, never on the UEs: a
+#: network over other UEs on the same deployment shares them.
+_BS_SIDE = (
+    "providers",
+    "base_stations",
+    "services",
+    "region",
+    "coverage_radius_m",
+    "_sp_by_id",
+    "_bs_by_id",
+    "_service_by_id",
+    "_bs_col",
+    "_hosting",
+    "_bs_id_array",
+    "_bs_columns",
+    "_grid",
+)
 
 
 class _MaterializedUEs:
@@ -91,15 +102,12 @@ class MECNetwork:
         The paper assumes dense multi-coverage but states no radius; the
         default of 500 m (see DESIGN.md §3) produces it for the paper's
         layouts.
-    geometry:
-        ``"dense"`` precomputes the full UE x BS distance matrix and
-        candidate mask (the historical behavior), ``"grid"`` indexes BSs
-        in a :class:`~repro.model.geometry.SpatialGrid` and stores only
-        the in-coverage pairs (memory O(pairs) instead of O(UE x BS)),
-        and ``"auto"`` (the default) picks dense up to
-        ``_DENSE_CELL_LIMIT`` cells and grid beyond.  Both modes expose
-        identical values — the grid mode computes the same float64
-        distances for every surviving pair (parity-tested).
+
+    Every distance the network reports is the float64 ``np.hypot`` of
+    the two positions' coordinate differences — what
+    :func:`~repro.model.geometry.pairwise_distances_m` computes — so
+    coverage and candidate sets are exactly the dense filter
+    ``distance <= coverage_radius_m`` (parity-tested).
     """
 
     providers: Sequence[ServiceProvider]
@@ -108,29 +116,25 @@ class MECNetwork:
     services: Sequence[Service]
     region: Rectangle
     coverage_radius_m: float = 500.0
-    geometry: str = "auto"
     _sp_by_id: Mapping[int, ServiceProvider] = field(init=False, repr=False)
     _bs_by_id: Mapping[int, BaseStation] = field(init=False, repr=False)
     # Every UE object of an object-built network; for a network built
     # from columns, the ones scalar lookups have made so far.
     _ue_by_id: dict[int, UserEquipment] = field(init=False, repr=False)
     _service_by_id: Mapping[int, Service] = field(init=False, repr=False)
-    _geometry_mode: str = field(init=False, repr=False)
-    _distances: np.ndarray | None = field(init=False, repr=False)
     _bs_col: Mapping[int, int] = field(init=False, repr=False)
-    _candidates: Mapping[int, tuple[int, ...]] | None = field(
-        init=False, repr=False
-    )
-    _candidate_mask: np.ndarray | None = field(init=False, repr=False)
-    _hosts_by_service: Mapping[int, np.ndarray] = field(init=False, repr=False)
+    # z_{i,j} as an (n_services, n_bs) boolean matrix in ``services``
+    # order: row ``j`` is the hosting half of B_u for a UE of service j.
+    _hosting: np.ndarray = field(init=False, repr=False)
     _bs_id_array: np.ndarray = field(init=False, repr=False)
-    _grid: SpatialGrid | None = field(init=False, repr=False)
-    _cov_indptr: np.ndarray | None = field(init=False, repr=False)
-    _cov_cols: np.ndarray | None = field(init=False, repr=False)
-    _cov_dists: np.ndarray | None = field(init=False, repr=False)
-    _cand_indptr: np.ndarray | None = field(init=False, repr=False)
-    _cand_cols: np.ndarray | None = field(init=False, repr=False)
-    _cand_dists: np.ndarray | None = field(init=False, repr=False)
+    _grid: SpatialGrid = field(init=False, repr=False)
+    # Coverage and candidate pairs as CSR (see :func:`_pair_csr`).
+    _cov_indptr: np.ndarray = field(init=False, repr=False)
+    _cov_cols: np.ndarray = field(init=False, repr=False)
+    _cov_dists: np.ndarray = field(init=False, repr=False)
+    _cand_indptr: np.ndarray = field(init=False, repr=False)
+    _cand_cols: np.ndarray = field(init=False, repr=False)
+    _cand_dists: np.ndarray = field(init=False, repr=False)
     # Built on first use: the UE columns of an object-built clone
     # (:meth:`ue_columns`), the UE id -> row index (:meth:`_row_of`),
     # and :meth:`columns` / :meth:`bs_columns`.  The class-level
@@ -216,97 +220,15 @@ class MECNetwork:
                 f"UE {ue_id} requests unknown service {ues.service_ids[row]}"
             )
 
-        if self.geometry not in ("auto", "dense", "grid"):
-            raise ConfigurationError(
-                f"geometry must be 'auto', 'dense', or 'grid', "
-                f"got {self.geometry!r}"
-            )
-        mode = self.geometry
-        if mode == "auto":
-            cells = len(ues) * len(self.base_stations)
-            mode = "dense" if cells <= _DENSE_CELL_LIMIT else "grid"
-        object.__setattr__(self, "_geometry_mode", mode)
-
         bs_col = {bs.bs_id: col for col, bs in enumerate(self.base_stations)}
         object.__setattr__(self, "_bs_col", bs_col)
-
-        # z_{i,j}: one (n_services, n_bs) row per service; row
-        # ``ue_service`` of it is the hosting half of each UE's B_u.
         hosting = np.ascontiguousarray(bs_side.bs_cru_capacity.T > 0)
-        object.__setattr__(
-            self,
-            "_hosts_by_service",
-            dict(zip(bs_side.service_ids.tolist(), hosting)),
-        )
-
-        if mode == "dense":
-            self._init_dense_geometry(ues, hosting, ue_service)
-        else:
-            self._init_grid_geometry(ues, hosting, ue_service)
-
-    def _init_dense_geometry(
-        self, ues: UEColumns, hosting: np.ndarray, ue_service: np.ndarray
-    ) -> None:
-        """Precompute the full distance matrix and candidate mask."""
-        distances = pairwise_distances_m(ues.xy, self.bs_columns().bs_xy)
-        object.__setattr__(self, "_distances", distances)
-
-        # Candidate sets B_u, computed as one (n_ue, n_bs) boolean mask:
-        # coverage (distance <= radius) AND hosting (z_{i,j} = 1 for the
-        # UE's service).  Hosting rows are shared per service, so the
-        # whole mask costs one fancy-index plus one logical AND.
-        mask = (distances <= self.coverage_radius_m) & hosting[ue_service]
-        bs_id_array = self._bs_id_array
-        candidates: dict[int, tuple[int, ...]] = dict(zip(
-            ues.ue_ids.tolist(),
-            (tuple(bs_id_array[row].tolist()) for row in mask),
-        ))
-        mask.setflags(write=False)
-        object.__setattr__(self, "_candidates", candidates)
-        object.__setattr__(self, "_candidate_mask", mask)
-        for name in (
-            "_grid", "_cov_indptr", "_cov_cols", "_cov_dists",
-            "_cand_indptr", "_cand_cols", "_cand_dists",
-        ):
-            object.__setattr__(self, name, None)
-
-    def _init_grid_geometry(
-        self, ues: UEColumns, hosting: np.ndarray, ue_service: np.ndarray
-    ) -> None:
-        """Index BSs in a spatial grid; store only in-coverage pairs.
-
-        Coverage and candidate pairs are kept as CSR-style flat arrays
-        (``indptr`` per UE row, columns ascending within a row), which
-        is exactly the ``np.nonzero`` row-major order of the dense mask
-        — so :meth:`candidate_pairs` is bit-identical across modes.
-        """
-        n_ue = len(ues)
-        grid = SpatialGrid(
-            self.bs_columns().bs_xy, cell_size_m=self.coverage_radius_m
-        )
-        rows, cols, dists = grid.query_radius(ues.xy, self.coverage_radius_m)
-        cov_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(rows, minlength=n_ue)))
-        ).astype(np.int64)
-
-        keep = hosting[ue_service[rows], cols]
-        cand_rows = rows[keep]
-        cand_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(cand_rows, minlength=n_ue)))
-        ).astype(np.int64)
-
-        for name, value in (
-            ("_grid", grid),
-            ("_cov_indptr", cov_indptr),
-            ("_cov_cols", _frozen(cols)),
-            ("_cov_dists", _frozen(dists)),
-            ("_cand_indptr", cand_indptr),
-            ("_cand_cols", _frozen(cols[keep])),
-            ("_cand_dists", _frozen(dists[keep])),
-            ("_distances", None),
-            ("_candidate_mask", None),
-            ("_candidates", None),
-        ):
+        object.__setattr__(self, "_hosting", hosting)
+        grid = SpatialGrid(bs_side.bs_xy, cell_size_m=self.coverage_radius_m)
+        object.__setattr__(self, "_grid", grid)
+        for name, value in _pair_csr(
+            grid, ues.xy, self.coverage_radius_m, hosting, ue_service
+        ).items():
             object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
@@ -358,7 +280,11 @@ class MECNetwork:
     # ------------------------------------------------------------------
 
     def distance_m(self, ue_id: int, bs_id: int) -> float:
-        """UE--BS distance ``d_{i,u}`` in meters."""
+        """UE--BS distance ``d_{i,u}`` in meters.
+
+        An in-coverage pair returns its stored distance; any other pair
+        is computed with the same float64 ``np.hypot``.
+        """
         rows = self._ue_row
         if rows is None:
             rows = self._index_ue_rows()
@@ -367,15 +293,14 @@ class MECNetwork:
             col = self._bs_col[bs_id]
         except KeyError as exc:
             raise UnknownEntityError(f"unknown entity id {exc.args[0]}") from None
-        if self._geometry_mode == "dense":
-            return float(self._distances[row, col])
-        # Grid mode: in-coverage pairs return the stored query distance
-        # (bit-identical to the dense matrix entry); out-of-coverage
-        # pairs are recomputed with the same float64 hypot.
-        lo, hi = self._cov_indptr[row], self._cov_indptr[row + 1]
-        pos = lo + int(np.searchsorted(self._cov_cols[lo:hi], col))
-        if pos < hi and self._cov_cols[pos] == col:
-            return float(self._cov_dists[pos])
+        lo, hi = self._cov_indptr[row:row + 2].tolist()
+        # A row holds a handful of columns: a list scan beats a search.
+        try:
+            return float(
+                self._cov_dists[lo + self._cov_cols[lo:hi].tolist().index(col)]
+            )
+        except ValueError:  # out of coverage
+            pass
         ue_x, ue_y = self.ue_columns().xy[row].tolist()
         bs_pos = self.base_stations[col].position
         return float(np.hypot(ue_x - bs_pos.x, ue_y - bs_pos.y))
@@ -387,39 +312,14 @@ class MECNetwork:
 
         ``rows`` index ``user_equipments`` and ``cols`` index
         ``base_stations`` (see :meth:`EntityColumns.ue_rows` and
-        :meth:`EntityColumns.bs_cols`).  Each value is bit-identical to
-        :meth:`distance_m` of the same pair in either geometry mode:
-        dense mode reads the matrix; grid mode reads the stored coverage
-        distance and recomputes out-of-coverage pairs with the same
-        float64 hypot.
+        :meth:`EntityColumns.bs_cols`).  Each value is recomputed from
+        the position columns with the float64 ``np.hypot`` every
+        distance here comes from, so it is bit-identical to
+        :meth:`distance_m` of the same pair, in or out of coverage.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if self._geometry_mode == "dense":
-            return self._distances[rows, cols]
-        n_bs = self.bs_count
-        cov_rows = np.repeat(
-            np.arange(self.ue_count, dtype=np.int64), np.diff(self._cov_indptr)
-        )
-        # Coverage pairs are sorted by (row, col), so their flat keys are
-        # ascending and one searchsorted finds every stored pair.
-        cov_keys = cov_rows * n_bs + self._cov_cols
-        keys = rows * n_bs + cols
-        # Probing in ascending key order keeps the searches cache-friendly.
-        probe = np.argsort(keys)
-        pos = np.empty(len(keys), dtype=np.int64)
-        pos[probe] = np.searchsorted(cov_keys, keys[probe])
-        stored = pos < len(cov_keys)
-        stored[stored] = cov_keys[pos[stored]] == keys[stored]
-        distances = np.empty(len(keys), dtype=float)
-        distances[stored] = self._cov_dists[pos[stored]]
-        outside = ~stored
-        ue_xy = self.ue_columns().xy[rows[outside]]
-        bs_xy = self.bs_columns().bs_xy[cols[outside]]
-        distances[outside] = np.hypot(
-            ue_xy[:, 0] - bs_xy[:, 0], ue_xy[:, 1] - bs_xy[:, 1]
-        )
-        return distances
+        ue_xy = self.ue_columns().xy[rows]
+        bs_xy = self.bs_columns().bs_xy[cols]
+        return np.hypot(ue_xy[:, 0] - bs_xy[:, 0], ue_xy[:, 1] - bs_xy[:, 1])
 
     def ue_columns(self) -> UEColumns:
         """The UE population as columns, row for row with
@@ -454,116 +354,74 @@ class MECNetwork:
             object.__setattr__(self, "_bs_columns", bs_columns)
         return bs_columns
 
-    def distance_matrix_m(self) -> np.ndarray:
-        """Copy of the full ``(n_ue, n_bs)`` distance matrix in meters.
-
-        In grid geometry mode the dense matrix is not stored; this
-        materializes it on demand (O(UE x BS) time and memory) purely as
-        a compatibility shim — batched consumers should prefer
-        :meth:`candidate_pairs`.
-        """
-        if self._geometry_mode == "dense":
-            return self._distances.copy()
-        return pairwise_distances_m(
-            self.ue_columns().xy, self.bs_columns().bs_xy
-        )
-
     def covers(self, bs_id: int, ue_id: int) -> bool:
         """Whether the BS is within coverage radius of the UE."""
         return self.distance_m(ue_id, bs_id) <= self.coverage_radius_m
 
     def covering_base_stations(self, ue_id: int) -> tuple[int, ...]:
-        """Ids of all BSs within coverage radius of the UE (any service).
-
-        Grid mode answers from the spatial index's coverage pairs; dense
-        mode scans the precomputed distance row.  Both return BS ids in
-        deployment (column) order.
-        """
+        """Ids of all BSs within coverage radius of the UE (any service),
+        in deployment (column) order."""
         row = self._row_of(ue_id)
-        if self._geometry_mode == "grid":
-            lo, hi = self._cov_indptr[row], self._cov_indptr[row + 1]
-            return tuple(self._bs_id_array[self._cov_cols[lo:hi]].tolist())
-        within = self._distances[row] <= self.coverage_radius_m
-        return tuple(self._bs_id_array[within].tolist())
+        lo, hi = self._cov_indptr[row:row + 2].tolist()
+        return tuple(self._bs_id_array[self._cov_cols[lo:hi]].tolist())
 
     def candidate_base_stations(self, ue_id: int) -> tuple[int, ...]:
-        """The paper's ``B_u``: BSs covering the UE that host its service."""
-        if self._geometry_mode == "grid":
-            row = self._row_of(ue_id)
-            lo, hi = self._cand_indptr[row], self._cand_indptr[row + 1]
-            return tuple(self._bs_id_array[self._cand_cols[lo:hi]].tolist())
-        try:
-            return self._candidates[ue_id]
-        except KeyError:
-            raise UnknownEntityError(f"unknown UE id {ue_id}") from None
+        """The paper's ``B_u``: BSs covering the UE that host its service,
+        in deployment (column) order."""
+        row = self._row_of(ue_id)
+        lo, hi = self._cand_indptr[row:row + 2].tolist()
+        return tuple(self._bs_id_array[self._cand_cols[lo:hi]].tolist())
 
-    def candidate_mask(self) -> np.ndarray:
-        """Read-only ``(n_ue, n_bs)`` boolean candidate mask.
+    def candidate_pairs(
+        self, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidate links as flat ``(rows, cols, dists)`` arrays.
 
-        Row/column order follows ``user_equipments`` / ``base_stations``;
-        ``mask[row, col]`` is True exactly when the BS is in the UE's
-        ``B_u``.  This is the batched counterpart of
-        :meth:`candidate_base_stations`, consumed by the vectorized
-        radio-map builder.  Grid mode materializes the mask on demand
-        (O(UE x BS) memory) — batched consumers should prefer
-        :meth:`candidate_pairs`.
+        ``rows`` index ``user_equipments`` and ``cols`` index
+        ``base_stations``; ``dists`` are the float64 UE--BS distances.
+        Pairs are grouped by UE row and BS-ascending within a row —
+        the row-major order of ``np.nonzero`` over a UE x BS candidate
+        mask.  Given ascending ``rows``, only those UEs' pairs are
+        returned, in the same order; ``None`` means every UE.  This is
+        the input of the vectorized radio-map builder.
         """
-        if self._geometry_mode == "dense":
-            return self._candidate_mask
-        mask = np.zeros((self.ue_count, self.bs_count), dtype=bool)
-        rows, cols, _ = self.candidate_pairs()
-        mask[rows, cols] = True
-        mask.setflags(write=False)
-        return mask
-
-    def candidate_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All candidate links as flat ``(rows, cols, dists)`` arrays.
-
-        Pairs are sorted lexicographically by ``(row, col)`` — the
-        row-major order of ``np.nonzero(candidate_mask())`` — with
-        ``dists`` the float64 UE--BS distances.  Identical values in
-        both geometry modes; this is the sparse-friendly input of the
-        vectorized radio-map builder.
-        """
-        if self._geometry_mode == "grid":
-            counts = np.diff(self._cand_indptr)
-            rows = np.repeat(
-                np.arange(self.ue_count, dtype=np.intp), counts
-            )
-            return rows, self._cand_cols, self._cand_dists
-        rows, cols = np.nonzero(self._candidate_mask)
-        return rows, cols, self._distances[rows, cols]
+        indptr = self._cand_indptr
+        if rows is None:
+            counts = np.diff(indptr)
+            rows = np.arange(self.ue_count, dtype=np.intp)
+            return np.repeat(rows, counts), self._cand_cols, self._cand_dists
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = indptr[rows]
+        counts = indptr[rows + 1] - starts
+        # Each row's slice of the CSR, concatenated in ``rows`` order.
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+            starts - (ends - counts), counts
+        )
+        return np.repeat(rows, counts), self._cand_cols[pos], self._cand_dists[pos]
 
     def row_of_ue(self, ue_id: int) -> int:
-        """Row index of a UE in the distance matrix / candidate mask."""
+        """Row of a UE: its position in ``user_equipments``."""
         return self._row_of(ue_id)
 
     def col_of_bs(self, bs_id: int) -> int:
-        """Column index of a BS in the distance matrix / candidate mask."""
+        """Column of a BS: its position in ``base_stations``."""
         try:
             return self._bs_col[bs_id]
         except KeyError:
             raise UnknownEntityError(f"unknown BS id {bs_id}") from None
 
     def with_moved_ues(
-        self,
-        new_positions: Mapping[int, Point],
-        rebuild_fraction: float = 0.5,
+        self, new_positions: Mapping[int, Point]
     ) -> "MECNetwork":
         """A copy of this network with the given UEs repositioned.
 
-        The incremental mobility path: only the moved UEs' distance rows
-        and candidate sets are recomputed (batched); every id index, the
-        BS population, and unmoved rows are shared with ``self``.  The
-        recomputed rows use the same float64 operations as full
-        construction, so the result is value-identical to rebuilding
-        :class:`MECNetwork` from scratch with the new positions.
-
-        When at least ``rebuild_fraction`` of the population moved,
-        per-row patching cannot beat the fully batched constructor
-        (copying + fancy-indexing the large arrays costs more than
-        recomputing them), so the call falls back to it — same values,
-        different route.
+        The incremental mobility path: only the moved UEs are queried
+        against the BS spatial grid, and their coverage and candidate
+        rows are spliced into copies of the CSR arrays; every id index,
+        the BS population and its grid are shared with ``self``.  The
+        result equals a :class:`MECNetwork` built from scratch with the
+        new positions, pair for pair and bit for bit.
         """
         if not new_positions:
             return self
@@ -574,48 +432,8 @@ class MECNetwork:
             else ue
             for ue in self.user_equipments
         )
-        if (
-            self._geometry_mode == "grid"
-            or len(new_positions) > rebuild_fraction * self.ue_count
-        ):
-            # Most of the population moved (e.g. a random walk) or the
-            # network has no dense rows to patch: the fully batched
-            # constructor beats (or replaces) per-row patching.
-            return MECNetwork(
-                providers=self.providers,
-                base_stations=self.base_stations,
-                user_equipments=moved_ues,
-                services=self.services,
-                region=self.region,
-                coverage_radius_m=self.coverage_radius_m,
-                geometry=self.geometry,
-            )
-
         clone = object.__new__(MECNetwork)
-        for name in (
-            "providers",
-            "base_stations",
-            "services",
-            "region",
-            "coverage_radius_m",
-            "geometry",
-            "_geometry_mode",
-            "_sp_by_id",
-            "_bs_by_id",
-            "_service_by_id",
-            "_ue_row",
-            "_bs_col",
-            "_hosts_by_service",
-            "_bs_id_array",
-            "_bs_columns",
-            "_grid",
-            "_cov_indptr",
-            "_cov_cols",
-            "_cov_dists",
-            "_cand_indptr",
-            "_cand_cols",
-            "_cand_dists",
-        ):
+        for name in (*_BS_SIDE, "_ue_row"):
             object.__setattr__(clone, name, getattr(self, name))
         object.__setattr__(clone, "user_equipments", moved_ues)
         object.__setattr__(
@@ -624,34 +442,19 @@ class MECNetwork:
         ue_columns = self.ue_columns()
         xy = ue_columns.xy.copy()
         xy[rows] = [position.as_tuple() for position in new_positions.values()]
-        moved = replace(ue_columns, xy=xy)
-        object.__setattr__(clone, "_ue_columns", moved)
+        object.__setattr__(clone, "_ue_columns", replace(ue_columns, xy=xy))
 
         row_index = np.array(sorted(rows), dtype=np.intp)
-        distances = self._distances.copy()
-        distances[row_index] = pairwise_distances_m(
-            xy[row_index], self.bs_columns().bs_xy
+        ue_service = self.bs_columns().service_positions(
+            ue_columns.service_ids[row_index]
         )
-        distances.setflags(write=False)
-        object.__setattr__(clone, "_distances", distances)
-
-        mask = self._candidate_mask.copy()
-        coverage = distances[row_index] <= self.coverage_radius_m
-        hosting = np.stack(
-            [
-                self._hosts_by_service[service_id]
-                for service_id in moved.service_ids[row_index].tolist()
-            ]
+        fresh = _pair_csr(
+            self._grid, xy[row_index], self.coverage_radius_m,
+            self._hosting, ue_service,
         )
-        mask[row_index] = coverage & hosting
-        mask.setflags(write=False)
-        candidates = dict(self._candidates)
-        for row, ue_id in zip(
-            row_index.tolist(), moved.ue_ids[row_index].tolist()
-        ):
-            candidates[ue_id] = tuple(self._bs_id_array[mask[row]].tolist())
-        object.__setattr__(clone, "_candidate_mask", mask)
-        object.__setattr__(clone, "_candidates", candidates)
+        stored = {name: getattr(self, name) for name in fresh}
+        for name, value in _splice_rows(stored, row_index, fresh).items():
+            object.__setattr__(clone, name, value)
         return clone
 
     def same_sp(self, ue_id: int, bs_id: int) -> bool:
@@ -682,30 +485,22 @@ class MECNetwork:
         """Average number of candidate BSs per UE (the paper's ``f_u``)."""
         if not self.ue_count:
             return 0.0
-        if self._geometry_mode == "grid":
-            return float(np.mean(np.diff(self._cand_indptr)))
-        return float(np.mean(np.count_nonzero(self._candidate_mask, axis=1)))
+        return float(np.mean(np.diff(self._cand_indptr)))
 
     def estimated_geometry_bytes(self) -> int:
-        """Approximate bytes held by the precomputed geometry arrays.
+        """Approximate bytes held by the coverage and candidate arrays.
 
         The scenario cache uses this (plus the radio map's column sizes)
         to bound its memory footprint; see
         :func:`repro.sim.scenario.build_scenario_cached`.
         """
-        if self._geometry_mode == "dense":
-            return int(
-                self._distances.nbytes + self._candidate_mask.nbytes
+        return int(sum(
+            arr.nbytes
+            for arr in (
+                self._cov_indptr, self._cov_cols, self._cov_dists,
+                self._cand_indptr, self._cand_cols, self._cand_dists,
             )
-        return int(
-            sum(
-                arr.nbytes
-                for arr in (
-                    self._cov_indptr, self._cov_cols, self._cov_dists,
-                    self._cand_indptr, self._cand_cols, self._cand_dists,
-                )
-            )
-        )
+        ))
 
     def describe(self) -> str:
         """Human-readable one-paragraph summary of the deployment."""
@@ -837,7 +632,7 @@ class EntityColumns(BSColumns):
     """A network's per-entity attributes as aligned NumPy arrays.
 
     The BS half is the network's :class:`BSColumns` (the same array
-    objects); UE arrays follow ``user_equipments`` (distance-matrix
+    objects); UE arrays follow ``user_equipments`` (the network's
     rows), with SP and service fields holding *positions* in
     ``providers`` / ``services``, not ids.  Whole-assignment consumers
     (validation, profit accounting, outcome metrics) read these instead
@@ -879,6 +674,67 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     if array.base is None and array.flags.owndata:
         array.setflags(write=False)
     return array
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of the given per-row pair counts."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _pair_csr(
+    grid: SpatialGrid,
+    ue_xy: np.ndarray,
+    radius_m: float,
+    hosting: np.ndarray,
+    ue_service: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The coverage and candidate CSR of the UEs at ``ue_xy``.
+
+    One :meth:`~repro.model.geometry.SpatialGrid.query_radius` call
+    finds the coverage pairs, already grouped by UE row with BS columns
+    ascending; the candidate pairs are those whose BS hosts the UE's
+    service (``hosting[ue_service[row], col]``).  Returns the six
+    ``MECNetwork`` fields ``_{cov,cand}_{indptr,cols,dists}``, one row
+    per UE.
+    """
+    rows, cols, dists = grid.query_radius(ue_xy, radius_m)
+    keep = hosting[ue_service[rows], cols]
+    n_ue = len(ue_xy)
+    return {
+        "_cov_indptr": _indptr(np.bincount(rows, minlength=n_ue)),
+        "_cov_cols": _frozen(cols),
+        "_cov_dists": _frozen(dists),
+        "_cand_indptr": _indptr(np.bincount(rows[keep], minlength=n_ue)),
+        "_cand_cols": _frozen(cols[keep]),
+        "_cand_dists": _frozen(dists[keep]),
+    }
+
+
+def _splice_rows(
+    csr: Mapping[str, np.ndarray],
+    rows: np.ndarray,
+    fresh: Mapping[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """The :func:`_pair_csr` fields ``csr`` with their ascending ``rows``
+    replaced by ``fresh``, the fields of just those rows in that order."""
+    unmoved = np.ones(len(csr["_cov_indptr"]) - 1, dtype=bool)
+    unmoved[rows] = False
+    spliced = {}
+    for kind in ("_cov", "_cand"):
+        counts = np.diff(csr[kind + "_indptr"])
+        kept = np.repeat(unmoved, counts)
+        counts[rows] = np.diff(fresh[kind + "_indptr"])
+        spliced[kind + "_indptr"] = _indptr(counts)
+        from_old = np.repeat(unmoved, counts)
+        for part in ("_cols", "_dists"):
+            old = csr[kind + part]
+            merged = np.empty(len(from_old), dtype=old.dtype)
+            merged[from_old] = old[kept]
+            merged[~from_old] = fresh[kind + part]
+            spliced[kind + part] = _frozen(merged)
+    return spliced
 
 
 def _first_repeat(ids: np.ndarray) -> int | None:

@@ -8,10 +8,10 @@ Allocators never call path-loss or SINR code directly; they consume a
 
 Internally the map is **columnar**: one NumPy array per field over all
 candidate links, grouped by UE in network order (BS order within a UE's
-group).  :func:`build_radio_map` fills those columns with whole-matrix
-operations — distances from the network's cached matrix, Eq. 18 path
+group).  :func:`build_radio_map` fills those columns with whole-array
+operations — distances from the network's candidate pairs, Eq. 18 path
 loss, SINR, the Eq. 2 rate, and the Eq. 3 ``ceil`` demand each evaluated
-once over the candidate mask — while the allocator-facing API
+once over all pairs — while the allocator-facing API
 (:meth:`RadioMap.link`, :meth:`RadioMap.links_of_ue`, iteration) hands
 out lazily materialized :class:`LinkMetrics` views.
 
@@ -405,7 +405,7 @@ def _vectorized_columns(
     rate_model: RateModel | None,
     only_ues: Sequence[int] | None = None,
 ) -> dict:
-    """Evaluate Eqs. 2--4 over the candidate mask as whole-array math.
+    """Evaluate Eqs. 2--4 over the candidate pairs as whole-array math.
 
     ``only_ues`` restricts the evaluation to those UEs' rows (the
     incremental mobility path); ``None`` means every UE.
@@ -415,25 +415,20 @@ def _vectorized_columns(
 
     ues = network.ue_columns()
     if only_ues is None:
-        # Full build: the network's flat candidate pairs are already in
-        # row-major (UE-grouped, BS-ascending) order and avoid touching
-        # the dense mask/matrix in grid geometry mode.  The map derives
-        # its per-UE slices from its UE-grouped ids when first asked.
+        # The map derives its per-UE slices from its UE-grouped ids
+        # when first asked.
         ue_rows, cols, link_distances = network.candidate_pairs()
         ue_slices = None
     else:
         row_index = np.flatnonzero(
             np.isin(ues.ue_ids, np.fromiter(set(only_ues), dtype=np.int64))
         )
-        mask = network.candidate_mask()[row_index]
-        distances = network.distance_matrix_m()[row_index]
-
-        rows, cols = np.nonzero(mask)  # row-major: grouped by UE
-        link_distances = distances[rows, cols]
-        ue_rows = row_index[rows]
-        offsets = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        ue_rows, cols, link_distances = network.candidate_pairs(row_index)
+        offsets = np.searchsorted(
+            ue_rows, np.append(row_index, network.ue_count)
+        ).tolist()
         ue_slices = {
-            ue_id: (int(offsets[i]), int(offsets[i + 1]))
+            ue_id: (offsets[i], offsets[i + 1])
             for i, ue_id in enumerate(ues.ue_ids[row_index].tolist())
         }
 

@@ -57,7 +57,6 @@ class ShardJob:
     services: tuple[Service, ...]
     region: Rectangle
     coverage_radius_m: float
-    geometry: str
     link_budget: LinkBudget
     rate_model: RateModel | None
     pricing: PricingPolicy
@@ -109,7 +108,6 @@ def _shard_network(job: ShardJob, index: int) -> MECNetwork:
         services=job.services,
         region=job.region,
         coverage_radius_m=job.coverage_radius_m,
-        geometry=job.geometry,
     )
 
 

@@ -8,9 +8,9 @@ matches against only its halo view (:mod:`repro.scale.executor`), and
 the global constraints are restored by ranked admission plus residual
 re-proposal (:mod:`repro.scale.reconcile`,
 :func:`repro.core.residual.residual_match`).  Outcome metrics are then
-evaluated on a monolithic *grid-geometry* network — entity populations
-plus sparse coverage pairs, no dense UE x BS matrix — so even the
-100k-UE bench stays inside a fixed memory envelope.
+evaluated on a monolithic network — entity populations plus sparse
+coverage pairs, no UE x BS matrix — so even the 100k-UE bench stays
+inside a fixed memory envelope.
 
 Determinism: with one shard the partition owns every UE, the shard
 network equals the monolithic network entity-for-entity, no BS can be
@@ -83,7 +83,6 @@ def run_sharded(
     workers: int = 1,
     allocator: DMRAAllocator | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    geometry: str = "auto",
     kernel: str = "object",
 ) -> ShardedOutcome:
     """Run DMRA on ``(config, ue_count, seed)`` sharded by geometry.
@@ -91,8 +90,7 @@ def run_sharded(
     ``allocator`` supplies the DMRA parameters (pricing, ``rho``,
     ablation switch, round bound); ``None`` uses the config's pricing
     and ``rho`` — the same defaults the monolithic CLI path applies.
-    ``workers`` bounds the fork pool; ``geometry`` is forwarded to the
-    shard networks (``"auto"`` keeps small shards dense).  ``kernel``
+    ``workers`` bounds the fork pool.  ``kernel``
     picks the per-shard matching engine (``"object"``, ``"soa"``, or
     ``"auto"``; see :func:`repro.core.soa.make_matching_engine`) — the
     shard-local assignments are bit-identical either way, so the choice
@@ -146,7 +144,6 @@ def run_sharded(
             services=frame.services,
             region=frame.region,
             coverage_radius_m=config.coverage_radius_m,
-            geometry=geometry,
             link_budget=config.link_budget(),
             rate_model=config.rate_model_fn(),
             pricing=allocator.pricing,
@@ -274,10 +271,9 @@ def _metrics_network(
     """The monolithic network used for outcome metrics only.
 
     Reassembles the full UE population (ascending ``ue_id``) from the
-    shard buckets.  ``geometry="auto"`` keeps this affordable at scale:
-    beyond the dense cell limit the network stores only sparse coverage
-    pairs — never the dense UE x BS matrix the sharded path exists to
-    avoid — and no radio map is built (metrics need none).
+    shard buckets.  The network stores only its sparse coverage pairs,
+    never a UE x BS matrix, and no radio map is built (metrics need
+    none).
     """
     all_ues = sorted(
         (ue for bucket in shard_ues for ue in bucket),

@@ -144,12 +144,11 @@ def _cache_byte_capacity() -> int:
 def estimate_scenario_bytes(scenario: Scenario) -> int:
     """Estimated resident bytes of one scenario.
 
-    Dominated by the network's geometry arrays (the dense distance
-    matrix at small scale, the sparse coverage pairs in grid mode) and
-    the radio map's per-link columns; entity objects are charged a flat
-    per-UE/per-BS overhead.  At 100k UEs a dense-mode scenario is
-    hundreds of megabytes, which is why the cache bounds bytes rather
-    than entry count alone.
+    Dominated by the network's coverage and candidate pairs and the
+    radio map's per-link columns; entity objects are charged a flat
+    per-UE/per-BS overhead.  At 100k UEs a scenario is tens of
+    megabytes, which is why the cache bounds bytes rather than entry
+    count alone.
     """
     network = scenario.network
     return int(

@@ -519,7 +519,7 @@ class IncrementalShardEngine(_ShardEngineBase):
 class RescratchShardEngine(_ShardEngineBase):
     """The from-scratch oracle: every cloud UE re-proposed, every batch.
 
-    Holds one monolithic grid network over the shard's entire tape
+    Holds one monolithic network over the shard's entire tape
     population (built at arrival positions, patched per move with
     ``with_moved_ues`` / ``with_updated_ues``) and runs a **fresh**
     object-kernel engine per flush, so no incremental machinery —
@@ -568,7 +568,6 @@ class RescratchShardEngine(_ShardEngineBase):
                 services=self._services,
                 region=region,
                 coverage_radius_m=coverage_radius_m,
-                geometry="grid",
             )
             self._radio = build_radio_map(
                 self._network, budget, rate_model=rate_model

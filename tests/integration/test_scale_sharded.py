@@ -178,7 +178,6 @@ def _contention_shard_results(kernel: str):
         services=frame.services,
         region=frame.region,
         coverage_radius_m=config.coverage_radius_m,
-        geometry="auto",
         link_budget=config.link_budget(),
         rate_model=config.rate_model_fn(),
         pricing=allocator.pricing,

@@ -2,8 +2,8 @@
 
 ``Assignment.validate``, ``compute_profit`` and ``compute_metrics`` run
 as whole-array passes; ``tests/oracles/audit.py`` keeps the per-grant
-loops they replaced.  Hypothesis draws small paper scenarios in dense
-and grid geometry (optionally with shuffled, non-contiguous entity ids
+loops they replaced.  Hypothesis draws small paper scenarios
+(optionally with shuffled, non-contiguous entity ids
 and a radio map out of key order), three pricing policies (the two
 batched fast paths and one that takes the scalar fallback), and either
 the DMRA assignment as is or with injected violations.  Both sides must
@@ -80,9 +80,7 @@ VIOLATIONS = (
 
 
 @lru_cache(maxsize=64)
-def _instance(
-    ue_count: int, seed: int, crowded: bool, geometry: str, relabel: bool
-):
+def _instance(ue_count: int, seed: int, crowded: bool, relabel: bool):
     config = ScenarioConfig.paper()
     if crowded:
         # Ten BSs with small pools, each hosting half the services, send
@@ -94,7 +92,6 @@ def _instance(
     network = build_scenario(config, ue_count, seed).network
     if relabel:
         network = _relabelled(network)
-    network = dataclasses.replace(network, geometry=geometry)
     radio_map = build_radio_map(
         network, config.link_budget(), rate_model=config.rate_model_fn()
     )
@@ -264,15 +261,14 @@ def _outcome(call):
     ue_count=st.integers(min_value=1, max_value=120),
     seed=st.integers(min_value=0, max_value=40),
     crowded=st.booleans(),
-    geometry=st.sampled_from(["dense", "grid"]),
     relabel=st.booleans(),
     pricing=st.sampled_from(sorted(PRICINGS)),
     data=st.data(),
 )
 def test_audit_matches_scalar_oracle(
-    violation, ue_count, seed, crowded, geometry, relabel, pricing, data
+    violation, ue_count, seed, crowded, relabel, pricing, data
 ):
-    network, radio_map = _instance(ue_count, seed, crowded, geometry, relabel)
+    network, radio_map = _instance(ue_count, seed, crowded, relabel)
     pricing = PRICINGS[pricing]
     solved = DMRAAllocator(pricing=pricing).allocate(network, radio_map)
     if data.draw(st.booleans()):
@@ -315,14 +311,13 @@ def test_audit_matches_scalar_oracle(
     ue_count=st.integers(min_value=1, max_value=120),
     seed=st.integers(min_value=0, max_value=40),
     crowded=st.booleans(),
-    geometry=st.sampled_from(["dense", "grid"]),
     relabel=st.booleans(),
     data=st.data(),
 )
 def test_metric_breakdowns_match_scalar_oracle(
-    violation, ue_count, seed, crowded, geometry, relabel, data
+    violation, ue_count, seed, crowded, relabel, data
 ):
-    network, radio_map = _instance(ue_count, seed, crowded, geometry, relabel)
+    network, radio_map = _instance(ue_count, seed, crowded, relabel)
     solved = DMRAAllocator(pricing=PRICINGS["paper"]).allocate(
         network, radio_map
     )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.coverage import assert_pairs_are_dense_filter
 
 import repro.model.workload as workload_module
 from repro.errors import ConfigurationError, UnknownEntityError
@@ -172,7 +173,7 @@ def _frame_columns(seed, ue_count, side_m, relabel):
     return frame, columns
 
 
-def _network(frame, ues, geometry):
+def _network(frame, ues):
     return MECNetwork(
         providers=frame.providers,
         base_stations=frame.base_stations,
@@ -180,21 +181,19 @@ def _network(frame, ues, geometry):
         services=frame.services,
         region=frame.region,
         coverage_radius_m=frame.config.coverage_radius_m,
-        geometry=geometry,
     )
 
 
 def assert_same_network(mine: MECNetwork, theirs: MECNetwork):
-    assert mine._geometry_mode == theirs._geometry_mode
     for got, expected in zip(mine.candidate_pairs(), theirs.candidate_pairs()):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
-    if mine._geometry_mode == "grid":
-        for name in ("_cov_indptr", "_cov_cols", "_cov_dists"):
-            assert np.array_equal(getattr(mine, name), getattr(theirs, name))
-    else:
-        assert np.array_equal(mine._distances, theirs._distances)
-        assert mine._candidates == theirs._candidates
+    for kind in ("cov", "cand"):
+        for part in ("indptr", "cols", "dists"):
+            name = f"_{kind}_{part}"
+            got, expected = getattr(mine, name), getattr(theirs, name)
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
     for field in dataclasses.fields(EntityColumns):
         if not field.name.startswith("_"):
             got = getattr(mine.columns(), field.name)
@@ -242,35 +241,25 @@ def assert_same_network(mine: MECNetwork, theirs: MECNetwork):
     seed=st.integers(min_value=0, max_value=2**16),
     ue_count=st.integers(min_value=0, max_value=60),
     side_m=st.sampled_from([800.0, 1200.0, 2400.0]),
-    geometry=st.sampled_from(["dense", "grid"]),
     relabel=st.booleans(),
 )
-def test_column_network_equals_object_network(
-    seed, ue_count, side_m, geometry, relabel
-):
+def test_column_network_equals_object_network(seed, ue_count, side_m, relabel):
     frame, columns = _frame_columns(seed, ue_count, side_m, relabel)
-    from_columns = _network(frame, columns, geometry)
-    from_objects = _network(frame, columns.materialize(), geometry)
+    from_columns = _network(frame, columns)
+    from_objects = _network(frame, columns.materialize())
     assert_same_network(from_columns, from_objects)
-    other = "grid" if geometry == "dense" else "dense"
-    assert_same_network(
-        dataclasses.replace(from_columns, geometry=other),
-        dataclasses.replace(from_objects, geometry=other),
-    )
+    assert_pairs_are_dense_filter(from_objects)
 
 
 @NETWORKS
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     ue_count=st.integers(min_value=2, max_value=40),
-    geometry=st.sampled_from(["dense", "grid"]),
     data=st.data(),
 )
-def test_moved_column_network_equals_object_network(
-    seed, ue_count, geometry, data
-):
-    """Patched or rebuilt, a moved column network equals a fresh build
-    from the moved objects."""
+def test_moved_column_network_equals_object_network(seed, ue_count, data):
+    """A moved column network equals a fresh build from the moved
+    objects."""
     frame, columns = _frame_columns(seed, ue_count, 1200.0, False)
     ues = columns.materialize()
     movers = data.draw(
@@ -282,10 +271,7 @@ def test_moved_column_network_equals_object_network(
         )
         for ue_id in movers
     }
-    fraction = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
-    moved = _network(frame, columns, geometry).with_moved_ues(
-        targets, rebuild_fraction=fraction
-    )
+    moved = _network(frame, columns).with_moved_ues(targets)
     fresh = _network(
         frame,
         [
@@ -293,7 +279,6 @@ def test_moved_column_network_equals_object_network(
             if ue.ue_id in targets else ue
             for ue in ues
         ],
-        geometry,
     )
     assert_same_network(moved, fresh)
 
@@ -324,12 +309,9 @@ def _outcome(call):
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     ue_count=st.integers(min_value=2, max_value=30),
-    geometry=st.sampled_from(["dense", "grid"]),
     data=st.data(),
 )
-def test_invalid_columns_raise_what_objects_raise(
-    seed, ue_count, geometry, data
-):
+def test_invalid_columns_raise_what_objects_raise(seed, ue_count, data):
     """Each corruption, alone or with others, raises the same error
     (type and message) for the same first offender from both builds."""
     frame, columns = _frame_columns(seed, ue_count, 1200.0, False)
@@ -364,10 +346,10 @@ def test_invalid_columns_raise_what_objects_raise(
                 corrupted.tx_power_dbm.tolist(),
             )
         ]
-        _network(frame, ues, geometry)
+        _network(frame, ues)
 
     expected = _outcome(from_objects)
-    error = _outcome(lambda: _network(frame, corrupted, geometry))
+    error = _outcome(lambda: _network(frame, corrupted))
     assert isinstance(expected, ConfigurationError)
     assert type(error) is type(expected)
     assert str(error) == str(expected)
@@ -383,30 +365,38 @@ def test_sp_is_checked_before_service():
         _network(
             frame,
             dataclasses.replace(columns, sp_ids=sp_ids, service_ids=service_ids),
-            "dense",
         )
     service_ids[1] = columns.service_ids[1]
     with pytest.raises(ConfigurationError, match="UE 2 references unknown SP 60"):
         _network(
             frame,
             dataclasses.replace(columns, sp_ids=sp_ids, service_ids=service_ids),
-            "dense",
         )
 
 
-@pytest.mark.parametrize("geometry", ["dense", "grid"])
-def test_caller_arrays_cannot_change_a_built_network(geometry):
+@pytest.mark.parametrize(
+    "side_m",
+    [
+        # Every UE lies inside every BS's coverage disc.
+        pytest.param(300.0, id="dense"),
+        # The spatial grid prunes pairs; some distances are out of coverage.
+        pytest.param(1200.0, id="grid"),
+    ],
+)
+def test_caller_arrays_cannot_change_a_built_network(side_m):
     """Columns copy the writable arrays they are given and are
     read-only, so editing the caller's arrays after the build leaves
     the network's columns, objects and out-of-coverage distances as
     the build validated them."""
-    frame, columns = _frame_columns(5, 30, 1200.0, False)
+    frame, columns = _frame_columns(5, 30, side_m, False)
     arrays = {
         field.name: getattr(columns, field.name).copy()
         for field in dataclasses.fields(UEColumns)
     }
-    network = _network(frame, UEColumns(**arrays), geometry)
-    twin = _network(frame, columns.materialize(), geometry)
+    network = _network(frame, UEColumns(**arrays))
+    twin = _network(frame, columns.materialize())
+    all_pairs = network.ue_count * network.bs_count
+    assert (len(network._cov_cols) == all_pairs) == (side_m == 300.0)
     for array in arrays.values():
         array[...] = -1
     for field in dataclasses.fields(UEColumns):
@@ -422,7 +412,7 @@ def test_scalar_lookups_build_only_what_they_return(monkeypatch):
     object, and the other scalar lookups make none."""
     config = ScenarioConfig.paper(region_side_m=6000.0, bs_per_sp=20)
     frame = build_scenario_frame(config, 10_000, 4)
-    network = _network(frame, frame.ue_columns(), "grid")
+    network = _network(frame, frame.ue_columns())
     built = []
     original = UserEquipment.__init__
 

@@ -2,11 +2,12 @@
 
 An incremental run (``ledgers=pool, ue_ids=batch``) reads only the
 ledgers of the batch's candidate BSs and never lists the pool's grants,
-and a batch network builds only its own UE columns.  Like the static
-path's no-per-entity-object guard, these tests break the expensive
-calls and count the rest.
+a batch network builds only its own UE columns, and moving a UE builds
+nothing the size of UE x BS.  Like the static path's no-per-entity-object
+guard, these tests break the expensive calls and count the rest.
 """
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.compute.cru import BSLedger, LedgerPool
 from repro.core.dmra import DMRAPolicy
 from repro.core.soa import make_matching_engine
 from repro.model.batchnet import BatchNetworkBuilder
+from repro.model.geometry import Point
 from repro.model.network import BSColumns, EntityColumns, MECNetwork
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
@@ -107,7 +109,6 @@ def test_batch_network_builds_only_its_ue_columns(small_scenario):
         services=network.services,
         region=network.region,
         coverage_radius_m=network.coverage_radius_m,
-        geometry="grid",
     ))
     for field in fields(EntityColumns):
         if not field.name.startswith("_"):
@@ -133,3 +134,33 @@ def test_radio_build_reads_bs_columns_only(paper_config):
     network = build_scenario(paper_config, 300, 1).network
     assert network._bs_columns is not None
     assert network._columns is None
+
+
+def test_one_move_builds_no_ue_by_bs_array():
+    """Moving one UE of a 20k-UE / 400-BS network patches its rows: the
+    traced peak of the network and radio-map update stays within six
+    times the map's own column bytes (~8 MB), below what one float64
+    UE x BS matrix (64 MB) would take on its own."""
+    config = ScenarioConfig.paper(region_side_m=6000.0, bs_per_sp=80)
+    scenario = build_scenario(config, 20_000, 3)
+    network, radio_map = scenario.network, scenario.radio_map
+    assert network.bs_count == 400
+    ue = network.user_equipment(12_345)
+    network.user_equipments  # the objects a move copies, built up front
+    target = {ue.ue_id: Point(ue.position.x + 137.0, ue.position.y - 52.0)}
+    budget, rate_model = config.link_budget(), config.rate_model_fn()
+
+    tracemalloc.start()
+    try:
+        moved = network.with_moved_ues(target)
+        updated = radio_map.with_updated_ues(
+            moved, budget, target.keys(), rate_model=rate_model
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * radio_map.estimated_bytes()
+    assert peak < network.ue_count * network.bs_count * 8
+    assert moved.candidate_base_stations(ue.ue_id) == tuple(
+        link.bs_id for link in updated.links_of_ue(ue.ue_id)
+    )

@@ -1,10 +1,7 @@
 """Unit tests for outcome metrics and the allocation runner."""
 
-import dataclasses
-
 import pytest
 
-import repro.model.network as network_module
 import repro.radio.channel as channel_module
 from repro.baselines.cloud_only import CloudOnlyAllocator
 from repro.compute.cru import Grant, LedgerPool
@@ -128,20 +125,9 @@ class TestRunAllocation:
         self, paper_config, monkeypatch
     ):
         """Scenario build, SoA match, validation, accounting and the
-        ``--metrics`` document stay columnar, in dense and in grid
-        geometry: no per-UE draw, no ``UserEquipment``, no ``Point``
-        beyond the BSs', no eager per-UE radio slice index, no
-        ``Grant``, no ``LedgerPool``."""
-        for geometry, cell_limit in (("dense", None), ("grid", 0)):
-            with monkeypatch.context() as patch:
-                if cell_limit is not None:
-                    patch.setattr(network_module, "_DENSE_CELL_LIMIT", cell_limit)
-                self._assert_static_path_columnar(
-                    paper_config, patch, geometry
-                )
-
-    @staticmethod
-    def _assert_static_path_columnar(paper_config, patch, geometry):
+        ``--metrics`` document stay columnar: no per-UE draw, no
+        ``UserEquipment``, no ``Point`` beyond the BSs', no eager per-UE
+        radio slice index, no ``Grant``, no ``LedgerPool``."""
         def solve():
             scenario = build_scenario(paper_config, 1100, 11)
             outcome = run_allocation(
@@ -165,15 +151,14 @@ class TestRunAllocation:
             make_point(self, *args, **kwargs)
 
         for name in ("draw_service", "draw_cru_demand", "draw_rate_demand_bps"):
-            patch.setattr(WorkloadModel, name, per_entity)
-        patch.setattr(UserEquipment, "__init__", per_entity)
-        patch.setattr(Point, "__init__", counted_point)
-        patch.setattr(channel_module, "_slices_from_grouped_ids", per_entity)
-        patch.setattr(Grant, "__init__", per_entity)
-        patch.setattr(LedgerPool, "__init__", per_entity)
+            monkeypatch.setattr(WorkloadModel, name, per_entity)
+        monkeypatch.setattr(UserEquipment, "__init__", per_entity)
+        monkeypatch.setattr(Point, "__init__", counted_point)
+        monkeypatch.setattr(channel_module, "_slices_from_grouped_ids", per_entity)
+        monkeypatch.setattr(Grant, "__init__", per_entity)
+        monkeypatch.setattr(LedgerPool, "__init__", per_entity)
         scenario, outcome, document = solve()
         network = scenario.network
-        assert network._geometry_mode == geometry
         assert len(points) <= network.bs_count
         assert "user_equipments" not in network.__dict__
         assert network._ue_by_id == {}
@@ -188,7 +173,7 @@ class TestRunAllocation:
         ``RadioMap.link`` or ``MECNetwork.distance_m`` call would build the
         map's (ue, bs) hash index, which pins ~150 MB at 100k UEs."""
         config = small_scenario.config
-        network = dataclasses.replace(small_scenario.network, geometry="grid")
+        network = small_scenario.network
         radio_map = build_radio_map(
             network, config.link_budget(), rate_model=config.rate_model_fn()
         )
@@ -214,6 +199,5 @@ class TestRunAllocation:
         monkeypatch.setattr(RadioMap, "link", point_lookup)
         monkeypatch.setattr(MECNetwork, "distance_m", point_lookup)
         outcome = run_allocation(scenario, Replay())
-        assert network._geometry_mode == "grid"
         assert radio_map._pos is None
         assert outcome.metrics == expected.metrics

@@ -1,5 +1,6 @@
 """Unit tests for the MECNetwork container."""
 
+import numpy as np
 import pytest
 
 from conftest import make_tiny_network
@@ -57,12 +58,6 @@ class TestGeometryQueries:
             tiny_network.distance_m(99, 0)
         with pytest.raises(UnknownEntityError):
             tiny_network.distance_m(0, 99)
-
-    def test_distance_matrix_shape_and_copy(self, tiny_network):
-        matrix = tiny_network.distance_matrix_m()
-        assert matrix.shape == (1, 2)
-        matrix[0, 0] = -1.0  # mutating the copy must not affect the network
-        assert tiny_network.distance_m(0, 0) == pytest.approx(100.0)
 
     def test_covers_respects_radius(self):
         network = make_tiny_network(coverage_radius_m=150.0)
@@ -204,8 +199,9 @@ class TestCandidateMask:
         network = make_tiny_network(
             ue_specs=[dict(ue_id=0), dict(ue_id=1), dict(ue_id=2)]
         )
-        mask = network.candidate_mask()
-        assert mask.shape == (3, 2)
+        mask = np.zeros((3, 2), dtype=bool)
+        rows, cols, _ = network.candidate_pairs()
+        mask[rows, cols] = True
         for ue in network.user_equipments:
             row = network.row_of_ue(ue.ue_id)
             from_mask = {
@@ -217,10 +213,13 @@ class TestCandidateMask:
                 network.candidate_base_stations(ue.ue_id)
             )
 
-    def test_mask_is_read_only(self):
+    def test_candidate_pairs_are_read_only(self):
         network = make_tiny_network()
+        _, cols, dists = network.candidate_pairs()
         with pytest.raises(ValueError):
-            network.candidate_mask()[0, 0] = False
+            cols[0] = 1
+        with pytest.raises(ValueError):
+            dists[0] = 0.0
 
     def test_row_and_col_lookups_reject_unknown_ids(self):
         network = make_tiny_network()
@@ -261,7 +260,8 @@ class TestWithMovedUEs:
                 assert moved.distance_m(ue.ue_id, bs.bs_id) == (
                     fresh.distance_m(ue.ue_id, bs.bs_id)
                 )
-        assert (moved.candidate_mask() == fresh.candidate_mask()).all()
+        for got, want in zip(moved.candidate_pairs(), fresh.candidate_pairs()):
+            assert got.tolist() == want.tolist()
 
     def test_positions_updated_only_for_moved(self):
         network = make_tiny_network(
@@ -293,7 +293,7 @@ class TestWithMovedUEs:
     def test_original_network_is_untouched(self):
         network = make_tiny_network()
         before = network.user_equipment(0).position
-        mask_before = network.candidate_mask().copy()
+        pairs_before = [a.tolist() for a in network.candidate_pairs()]
         network.with_moved_ues({0: Point(599.0, 599.0)})
         assert network.user_equipment(0).position == before
-        assert (network.candidate_mask() == mask_before).all()
+        assert [a.tolist() for a in network.candidate_pairs()] == pairs_before

@@ -1,13 +1,11 @@
 """Unit tests for the SoA matching kernel plumbing.
 
 Covers the pieces the parity property suite does not: kernel selection
-(:func:`repro.core.soa.make_matching_engine`), the pluggable segmented-
-argmin backend registry, the NaN regression guard across all three
-engine implementations, incremental (pre-loaded ledger) runs, and the
-segmented-argmin primitive itself against a straight Python loop.
+(:func:`repro.core.soa.make_matching_engine`), the NaN regression guard
+across all three engine implementations, incremental (pre-loaded
+ledger) runs, and the segmented-argmin primitive itself against a
+straight Python loop.
 """
-
-import importlib.util
 
 import numpy as np
 import pytest
@@ -22,10 +20,8 @@ from repro.core.soa import (
     KERNELS,
     SoAMatchingEngine,
     _segmented_argmin_numpy,
-    available_matching_backends,
     gather_candidates,
     make_matching_engine,
-    register_matching_backend,
 )
 from repro.econ.pricing import FlatPricing, PaperPricing
 from repro.errors import AllocationError, ConfigurationError, UnknownEntityError
@@ -100,57 +96,6 @@ class TestKernelSelection:
         )
         with pytest.raises(AllocationError, match="did not terminate"):
             engine.run(network, radio_map)
-
-
-class TestBackendRegistry:
-    def test_numpy_and_numba_are_registered(self):
-        names = available_matching_backends()
-        assert "numpy" in names
-        assert "numba" in names
-
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="unknown matching backend"):
-            SoAMatchingEngine(
-                DMRAPolicy(pricing=PaperPricing()), backend="cuda"
-            )
-
-    @pytest.mark.skipif(
-        importlib.util.find_spec("numba") is not None,
-        reason="numba installed; the missing-dependency path is moot",
-    )
-    def test_numba_backend_fails_fast_when_numba_is_missing(self):
-        with pytest.raises(ConfigurationError, match="numba"):
-            SoAMatchingEngine(
-                DMRAPolicy(pricing=PaperPricing()), backend="numba"
-            )
-
-    def test_registered_backend_is_used_and_preserves_parity(self):
-        calls = []
-
-        def counting_backend():
-            def argmin(scores, starts):
-                calls.append(scores.size)
-                return _segmented_argmin_numpy(scores, starts)
-
-            return argmin
-
-        register_matching_backend("counting", counting_backend)
-        try:
-            network, radio_map = _tiny()
-            baseline = SoAMatchingEngine(
-                DMRAPolicy(pricing=PaperPricing())
-            ).run(network, radio_map)
-            plugged = SoAMatchingEngine(
-                DMRAPolicy(pricing=PaperPricing()), backend="counting"
-            ).run(network, radio_map)
-            assert calls, "registered backend never invoked"
-            assert plugged.grants == baseline.grants
-            assert plugged.cloud_ue_ids == baseline.cloud_ue_ids
-            assert plugged.rounds == baseline.rounds
-        finally:
-            from repro.core import soa
-
-            soa._MATCHING_BACKENDS.pop("counting", None)
 
 
 class TestSegmentedArgmin:
@@ -319,49 +264,3 @@ def test_price_term_fast_paths_match_scalar_pricing(pricing):
         for d, s in zip(distances, same_sp)
     ]
     assert got.tolist() == expected
-
-
-class TestNumbaBackendParity:
-    """Skip-guarded parity for the JIT backend: runs only where the
-    optional numba package is installed (the dedicated CI job installs
-    it; the default environment skips).  The contract is exact
-    agreement with the numpy backend — first index of each segment's
-    minimum, +inf scores and ties included."""
-
-    def _backend(self):
-        pytest.importorskip("numba")
-        from repro.core.soa import _numba_backend_factory
-
-        return _numba_backend_factory()
-
-    def test_segmented_argmin_matches_numpy_backend(self):
-        segmented_argmin = self._backend()
-        rng = np.random.default_rng(11)
-        for _case in range(20):
-            segments = rng.integers(1, 9, size=rng.integers(1, 12))
-            starts = np.concatenate(([0], np.cumsum(segments)[:-1]))
-            scores = rng.uniform(0.0, 100.0, size=int(segments.sum()))
-            # Salt in ties and +inf (retired candidates) — the edge
-            # cases a naive reduction gets wrong.
-            scores[rng.random(scores.size) < 0.2] = np.inf
-            scores[rng.random(scores.size) < 0.2] = 42.0
-            got = segmented_argmin(scores, starts)
-            expected = _segmented_argmin_numpy(scores, starts)
-            assert got.tolist() == expected.tolist()
-
-    def test_engine_parity_on_paper_scenario(self):
-        pytest.importorskip("numba")
-        from repro.sim.config import ScenarioConfig
-        from repro.sim.scenario import build_scenario
-
-        scenario = build_scenario(ScenarioConfig.paper(), 150, 4)
-        policy = DMRAPolicy(pricing=scenario.pricing)
-        numba_run = SoAMatchingEngine(policy, backend="numba").run(
-            scenario.network, scenario.radio_map
-        )
-        numpy_run = SoAMatchingEngine(policy, backend="numpy").run(
-            scenario.network, scenario.radio_map
-        )
-        assert numba_run.grants == numpy_run.grants
-        assert numba_run.cloud_ue_ids == numpy_run.cloud_ue_ids
-        assert numba_run.rounds == numpy_run.rounds

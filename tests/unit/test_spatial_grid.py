@@ -1,16 +1,17 @@
-"""Unit tests for the spatial index and the network's geometry modes.
+"""Unit tests for the spatial index and the network's geometry.
 
-The grid mode must be *bit-identical* to the dense path — the radio
-map, the matching engine, and the sharded scale runner all rely on
-that — so these tests compare exact floats, not approximations.
+The network's grid-found pairs must be *bit-identical* to the dense
+brute-force filter — the radio map, the matching engine, and the
+sharded scale runner all rely on that — so these tests compare exact
+floats, not approximations.
 """
 
 import numpy as np
 import pytest
+from oracles.coverage import dense_filter
 
 from repro.errors import ConfigurationError
 from repro.model.geometry import Point, SpatialGrid, pairwise_distances_m
-from repro.model.network import MECNetwork
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 
@@ -84,107 +85,84 @@ class TestSpatialGrid:
             grid.query_radius([Point(0, 0)], radius_m=-1.0)
 
 
-def _grid_clone(network: MECNetwork) -> MECNetwork:
-    return MECNetwork(
-        providers=network.providers,
-        base_stations=network.base_stations,
-        user_equipments=network.user_equipments,
-        services=network.services,
-        region=network.region,
-        coverage_radius_m=network.coverage_radius_m,
-        geometry="grid",
-    )
-
-
 class TestNetworkGeometryModes:
+    """The network against the brute-force dense filter
+    (``oracles.coverage``): ``pairwise_distances_m(ue_xy, bs_xy) <= r``
+    and the hosting mask."""
+
     @pytest.fixture(scope="class")
     def networks(self):
-        scenario = build_scenario(
+        network = build_scenario(
             ScenarioConfig.paper(), ue_count=90, seed=11
-        )
-        return scenario.network, _grid_clone(scenario.network)
-
-    def test_auto_stays_dense_below_cell_limit(self, networks):
-        dense, grid = networks
-        assert dense._geometry_mode == "dense"
-        assert grid._geometry_mode == "grid"
+        ).network
+        return (network, *dense_filter(network))
 
     def test_coverage_and_candidates_identical(self, networks):
-        dense, grid = networks
-        for ue in dense.user_equipments:
-            assert grid.covering_base_stations(
-                ue.ue_id
-            ) == dense.covering_base_stations(ue.ue_id)
-            assert grid.candidate_base_stations(
-                ue.ue_id
-            ) == dense.candidate_base_stations(ue.ue_id)
+        network, _, covered, candidate = networks
+        bs_ids = network.bs_columns().bs_ids
+        for row, ue in enumerate(network.user_equipments):
+            assert network.covering_base_stations(ue.ue_id) == tuple(
+                bs_ids[covered[row]].tolist()
+            )
+            assert network.candidate_base_stations(ue.ue_id) == tuple(
+                bs_ids[candidate[row]].tolist()
+            )
 
     def test_distances_identical_in_and_out_of_coverage(self, networks):
-        dense, grid = networks
-        ue = dense.user_equipments[0]
-        for bs in dense.base_stations:
-            assert grid.distance_m(ue.ue_id, bs.bs_id) == dense.distance_m(
-                ue.ue_id, bs.bs_id
-            )
+        network, distances, covered, _ = networks
+        assert covered.any() and not covered.all()
+        for row, ue in enumerate(network.user_equipments):
+            for col, bs in enumerate(network.base_stations):
+                assert network.distance_m(ue.ue_id, bs.bs_id) == (
+                    distances[row, col]
+                )
 
     def test_pair_distances_equal_point_lookups(self, networks):
         """The batched lookup returns distance_m's float for every pair,
-        in and out of coverage, in both modes, in any probe order."""
+        in and out of coverage, in any probe order."""
+        network, distances, _, _ = networks
         rng = np.random.default_rng(3)
-        for network in networks:
-            rows, cols = np.divmod(
-                rng.permutation(network.ue_count * network.bs_count),
-                network.bs_count,
+        rows, cols = np.divmod(
+            rng.permutation(network.ue_count * network.bs_count),
+            network.bs_count,
+        )
+        expected = [
+            network.distance_m(
+                network.user_equipments[row].ue_id,
+                network.base_stations[col].bs_id,
             )
-            expected = [
-                network.distance_m(
-                    network.user_equipments[row].ue_id,
-                    network.base_stations[col].bs_id,
-                )
-                for row, col in zip(rows.tolist(), cols.tolist())
-            ]
-            assert network.pair_distances_m(rows, cols).tolist() == expected
+            for row, col in zip(rows.tolist(), cols.tolist())
+        ]
+        got = network.pair_distances_m(rows, cols)
+        assert got.tolist() == expected
+        assert got.tolist() == distances[rows, cols].tolist()
 
     def test_candidate_pairs_identical(self, networks):
-        dense, grid = networks
-        d_rows, d_cols, d_dists = dense.candidate_pairs()
-        g_rows, g_cols, g_dists = grid.candidate_pairs()
-        assert g_rows.tolist() == d_rows.tolist()
-        assert g_cols.tolist() == d_cols.tolist()
-        assert g_dists.tolist() == d_dists.tolist()
-
-    def test_distance_matrix_and_mask_shims_identical(self, networks):
-        dense, grid = networks
-        assert np.array_equal(
-            grid.distance_matrix_m(), dense.distance_matrix_m()
-        )
-        assert np.array_equal(grid.candidate_mask(), dense.candidate_mask())
+        network, distances, _, candidate = networks
+        rows, cols, dists = network.candidate_pairs()
+        want_rows, want_cols = np.nonzero(candidate)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+        assert dists.tolist() == distances[want_rows, want_cols].tolist()
+        # A subset of rows reads just those rows' slices, in order.
+        subset = np.array([0, 7, 8, 40, 89])
+        sub_rows, sub_cols, sub_dists = network.candidate_pairs(subset)
+        picked = np.isin(want_rows, subset)
+        assert sub_rows.tolist() == want_rows[picked].tolist()
+        assert sub_cols.tolist() == want_cols[picked].tolist()
+        assert sub_dists.tolist() == dists[picked].tolist()
 
     def test_mean_coverage_degree_identical(self, networks):
-        dense, grid = networks
-        assert grid.mean_coverage_degree() == pytest.approx(
-            dense.mean_coverage_degree()
+        network, _, _, candidate = networks
+        assert network.mean_coverage_degree() == pytest.approx(
+            candidate.sum(axis=1).mean()
         )
 
     def test_estimated_geometry_bytes_positive_and_mode_dependent(
         self, networks
     ):
-        dense, grid = networks
-        assert dense.estimated_geometry_bytes() > 0
-        assert grid.estimated_geometry_bytes() > 0
-        # Dense estimate covers the full UE x BS matrix plus the mask.
-        cells = dense.ue_count * dense.bs_count
-        assert dense.estimated_geometry_bytes() >= cells * 9
-
-    def test_invalid_geometry_rejected(self, networks):
-        dense, _ = networks
-        with pytest.raises(ConfigurationError):
-            MECNetwork(
-                providers=dense.providers,
-                base_stations=dense.base_stations,
-                user_equipments=dense.user_equipments,
-                services=dense.services,
-                region=dense.region,
-                coverage_radius_m=dense.coverage_radius_m,
-                geometry="sparse",
-            )
+        """The estimate counts the stored pairs, not UE x BS cells."""
+        network, _, covered, candidate = networks
+        pairs = int(covered.sum() + candidate.sum())
+        rows = 2 * (network.ue_count + 1)
+        assert network.estimated_geometry_bytes() == 16 * pairs + 8 * rows
