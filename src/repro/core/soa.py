@@ -19,30 +19,36 @@ The run is compiled into a CSR problem over candidate links:
   ``rem_cru[n_bs * n_svc]`` (BS-major) mirroring every
   :class:`~repro.compute.cru.BSLedger`'s per-service CRU ledger.
 * **Candidate pairs** in CSR order (UE-row major, ascending ``bs_id``
-  within a row — the object engine's scan order): the BS pool index,
-  the cached ``n_{u,i}`` RRB demand lifted straight from the
-  :class:`~repro.radio.channel.RadioMap` columns, the cached Eq. 17
-  price term ``p_{i,u}``, and an ``alive`` feasibility mask.
+  within a row — the object engine's scan order), compiled once: the
+  (BS, service) slot, the ``n_{u,i}`` RRB demand lifted straight from
+  the :class:`~repro.radio.channel.RadioMap` columns, and the cached
+  Eq. 17 price term ``p_{i,u}``.  Born-infeasible pairs are dropped.
+* **The frontier**: those three columns for the alive pairs of
+  still-unassociated UEs only, cut into one segment per UE (its length
+  is the UE's ``f_u``).  Each round compacts it, and an untraced run
+  never scans all pairs again.
 
 Each round is then:
 
 1. **Vectorized Eq. 17 scoring + argmin** — ``score = static +
-   rho / slack`` over the alive pairs of still-unassociated UEs, with a
-   segmented first-occurrence argmin per UE row (exactly the reference
-   engine's ``(score, bs_id)`` tie-break, because rows are ascending in
-   ``bs_id``).  UEs whose row goes empty are forwarded to the cloud.
-2. **Grouped per-(BS, service) selection** — one lexsort over the
-   proposals by the DMRA BS-side rank key ``(cross-SP, f_u, footprint,
-   ue_id)`` picks each (BS, service)'s most preferred candidate.
-3. **Batched RRB-budget eviction** — per-BS demand totals via
-   ``reduceat``; only over-budget BSs fall back to a per-BS rank sort,
-   where the engine's evict-from-the-tail loop collapses to "keep the
-   longest rank-ordered prefix whose demand cumsum fits".
-4. **Watermark-style feasibility retirement** — grants shrink the
-   columnar remainders, and the alive mask is re-derived by one
-   whole-array comparison (resources only shrink, so a pair flips
-   feasible→infeasible at most once — same monotonicity argument as the
-   object engine's watermark heaps, without the heaps).
+   rho / slack`` (the slack term once per slot) over the frontier, with
+   a segmented first-occurrence argmin per UE (exactly the reference
+   engine's ``(score, bs_id)`` tie-break, because segments are
+   ascending in ``bs_id``).  UEs whose segment empties go to the cloud.
+2. **Grouped per-(BS, service) selection** — one argsort of a packed
+   int64 key ``(slot, cross-SP, f_u, footprint, row)`` picks each
+   slot's most preferred proposal (rows ascend with ``ue_id``); a key
+   range past int64 falls back to the equivalent lexsort.
+3. **Closed-form RRB-budget eviction** — an over-budget BS keeps the
+   longest rank-ordered prefix whose demand cumsum fits (the engine's
+   evict-from-the-tail loop), for all such BSs in one segmented cumsum.
+4. **Watermark-style retirement** — grants shrink the columnar
+   remainders, which never grow, so a pair can die only at a slot or
+   BS granted this round (the monotonicity behind the object engine's
+   heaps).  Granted UEs leave the frontier; the feasibility pass over
+   it runs only when a grant left a remainder below the run's largest
+   demand.  Only a recording run keeps every pair's alive mask, for the
+   ``fu_retired`` count, which includes already-granted UEs' pairs.
 
 Parity contract
 ---------------
@@ -86,16 +92,44 @@ __all__ = [
 #: Valid ``--kernel`` / ``make_matching_engine`` choices.
 KERNELS = ("object", "soa", "auto")
 
-def _segmented_argmin_numpy(
-    scores: np.ndarray, starts: np.ndarray
+def _segmented_argmin(
+    scores: np.ndarray, starts: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Index of the first minimum of each contiguous segment of
-    ``scores`` (``starts`` ascending; ``+inf`` scores included)."""
+    """Index of the first minimum of each contiguous, non-empty segment
+    of ``scores`` (``starts`` ascending, ``counts`` their lengths;
+    ``+inf`` scores included, NaN not)."""
     mins = np.minimum.reduceat(scores, starts)
-    counts = np.diff(np.append(starts, scores.size))
-    is_min = scores == np.repeat(mins, counts)
-    position = np.where(is_min, np.arange(scores.size), scores.size)
-    return np.minimum.reduceat(position, starts)
+    hits = np.flatnonzero(scores == np.repeat(mins, counts))
+    return hits[np.searchsorted(hits, starts)]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal ``values`` begins."""
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
+
+
+def _rank_order(
+    lead: np.ndarray, lead_bound: int, keys: list[tuple[np.ndarray, int]]
+) -> np.ndarray:
+    """The order that sorts by ``lead``, then by each ``(column, bound)``
+    of ``keys`` in turn (values in ``[0, bound)``; the last column
+    unique).
+
+    One argsort of a packed int64 key when the key range fits (computed
+    with Python ints, so it cannot wrap), else the equivalent lexsort.
+    """
+    span = lead_bound
+    for _, bound in keys:
+        span *= bound
+    if span >= 2**63:
+        return np.lexsort(tuple(col for col, _ in reversed(keys)) + (lead,))
+    packed = lead.astype(np.int64)
+    for col, bound in keys:
+        packed *= bound
+        packed += col
+    return np.argsort(packed)
 
 
 def make_matching_engine(
@@ -169,6 +203,7 @@ class SoAMatchingEngine:
         it in the object engine's insertion order.
         """
         policy = self.policy
+        tel = get_telemetry()
 
         # ---- Compile the run into the CSR problem ----
         columns = network.columns()
@@ -212,24 +247,45 @@ class SoAMatchingEngine:
         if order is not None:
             sel, pair_bs = sel[order], pair_bs[order]
         pair_rrbs = radio_map.rrb_demands[sel]
-        pair_dist = radio_map.distances_m[sel]
-
-        pair_same_sp = ue_sp[row_of_pair] == bs_sp[pair_bs]
         pair_static = _price_term_array(
-            policy.pricing, pair_dist, pair_same_sp
+            policy.pricing, radio_map.distances_m[sel],
+            ue_sp[row_of_pair] == bs_sp[pair_bs],
         )
-        pair_cross = (~pair_same_sp).astype(np.int64)
+        pair_slot = pair_bs * n_svc + ue_svc[row_of_pair]
         pair_cru = ue_cru[row_of_pair]
-        pair_svc = ue_svc[row_of_pair]
-        pair_foot = pair_rrbs + pair_cru
-        pair_flat = pair_bs * n_svc + pair_svc
-
         # Born-retired pairs (pre-loaded ledgers / undersized BSs) start
         # dead and are never counted as in-run f_u retirement.
-        alive = (rem_cru[pair_flat] >= pair_cru) & (
-            rem_rrb[pair_bs] >= pair_rrbs
+        alive = (rem_cru[pair_slot] >= pair_cru) & (
+            np.repeat(rem_rrb, n_svc)[pair_slot] >= pair_rrbs
         )
-        active = np.ones(n_ue, dtype=bool)
+        row_counts = np.bincount(row_of_pair[alive], minlength=n_ue)
+
+        # The frontier: the alive pairs of still-unassociated UEs in CSR
+        # order, one column each of (BS, service) slot, cached Eq. 17
+        # price and n_{u,i}, cut into per-UE segments (seg_rows,
+        # seg_counts; a segment's length is the UE's f_u).
+        f_slot, f_static, f_rrb = pair_slot, pair_static, pair_rrbs
+        if not alive.all():
+            kept = np.flatnonzero(alive)
+            f_slot, f_static, f_rrb = (
+                f_slot[kept], f_static[kept], f_rrb[kept]
+            )
+        seg_rows = np.flatnonzero(row_counts)
+        seg_counts = row_counts[seg_rows]
+        # UEs whose B_u is already empty go to the cloud in round 1.
+        pending_cloud = np.flatnonzero(row_counts == 0)
+        unassociated_left = n_ue
+        # Only a recording run keeps every pair's feasibility inputs,
+        # for the fu_retired count; all other compile temporaries go.
+        tracing = tel.enabled
+        all_pairs = (alive, pair_slot, pair_cru, pair_rrbs) if tracing else None
+        alive_count = int(f_slot.size)
+        del gathered, sel, order, pair_bs, row_of_pair
+        del alive, pair_slot, pair_static, pair_cru, pair_rrbs
+        # A grant can retire a pair only where it leaves a remainder
+        # below the run's largest demand.
+        max_cru = int(ue_cru.max(initial=0))
+        max_rrb = int(f_rrb.max(initial=0))
         cloud_rows: list[np.ndarray] = []
         grant_bs_parts: list[np.ndarray] = []
         grant_row_parts: list[np.ndarray] = []
@@ -237,9 +293,7 @@ class SoAMatchingEngine:
 
         rho = policy.rho
         same_sp_priority = policy.same_sp_priority
-        alive_count = int(alive.sum())
         rounds = 0
-        tel = get_telemetry()
 
         with tel.span(
             "match", policy=policy.name, ues=n_ue
@@ -253,28 +307,11 @@ class SoAMatchingEngine:
                     )
                 with tel.span("match.round", round=rounds) as round_span:
                     phase_start = time.perf_counter()
-                    idx = np.flatnonzero(alive & active[row_of_pair])
-                    rows = row_of_pair[idx]
-                    if rows.size:
-                        seg_start = np.empty(rows.size, dtype=bool)
-                        seg_start[0] = True
-                        seg_start[1:] = rows[1:] != rows[:-1]
-                        starts = np.flatnonzero(seg_start)
-                        seg_rows = rows[starts]
-                        seg_counts = np.diff(np.append(starts, rows.size))
-                    else:
-                        starts = np.empty(0, dtype=np.int64)
-                        seg_rows = np.empty(0, dtype=np.int64)
-                        seg_counts = np.empty(0, dtype=np.int64)
                     # A UE whose row went empty has an exhausted B_u.
-                    act_rows = np.flatnonzero(active)
-                    has_candidate = np.zeros(n_ue, dtype=bool)
-                    has_candidate[seg_rows] = True
-                    newly_cloud_rows = act_rows[~has_candidate[act_rows]]
-                    newly_cloud = int(newly_cloud_rows.size)
+                    newly_cloud = int(pending_cloud.size)
                     if newly_cloud:
-                        active[newly_cloud_rows] = False
-                        cloud_rows.append(newly_cloud_rows)
+                        cloud_rows.append(pending_cloud)
+                        unassociated_left -= newly_cloud
                     proposals = int(seg_rows.size)
                     propose_time = time.perf_counter() - phase_start
                     if not proposals:
@@ -291,125 +328,131 @@ class SoAMatchingEngine:
                                 proposals=0,
                                 accepted=0,
                                 newly_cloud=newly_cloud,
-                                unassociated_left=int(active.sum()),
+                                unassociated_left=unassociated_left,
                                 propose_time_s=propose_time,
                             ))
                         break
 
                     phase_start = time.perf_counter()
-                    # Eq. 17: static price + rho / (CRU + RRB slack).
-                    slack = rem_cru[pair_flat[idx]] + rem_rrb[pair_bs[idx]]
-                    term = np.empty(idx.size, dtype=float)
+                    # Eq. 17: static price + rho / (CRU + RRB slack),
+                    # the slack term computed once per (BS, service).
+                    slot_rrb = np.repeat(rem_rrb, n_svc)
+                    slack = rem_cru + slot_rrb
+                    term = np.empty(slack.size, dtype=float)
                     positive = slack > 0
                     np.divide(rho, slack, out=term, where=positive)
                     term[~positive] = np.inf if rho > 0 else 0.0
-                    scores = pair_static[idx] + term
+                    scores = f_static + term[f_slot]
+                    starts = np.cumsum(seg_counts) - seg_counts
                     nan_at = np.flatnonzero(np.isnan(scores))
                     if nan_at.size:
-                        first_bad = idx[nan_at[0]]
+                        first_bad = nan_at[0]
+                        bad_seg = np.searchsorted(starts, first_bad, "right")
                         raise AllocationError(
                             f"policy {policy.name!r} returned NaN "
                             f"preference score for UE "
-                            f"{int(ue_id_arr[row_of_pair[first_bad]])}, "
-                            f"BS {int(bs_id_arr[pair_bs[first_bad]])}"
+                            f"{int(ue_id_arr[seg_rows[bad_seg - 1]])}, "
+                            f"BS {int(bs_id_arr[f_slot[first_bad] // n_svc])}"
                         )
-                    chosen = idx[_segmented_argmin_numpy(scores, starts)]
+                    chosen = _segmented_argmin(scores, starts, seg_counts)
                     propose_time += time.perf_counter() - phase_start
 
                     phase_start = time.perf_counter()
                     # Per-(BS, service) selection by the DMRA rank key;
                     # seg_counts is the advertised f_u (alive pairs at
                     # proposal time — the watermark tracker's counter).
-                    p_bs = pair_bs[chosen]
-                    p_svc = pair_svc[chosen]
-                    p_fu = seg_counts
-                    p_foot = pair_foot[chosen]
-                    p_ue = ue_id_arr[seg_rows]
-                    p_rrb = pair_rrbs[chosen]
-                    p_cross = pair_cross[chosen]
+                    p_slot = f_slot[chosen]
+                    p_bs = p_slot // n_svc
+                    p_rrb = f_rrb[chosen]
+                    p_foot = p_rrb + ue_cru[seg_rows]
+                    rank_keys = [
+                        (seg_counts, int(seg_counts.max()) + 1),
+                        (p_foot, int(p_foot.max()) + 1),
+                        (seg_rows, n_ue),
+                    ]
                     if same_sp_priority:
-                        rank_cols = (p_ue, p_foot, p_fu, p_cross)
-                    else:
-                        rank_cols = (p_ue, p_foot, p_fu)
-                    sort_order = np.lexsort(rank_cols + (p_svc, p_bs))
-                    sorted_bs = p_bs[sort_order]
-                    sorted_svc = p_svc[sort_order]
-                    group_start = np.empty(sort_order.size, dtype=bool)
-                    group_start[0] = True
-                    group_start[1:] = (
-                        (sorted_bs[1:] != sorted_bs[:-1])
-                        | (sorted_svc[1:] != sorted_svc[:-1])
-                    )
-                    picks = sort_order[np.flatnonzero(group_start)]
+                        p_cross = ue_sp[seg_rows] != bs_sp[p_bs]
+                        rank_keys.insert(0, (p_cross, 2))
+                    sort_order = _rank_order(p_slot, n_bs * n_svc, rank_keys)
+                    picks = sort_order[_run_starts(p_slot[sort_order])]
 
                     # RRB budget per BS: the engine's evict-from-the-
                     # tail loop == keep the longest rank-ordered prefix
                     # whose demand cumsum fits the remaining budget.
                     k_bs = p_bs[picks]
-                    bs_change = np.empty(picks.size, dtype=bool)
-                    bs_change[0] = True
-                    bs_change[1:] = k_bs[1:] != k_bs[:-1]
-                    bs_starts = np.flatnonzero(bs_change)
-                    bs_bounds = np.append(bs_starts, picks.size)
+                    bs_starts = np.flatnonzero(_run_starts(k_bs))
                     totals = np.add.reduceat(p_rrb[picks], bs_starts)
                     over = totals > rem_rrb[k_bs[bs_starts]]
                     evictions = 0
-                    if not over.any():
-                        survivors = picks
-                    else:
-                        parts = []
-                        for si in range(bs_starts.size):
-                            segment = picks[bs_bounds[si]:bs_bounds[si + 1]]
-                            if not over[si]:
-                                parts.append(segment)
-                                continue
-                            if same_sp_priority:
-                                rank = np.lexsort((
-                                    p_ue[segment], p_foot[segment],
-                                    p_fu[segment], p_cross[segment],
-                                ))
-                            else:
-                                rank = np.lexsort((
-                                    p_ue[segment], p_foot[segment],
-                                    p_fu[segment],
-                                ))
-                            ranked = segment[rank]
-                            budget = int(rem_rrb[k_bs[bs_bounds[si]]])
-                            demand_cumsum = np.cumsum(p_rrb[ranked])
-                            keep = int(np.searchsorted(
-                                demand_cumsum, budget, side="right"
-                            ))
-                            evictions += ranked.size - keep
-                            parts.append(ranked[:keep])
-                        survivors = (
-                            np.concatenate(parts)
-                            if parts else np.empty(0, dtype=np.int64)
+                    if over.any():
+                        at_over = np.repeat(
+                            over, np.diff(np.append(bs_starts, picks.size))
+                        )
+                        ranked = picks[at_over]
+                        ranked = ranked[_rank_order(
+                            p_bs[ranked], n_bs,
+                            [(col[ranked], bound) for col, bound in rank_keys],
+                        )]
+                        # Segmented cumsum: each BS's running demand is
+                        # the global one minus what precedes its first
+                        # pick (non-decreasing, so a running max).
+                        r_bs, r_rrb = p_bs[ranked], p_rrb[ranked]
+                        demand = np.cumsum(r_rrb)
+                        base = np.maximum.accumulate(
+                            np.where(_run_starts(r_bs), demand - r_rrb, 0)
+                        )
+                        fits = demand - base <= rem_rrb[r_bs]
+                        evictions = int(ranked.size - fits.sum())
+                        picks = np.concatenate(
+                            (picks[~at_over], ranked[fits])
                         )
 
-                    g_bs = p_bs[survivors]
-                    g_row = seg_rows[survivors]
-                    g_rrb = p_rrb[survivors]
-                    g_flat = g_bs * n_svc + p_svc[survivors]
+                    g_bs = p_bs[picks]
+                    g_row = seg_rows[picks]
+                    g_rrb = p_rrb[picks]
+                    g_slot = p_slot[picks]
                     np.subtract.at(rem_rrb, g_bs, g_rrb)
-                    rem_cru[g_flat] -= ue_cru[g_row]
-                    active[g_row] = False
-                    accepted = int(g_row.size)
-                    if accepted:
-                        grant_bs_parts.append(g_bs)
-                        grant_row_parts.append(g_row)
-                        grant_rrb_parts.append(g_rrb)
-                        # Watermark retirement, re-derived wholesale:
-                        # remainders only shrink, so one comparison pass
-                        # flips exactly the pairs the object engine's
-                        # heaps would pop this round.
-                        alive &= (rem_cru[pair_flat] >= pair_cru) & (
-                            rem_rrb[pair_bs] >= pair_rrbs
-                        )
-                        new_alive_count = int(alive.sum())
-                        fu_retired = alive_count - new_alive_count
-                        alive_count = new_alive_count
-                    else:
-                        fu_retired = 0
+                    rem_cru[g_slot] -= ue_cru[g_row]
+                    accepted = int(picks.size)
+                    unassociated_left -= accepted
+                    grant_bs_parts.append(g_bs)
+                    grant_row_parts.append(g_row)
+                    grant_rrb_parts.append(g_rrb)
+
+                    # Retirement on the frontier: granted UEs leave it,
+                    # and since remainders only shrink, a pair can die
+                    # only at a slot or BS granted this round — so the
+                    # feasibility pass runs only when a grant left some
+                    # remainder below the run's largest demand.
+                    at_risk = (
+                        int(rem_cru[g_slot].min()) < max_cru
+                        or int(rem_rrb[g_bs].min()) < max_rrb
+                    )
+                    unmatched = np.ones(proposals, dtype=bool)
+                    unmatched[picks] = False
+                    keep = np.repeat(unmatched, seg_counts)
+                    left = np.where(unmatched, seg_counts, 0)
+                    fu_retired = 0
+                    if at_risk:
+                        slot_rrb = np.repeat(rem_rrb, n_svc)
+                        keep &= (
+                            rem_cru[f_slot]
+                            >= np.repeat(ue_cru[seg_rows], seg_counts)
+                        ) & (slot_rrb[f_slot] >= f_rrb)
+                        left = np.add.reduceat(keep, starts, dtype=np.int64)
+                        if tracing:
+                            alive, slots, crus, rrbs = all_pairs
+                            alive &= (rem_cru[slots] >= crus) & (
+                                slot_rrb[slots] >= rrbs
+                            )
+                            fu_retired = alive_count - int(alive.sum())
+                            alive_count -= fu_retired
+                    kept = np.flatnonzero(keep)
+                    f_slot, f_static, f_rrb = (
+                        f_slot[kept], f_static[kept], f_rrb[kept]
+                    )
+                    pending_cloud = seg_rows[unmatched & (left == 0)]
+                    seg_rows, seg_counts = seg_rows[left > 0], left[left > 0]
                     accept_time = time.perf_counter() - phase_start
 
                     round_span.set(
@@ -433,16 +476,12 @@ class SoAMatchingEngine:
                             proposals=proposals,
                             accepted=accepted,
                             newly_cloud=newly_cloud,
-                            unassociated_left=int(active.sum()),
+                            unassociated_left=unassociated_left,
                             propose_time_s=propose_time,
                             accept_time_s=accept_time,
                             evictions=evictions,
                         ))
 
-            # Any UE still unassociated at termination has an empty B_u.
-            leftover = np.flatnonzero(active)
-            if leftover.size:
-                cloud_rows.append(leftover)
             cloud = frozenset(
                 ue_id_arr[np.concatenate(cloud_rows)].tolist()
                 if cloud_rows else ()

@@ -718,22 +718,27 @@ def _splice_rows(
     fresh: Mapping[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """The :func:`_pair_csr` fields ``csr`` with their ascending ``rows``
-    replaced by ``fresh``, the fields of just those rows in that order."""
-    unmoved = np.ones(len(csr["_cov_indptr"]) - 1, dtype=bool)
-    unmoved[rows] = False
+    replaced by ``fresh``, the fields of just those rows in that order.
+
+    Each pair field is one concatenation of slices: the old pairs
+    between two moved rows, then the next moved row's fresh pairs.
+    """
     spliced = {}
     for kind in ("_cov", "_cand"):
-        counts = np.diff(csr[kind + "_indptr"])
-        kept = np.repeat(unmoved, counts)
-        counts[rows] = np.diff(fresh[kind + "_indptr"])
+        indptr, fresh_indptr = csr[kind + "_indptr"], fresh[kind + "_indptr"]
+        counts = np.diff(indptr)
+        counts[rows] = np.diff(fresh_indptr)
         spliced[kind + "_indptr"] = _indptr(counts)
-        from_old = np.repeat(unmoved, counts)
+        old_starts = [0, *indptr[rows + 1].tolist()]
+        old_stops = [*indptr[rows].tolist(), int(indptr[-1])]
+        cuts = fresh_indptr.tolist()
         for part in ("_cols", "_dists"):
-            old = csr[kind + part]
-            merged = np.empty(len(from_old), dtype=old.dtype)
-            merged[from_old] = old[kept]
-            merged[~from_old] = fresh[kind + part]
-            spliced[kind + part] = _frozen(merged)
+            old, new = csr[kind + part], fresh[kind + part]
+            pieces = [old[:old_stops[0]]]
+            for i in range(len(rows)):
+                pieces.append(new[cuts[i]:cuts[i + 1]])
+                pieces.append(old[old_starts[i + 1]:old_stops[i + 1]])
+            spliced[kind + part] = _frozen(np.concatenate(pieces))
     return spliced
 
 

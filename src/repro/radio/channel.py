@@ -306,57 +306,69 @@ class RadioMap:
             # Most of the population moved (e.g. a random walk): a
             # straight batched rebuild beats stitching per-UE chunks.
             return build_radio_map(network, budget, rate_model=rate_model)
-        rows = [
-            ue.ue_id for ue in network.user_equipments if ue.ue_id in moved
-        ]
+        columns = network.columns()
+        rows = np.flatnonzero(
+            np.isin(columns.ue_ids, np.fromiter(moved, dtype=np.int64))
+        )
         with get_telemetry().span(
             "radio.build", path="incremental", moved=len(rows),
             ues=network.ue_count,
         ):
             fresh = _vectorized_columns(
-                network, budget, rate_model, only_ues=rows
+                network, budget, rate_model, only_rows=rows
             )
-            f_slices = fresh["ue_slices"]
-
-            chunks: dict[str, list[np.ndarray]] = {
-                name: []
-                for name in ("ue", "bs", "dist", "sinr", "rate", "rrbs")
-            }
+            # Where each network row's links sit in this map's columns
+            # followed by the fresh ones: a moved row's fresh links,
+            # else its last run here (none for a UE without links).
+            n_old = len(self._ue_ids)
+            run_start = np.ones(n_old, dtype=bool)
+            run_start[1:] = self._ue_ids[1:] != self._ue_ids[:-1]
+            starts = np.flatnonzero(run_start)
+            stops = np.append(starts[1:], n_old)
+            run_rows = columns.ue_rows(self._ue_ids[starts])
+            runs = np.flatnonzero(run_rows >= 0)
+            if np.any(run_rows[runs][1:] <= run_rows[runs][:-1]):
+                # Out of row order, maybe repeated: keep each UE's last.
+                runs = runs[::-1]
+                runs = runs[np.unique(run_rows[runs], return_index=True)[1]]
+            source = np.zeros(network.ue_count, dtype=np.int64)
+            count = np.zeros(network.ue_count, dtype=np.int64)
+            source[run_rows[runs]] = starts[runs]
+            count[run_rows[runs]] = stops[runs] - starts[runs]
+            lo = np.searchsorted(fresh["ue_rows"], rows)
+            source[rows] = n_old + lo
+            count[rows] = np.searchsorted(fresh["ue_rows"], rows, "right") - lo
+            stop = np.cumsum(count)
+            index = np.repeat(source - (stop - count), count) + np.arange(
+                int(stop[-1]) if len(stop) else 0
+            )
+            # Materialized metrics move by slices: one per run of
+            # consecutive positions, fresh links start uncached.
             metrics: list[LinkMetrics | None] = []
-            ue_slices: dict[int, tuple[int, int]] = {}
-            cursor = 0
-            for ue in network.user_equipments:
-                uid = ue.ue_id
-                if uid in moved:
-                    start, stop = f_slices[uid]
-                    chunks["ue"].append(fresh["ue_ids"][start:stop])
-                    chunks["bs"].append(fresh["bs_ids"][start:stop])
-                    chunks["dist"].append(fresh["distance_m"][start:stop])
-                    chunks["sinr"].append(fresh["sinr"][start:stop])
-                    chunks["rate"].append(fresh["rate"][start:stop])
-                    chunks["rrbs"].append(fresh["rrbs"][start:stop])
-                    metrics.extend([None] * (stop - start))
-                    ue_slices[uid] = (cursor, cursor + stop - start)
-                    cursor += stop - start
-                else:
-                    start, stop = self._ue_index.get(uid, (0, 0))
-                    chunks["ue"].append(self._ue_ids[start:stop])
-                    chunks["bs"].append(self._bs_ids[start:stop])
-                    chunks["dist"].append(self._distance_m[start:stop])
-                    chunks["sinr"].append(self._sinr[start:stop])
-                    chunks["rate"].append(self._rate[start:stop])
-                    chunks["rrbs"].append(self._rrbs[start:stop])
-                    metrics.extend(self._metrics[start:stop])
-                    ue_slices[uid] = (cursor, cursor + stop - start)
-                    cursor += stop - start
+            cut = np.ones(len(index), dtype=bool)
+            cut[1:] = (index[1:] != index[:-1] + 1) | (index[1:] == n_old)
+            bounds = np.append(np.flatnonzero(cut), len(index)).tolist()
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                first = int(index[a])
+                metrics += (
+                    self._metrics[first:first + b - a] if first < n_old
+                    else [None] * (b - a)
+                )
+
+            def spliced(old: np.ndarray, name: str) -> np.ndarray:
+                return np.concatenate((old, fresh[name]))[index]
+
             return RadioMap(
-                ue_ids=np.concatenate(chunks["ue"]) if chunks["ue"] else np.empty(0, np.int64),
-                bs_ids=np.concatenate(chunks["bs"]) if chunks["bs"] else np.empty(0, np.int64),
-                distance_m=np.concatenate(chunks["dist"]) if chunks["dist"] else np.empty(0),
-                sinr_linear=np.concatenate(chunks["sinr"]) if chunks["sinr"] else np.empty(0),
-                per_rrb_rate_bps=np.concatenate(chunks["rate"]) if chunks["rate"] else np.empty(0),
-                rrbs_required=np.concatenate(chunks["rrbs"]) if chunks["rrbs"] else np.empty(0, np.int64),
-                ue_slices=ue_slices,
+                ue_ids=spliced(self._ue_ids, "ue_ids"),
+                bs_ids=spliced(self._bs_ids, "bs_ids"),
+                distance_m=spliced(self._distance_m, "distance_m"),
+                sinr_linear=spliced(self._sinr, "sinr"),
+                per_rrb_rate_bps=spliced(self._rate, "rate"),
+                rrbs_required=spliced(self._rrbs, "rrbs"),
+                ue_slices=dict(zip(
+                    columns.ue_ids.tolist(),
+                    zip((stop - count).tolist(), stop.tolist()),
+                )),
                 _metrics=metrics,
             )
 
@@ -403,34 +415,20 @@ def _vectorized_columns(
     network: MECNetwork,
     budget: LinkBudget,
     rate_model: RateModel | None,
-    only_ues: Sequence[int] | None = None,
+    only_rows: np.ndarray | None = None,
 ) -> dict:
     """Evaluate Eqs. 2--4 over the candidate pairs as whole-array math.
 
-    ``only_ues`` restricts the evaluation to those UEs' rows (the
-    incremental mobility path); ``None`` means every UE.
+    ``only_rows`` (ascending) restricts the evaluation to those UE rows
+    (the incremental mobility path); ``None`` means every UE.  The
+    links come grouped by row, ascending, with their rows in
+    ``"ue_rows"``.
     """
     if rate_model is None:
         rate_model = per_rrb_rate_bps
 
     ues = network.ue_columns()
-    if only_ues is None:
-        # The map derives its per-UE slices from its UE-grouped ids
-        # when first asked.
-        ue_rows, cols, link_distances = network.candidate_pairs()
-        ue_slices = None
-    else:
-        row_index = np.flatnonzero(
-            np.isin(ues.ue_ids, np.fromiter(set(only_ues), dtype=np.int64))
-        )
-        ue_rows, cols, link_distances = network.candidate_pairs(row_index)
-        offsets = np.searchsorted(
-            ue_rows, np.append(row_index, network.ue_count)
-        ).tolist()
-        ue_slices = {
-            ue_id: (offsets[i], offsets[i + 1])
-            for i, ue_id in enumerate(ues.ue_ids[row_index].tolist())
-        }
+    ue_rows, cols, link_distances = network.candidate_pairs(only_rows)
 
     tx_power = ues.tx_power_dbm[ue_rows]
     rate_demand = ues.rate_demand_bps[ue_rows]
@@ -457,7 +455,7 @@ def _vectorized_columns(
         "sinr": sinr,
         "rate": rate,
         "rrbs": rrbs,
-        "ue_slices": ue_slices,
+        "ue_rows": ue_rows,
     }
 
 
@@ -491,7 +489,6 @@ def build_radio_map(
             sinr_linear=columns["sinr"],
             per_rrb_rate_bps=columns["rate"],
             rrbs_required=columns["rrbs"],
-            ue_slices=columns["ue_slices"],
         )
         span.set(links=len(radio_map), ues=network.ue_count)
     return radio_map

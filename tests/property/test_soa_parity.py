@@ -3,14 +3,21 @@
 The SoA kernel (:class:`repro.core.soa.SoAMatchingEngine`) promises a
 **bit-identical** assignment to the object engine for any scenario the
 object engine accepts under a plain DMRA policy — same grants tuple
-(order included), same cloud set, same round count.  Hypothesis draws
-random small scenarios across placements, ``rho`` regimes, and the
-``same_sp_priority`` ablation; two deterministic edge cases ride along:
+(order included), same cloud set, same round count — and the same
+telemetry: per-round ``match.round`` attributes, ``match.*`` counters,
+the ``match.rounds`` gauge and the observer's :class:`RoundStats`
+(phase times aside).  An unrecorded SoA run, which skips the
+``fu_retired`` bookkeeping, must return the same assignment.
+Hypothesis draws random small scenarios across placements, ``rho``
+regimes, and the ``same_sp_priority`` ablation; two deterministic edge
+cases ride along:
 an exhaustion scenario where every candidate pair is *born retired*
 (infeasible before round 1), and a NaN-returning pricing policy that
 must raise the same :class:`~repro.errors.AllocationError` from both
 kernels.
 """
+
+from dataclasses import replace
 
 import pytest
 from conftest import make_tiny_network
@@ -21,6 +28,7 @@ from repro.core.dmra import DMRAPolicy
 from repro.core.matching import IterativeMatchingEngine
 from repro.core.soa import SoAMatchingEngine
 from repro.errors import AllocationError
+from repro.obs.telemetry import telemetry_session
 from repro.radio.channel import build_radio_map
 from repro.radio.sinr import LinkBudget
 from repro.sim.config import ScenarioConfig
@@ -33,16 +41,53 @@ RELAXED = settings(
 )
 
 
-def _assert_bit_parity(network, radio_map, policy_kwargs):
-    obj = IterativeMatchingEngine(DMRAPolicy(**policy_kwargs)).run(
-        network, radio_map
+def _recorded_run(engine_cls, network, radio_map, policy_kwargs):
+    """One run under a fresh recorder: the assignment plus every
+    telemetry signal the kernels promise to share."""
+    stats = []
+    with telemetry_session() as recorder:
+        assignment = engine_cls(DMRAPolicy(**policy_kwargs)).run(
+            network, radio_map, observer=stats.append
+        )
+    signals = dict(
+        rounds=[
+            span.attrs for span in recorder.all_spans()
+            if span.name == "match.round"
+        ],
+        match=[
+            span.attrs for span in recorder.all_spans()
+            if span.name == "match"
+        ],
+        counters={
+            name: value for name, value in recorder.counters.items()
+            if name.startswith("match.")
+        },
+        gauge=recorder.gauges["match.rounds"],
+        # Everything but the two phase wall times.
+        stats=[
+            replace(s, propose_time_s=0.0, accept_time_s=0.0) for s in stats
+        ],
     )
-    soa = SoAMatchingEngine(DMRAPolicy(**policy_kwargs)).run(
-        network, radio_map
+    return assignment, signals
+
+
+def _assert_bit_parity(network, radio_map, policy_kwargs):
+    """Same assignment and same telemetry from both kernels, and the
+    same assignment from an unrecorded SoA run."""
+    obj, obj_signals = _recorded_run(
+        IterativeMatchingEngine, network, radio_map, policy_kwargs
+    )
+    soa, soa_signals = _recorded_run(
+        SoAMatchingEngine, network, radio_map, policy_kwargs
     )
     assert soa.grants == obj.grants  # includes order
     assert soa.cloud_ue_ids == obj.cloud_ue_ids
     assert soa.rounds == obj.rounds
+    assert soa_signals == obj_signals
+    untraced = SoAMatchingEngine(DMRAPolicy(**policy_kwargs)).run(
+        network, radio_map
+    )
+    assert untraced == soa
     return obj
 
 

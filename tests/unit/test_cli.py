@@ -5,6 +5,16 @@ import pytest
 from repro.cli import main
 
 
+def _printed_ms(output: str) -> dict[str, float]:
+    """The ``label: N ms`` lines of a command's output."""
+    times = {}
+    for line in output.splitlines():
+        label, _, value = line.partition(":")
+        if value.strip().endswith(" ms"):
+            times[label.strip()] = float(value.split()[0])
+    return times
+
+
 class TestCliBasics:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
@@ -22,6 +32,16 @@ class TestRunCommand:
         assert "total profit:" in output
         assert "edge served:" in output
         assert "allocator:          dmra" in output
+
+    def test_run_prints_wall_and_allocation_time(self, capsys):
+        """``wall time`` spans scenario build through accounting on
+        both paths; the monolithic path also times the allocator."""
+        assert main(["run", "--ues", "60", "--seed", "1"]) == 0
+        times = _printed_ms(capsys.readouterr().out)
+        assert set(times) == {"allocation time", "wall time"}
+        assert 0 < times["allocation time"] < times["wall time"]
+        assert main(["run", "--ues", "60", "--seed", "1", "--shards", "1"]) == 0
+        assert set(_printed_ms(capsys.readouterr().out)) == {"wall time"}
 
     def test_run_each_allocator(self, capsys):
         for name in ("dcsp", "nonco", "greedy", "random", "cloud-only"):

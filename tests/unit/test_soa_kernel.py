@@ -3,8 +3,10 @@
 Covers the pieces the parity property suite does not: kernel selection
 (:func:`repro.core.soa.make_matching_engine`), the NaN regression guard
 across all three engine implementations, incremental (pre-loaded
-ledger) runs, and the segmented-argmin primitive itself against a
-straight Python loop.
+ledger) runs, the segmented-argmin primitive itself against a
+straight Python loop, and fixed cases for the eviction and the
+packed rank key (two BSs evicting in one round; a key range past
+int64 that must fall back to lexsort).
 """
 
 import numpy as np
@@ -19,12 +21,14 @@ from repro.core.matching_reference import ReferenceMatchingEngine
 from repro.core.soa import (
     KERNELS,
     SoAMatchingEngine,
-    _segmented_argmin_numpy,
+    _rank_order,
+    _segmented_argmin,
     gather_candidates,
     make_matching_engine,
 )
 from repro.econ.pricing import FlatPricing, PaperPricing
 from repro.errors import AllocationError, ConfigurationError, UnknownEntityError
+from repro.model.geometry import Point
 from repro.radio.channel import RadioMap, build_radio_map
 from repro.radio.sinr import LinkBudget
 
@@ -108,7 +112,7 @@ class TestSegmentedArgmin:
             [0.0, 1.0, 2.5, np.inf], size=int(counts.sum())
         ).astype(float)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        got = _segmented_argmin_numpy(scores, starts)
+        got = _segmented_argmin(scores, starts, counts)
         bounds = np.append(starts, scores.size)
         for s in range(n_segments):
             lo, hi = int(bounds[s]), int(bounds[s + 1])
@@ -121,7 +125,8 @@ class TestSegmentedArgmin:
     def test_all_inf_segment_picks_its_first_index(self):
         scores = np.array([np.inf, np.inf, 3.0, np.inf], dtype=float)
         starts = np.array([0, 2], dtype=np.int64)
-        assert _segmented_argmin_numpy(scores, starts).tolist() == [0, 2]
+        counts = np.array([2, 2], dtype=np.int64)
+        assert _segmented_argmin(scores, starts, counts).tolist() == [0, 2]
 
 
 class _NaNPricing:
@@ -142,6 +147,102 @@ def test_nan_score_raises_naming_policy_and_pair(engine_cls):
     engine = engine_cls(DMRAPolicy(pricing=_NaNPricing()))
     with pytest.raises(AllocationError, match="'dmra'.*NaN.*UE 7.*BS") :
         engine.run(network, radio_map)
+
+
+def _two_crowded_bss(cru_demand: int, cru_capacity: int):
+    """Four identical UEs by each of the two BSs (services 0, 1, 0, 1).
+
+    Round 1 grants two per BS; in round 2 each BS's two picks tie on
+    (cross-SP, f_u, footprint), their RRBs (2 + 2) overrun the 3 left,
+    and the higher ``ue_id`` is evicted at both BSs at once.
+    """
+    ue_specs = [
+        dict(
+            ue_id=4 * side + k, sp_id=side, service_id=k % 2,
+            position=Point(50.0 + 300.0 * side, 0.0),
+            cru_demand=cru_demand, rate_demand_bps=8e6,
+        )
+        for side in (0, 1)
+        for k in range(4)
+    ]
+    bs_specs = [
+        dict(
+            bs_id=b, sp_id=b, position=Point(400.0 * b, 0.0),
+            cru_capacity={0: cru_capacity, 1: cru_capacity},
+            rrb_capacity=7,
+        )
+        for b in (0, 1)
+    ]
+    network = make_tiny_network(ue_specs=ue_specs, bs_specs=bs_specs)
+    return network, build_radio_map(network, LinkBudget())
+
+
+class TestEvictionAndRankKey:
+    """The closed-form eviction and both rank-key sorts, against the
+    object engine grant for grant."""
+
+    @staticmethod
+    def _both(network, radio_map, same_sp_priority):
+        runs = []
+        for engine_cls in (IterativeMatchingEngine, SoAMatchingEngine):
+            stats: list[RoundStats] = []
+            policy = DMRAPolicy(
+                pricing=PaperPricing(), same_sp_priority=same_sp_priority
+            )
+            assignment = engine_cls(policy).run(
+                network, radio_map, observer=stats.append
+            )
+            runs.append((assignment, [s.evictions for s in stats]))
+        (obj, obj_evictions), (soa, soa_evictions) = runs
+        assert soa.grants == obj.grants  # order included
+        assert soa.cloud_ue_ids == obj.cloud_ue_ids
+        assert soa.rounds == obj.rounds
+        assert soa_evictions == obj_evictions
+        return soa, soa_evictions
+
+    @pytest.mark.parametrize("same_sp_priority", [True, False])
+    def test_two_bss_over_budget_in_one_round(self, same_sp_priority):
+        network, radio_map = _two_crowded_bss(4, 20)
+        soa, evictions = self._both(network, radio_map, same_sp_priority)
+        assert evictions[:2] == [0, 2]  # one per BS in round 2
+        assert [g.ue_id for g in soa.grants] == [0, 1, 2, 4, 5, 6]
+
+    @pytest.mark.parametrize("same_sp_priority", [True, False])
+    def test_key_range_past_int64_falls_back_to_lexsort(
+        self, same_sp_priority, monkeypatch
+    ):
+        """Footprints near 3e17 push the packed key past int64: each
+        round's sorts go through np.lexsort instead, same answer."""
+        calls = []
+        lexsort = np.lexsort
+
+        def counting_lexsort(keys):
+            calls.append(len(keys))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        network, radio_map = _two_crowded_bss(3 * 10**17, 10**18)
+        calls.clear()
+        soa, evictions = self._both(network, radio_map, same_sp_priority)
+        assert evictions[:2] == [0, 2]
+        keys = 5 if same_sp_priority else 4
+        # Selection sorts each round; eviction sorts in round 2.
+        assert calls.count(keys) == soa.rounds + 1
+
+    def test_packed_order_equals_lexsort(self):
+        rng = np.random.default_rng(0)
+        lead = rng.integers(0, 7, 300)
+        keys = [
+            (rng.integers(0, 2, 300), 2),
+            (rng.integers(0, 9, 300), 9),
+            (rng.permutation(300), 300),
+        ]
+        expected = np.lexsort(
+            tuple(col for col, _ in reversed(keys)) + (lead,)
+        )
+        assert _rank_order(lead, 7, keys).tolist() == expected.tolist()
+        huge = [(col, bound * 2**30) for col, bound in keys]
+        assert _rank_order(lead, 7, huge).tolist() == expected.tolist()
 
 
 class TestIncrementalMode:
