@@ -12,8 +12,10 @@ per-batch networks that *share* every BS-side structure with the
 template, computing only the UE-side coverage and candidate pairs (with
 the same CSR assembly as construction, so coverage pairs, candidate
 sets, and distances are bit-identical to constructing the network
-directly — pinned by the batch-parity tests).  The shared structures
-include the BS half of the entity columns
+directly — pinned by ``tests/property/test_batch_networks.py`` against
+the dense filter).  The shared structures include the BS grid, whose
+candidate table is built on the first query and then serves every
+batch, and the BS half of the entity columns
 (:meth:`MECNetwork.bs_columns`), so a batch network's
 :meth:`~MECNetwork.columns` builds only its own UE arrays.  Cost per
 batch is O(batch UEs x coverage degree), independent of how many UEs
@@ -24,8 +26,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.model.entities import (
     BaseStation,
     Service,
@@ -34,7 +34,7 @@ from repro.model.entities import (
     UserEquipment,
 )
 from repro.model.geometry import Rectangle
-from repro.model.network import _BS_SIDE, MECNetwork, _pair_csr
+from repro.model.network import _BS_SIDE, MECNetwork, _pair_csr, _ue_positions
 
 __all__ = ["BatchNetworkBuilder"]
 
@@ -62,10 +62,6 @@ class BatchNetworkBuilder:
             region=region,
             coverage_radius_m=coverage_radius_m,
         )
-        self._service_index = {
-            service.service_id: i
-            for i, service in enumerate(self._template.services)
-        }
 
     @property
     def template(self) -> MECNetwork:
@@ -79,13 +75,18 @@ class BatchNetworkBuilder:
     def network_for(self, ues: Sequence[UserEquipment]) -> MECNetwork:
         """A network of exactly ``ues`` on the template's BSs.
 
-        Value-identical to ``MECNetwork(..., user_equipments=ues)``: the
-        UE-side CSR arrays come from the same assembly as construction,
-        and every BS-side structure is shared with the template.
+        Value-identical to ``MECNetwork(..., user_equipments=ues)``, and
+        refusing what it refuses (a duplicate UE id, a UE of an unknown
+        SP or service) with the same error: the UE-side CSR arrays come
+        from the same assembly as construction, and every BS-side
+        structure is shared with the template.
         """
         template = self._template
         ues = tuple(ues)
         ue_columns = UEColumns.of(ues)
+        # The objects validated their own fields; the rest is checked
+        # against the template's BS side.
+        ue_sp, ue_service = _ue_positions(template.bs_columns(), ue_columns)
 
         clone = object.__new__(MECNetwork)
         for name in _BS_SIDE:
@@ -95,10 +96,8 @@ class BatchNetworkBuilder:
         object.__setattr__(
             clone, "_ue_by_id", {ue.ue_id: ue for ue in ues}
         )
-        service_index = self._service_index
-        ue_service = np.array(
-            [service_index[ue.service_id] for ue in ues], dtype=np.intp
-        )
+        object.__setattr__(clone, "_ue_sp", ue_sp)
+        object.__setattr__(clone, "_ue_service", ue_service)
         for name, value in _pair_csr(
             template._grid, ue_columns.xy, template.coverage_radius_m,
             template._hosting, ue_service,

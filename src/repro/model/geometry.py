@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,14 +108,135 @@ class Rectangle:
         return np.column_stack((xs, ys))
 
 
+#: Queries :meth:`SpatialGrid.query_radius` expands per step: its
+#: temporaries are O(this x candidates per cell).
+_QUERY_CHUNK = 16_384
+
+
+class _CellTable(NamedTuple):
+    """The points a query in each non-empty cell could reach (see
+    :class:`SpatialGrid`), keyed by packed cell index."""
+
+    #: The smallest cell index of the table on each axis.
+    x0: int
+    y0: int
+    #: Cells are keyed in blocks of ``2**shift`` per axis: 0 unless the
+    #: table spans ``2**63`` cells or more (see :func:`_cell_table`).
+    shift: int
+    #: Blocks along ``y``: the key of block ``(bx, by)`` is ``bx * ny + by``.
+    ny: int
+    #: The key of each listed block, ascending.
+    keys: np.ndarray
+    #: Block ``k`` lists ``counts[k]`` points from ``points[starts[k]]``,
+    #: ascending.
+    starts: np.ndarray
+    counts: np.ndarray
+    points: np.ndarray
+
+    def key(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """The packed key of each cell ``(cx, cy)``."""
+        return ((cx - self.x0) >> self.shift) * self.ny + (
+            (cy - self.y0) >> self.shift
+        )
+
+    def slices(
+        self, cx: np.ndarray, cy: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length in ``points`` of the list of each query cell
+        ``(cx, cy)``, with one binary search over the keys; length 0 for
+        a key the table lacks.  A cell outside the table's extent may
+        share a listed block's key: it gathers points the distance test
+        then rejects, because no point is filed in it."""
+        key = self.key(cx, cy)
+        block = np.searchsorted(self.keys, key)
+        np.minimum(block, len(self.keys) - 1, out=block)
+        counts = np.where(self.keys[block] == key, self.counts[block], 0)
+        return self.starts[block], counts
+
+
+def _cell_table(
+    x: np.ndarray, y: np.ndarray, cell: float, radius: float
+) -> _CellTable | None:
+    """File each point ``(x[i], y[i])`` in every cell whose rectangle
+    lies within ``radius`` plus a rounding margin of it; ``None`` when
+    no point has finite coordinates."""
+    # A point at a non-finite position is within the radius of no
+    # query (as in the dense filter), so it is filed nowhere.
+    index = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+    if not len(index):
+        return None
+    x, y = x[index], y[index]
+    reach = radius + 1e-9 * (radius + cell + np.abs(x) + np.abs(y))
+    # The cells within ``reach`` of a point are among the ``width``
+    # cells per axis from the one ``reach`` to its left (below), and
+    # ``width`` is at most ``2 * ceil(radius / cell) + 3``.
+    width = math.ceil(2.0 * float(reach.max()) / cell) + 2
+    span = np.arange(width)
+    x_cells = np.floor((x - reach) / cell).astype(np.int64)[:, None] + span
+    y_cells = np.floor((y - reach) / cell).astype(np.int64)[:, None] + span
+    gap_x = np.maximum(x_cells * cell - x[:, None], x[:, None] - (x_cells + 1) * cell)
+    gap_y = np.maximum(y_cells * cell - y[:, None], y[:, None] - (y_cells + 1) * cell)
+    np.maximum(gap_x, 0.0, out=gap_x)
+    np.maximum(gap_y, 0.0, out=gap_y)
+    near = gap_x[:, :, None] ** 2 + gap_y[:, None, :] ** 2 <= (
+        reach**2
+    )[:, None, None]
+    point, i, j = np.nonzero(near)  # points ascending
+    cx, cy = x_cells[point, i], y_cells[point, j]
+    x0, y0 = int(cx.min()), int(cy.min())
+    nx, ny = int(cx.max()) - x0 + 1, int(cy.max()) - y0 + 1
+    # The key range in Python ints, so it cannot wrap: past 2**63 cells,
+    # blocks of 2**shift x 2**shift cells share a key and list the union
+    # of their cells' points, still a superset for each cell.
+    shift = 0
+    while ((nx - 1 >> shift) + 1) * ((ny - 1 >> shift) + 1) >= 2**63:
+        shift += 1
+    table = _CellTable(
+        x0, y0, shift, (ny - 1 >> shift) + 1, None, None, None, None
+    )
+    key = table.key(cx, cy)
+    order = np.argsort(key, kind="stable")  # each block's points ascending
+    key, point = key[order], point[order]
+    # A point filed in two cells of one block is listed once.
+    first = np.r_[True, (key[1:] != key[:-1]) | (point[1:] != point[:-1])]
+    key, point = key[first], point[first]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return table._replace(
+        keys=key[starts],
+        starts=starts,
+        counts=np.diff(starts, append=len(key)),
+        points=index[point],
+    )
+
+
 class SpatialGrid:
     """Uniform-cell spatial index over a fixed point set for radius queries.
 
-    Buckets the indexed points (typically BS positions) into square cells
-    of ``cell_size_m``; a radius query then only examines the buckets a
-    disc of that radius can touch, so batch-querying ``m`` points against
-    ``n`` indexed points costs O(m + n + pairs) instead of the dense
-    O(m * n) of :func:`pairwise_distances_m`.
+    A radius query reads a **candidate table**: for each non-empty
+    square cell of ``cell_size_m``, the ascending indices of the indexed
+    points (typically BS positions) a query in that cell could reach.
+
+    *Superset, never subset.*  A point is filed in every cell whose
+    rectangle lies within ``radius + margin`` of it, the margin being
+    ``1e-9`` of the radius, the cell and the point's coordinates.  The
+    rounding errors it absorbs are some ``1e-16`` of the same: a query
+    whose floored cell is off by one at a cell edge, and a pair whose
+    computed distance rounds down to exactly the radius, still find the
+    point in their cell's list.  The exact ``distance <= radius`` test
+    on the expanded candidates then decides, so an extra entry costs
+    time, never an answer.
+
+    *Cost.*  The table is built on the first query with a given radius
+    and kept (the last radius's only), so networks that share a grid
+    share it; it is never changed once built.  It stores only non-empty
+    cells, and at most ``(2 * ceil(radius / cell_size_m) + 3)**2``
+    entries per point however far apart the points lie: O(points x
+    cells per disc), never O(bounding-box area).  A query of ``m``
+    points then costs O(table + m + candidates): per chunk of
+    ``_QUERY_CHUNK`` queries, one binary search over the packed cell
+    keys finds each query's list and one CSR expansion gathers the
+    candidates, in a fixed number of array passes with no per-cell
+    loop.  Temporaries are O(chunk x candidates per cell).
 
     Distances are computed with the same float64 ``np.hypot`` applied to
     the same coordinate differences as the dense path, so query results
@@ -123,7 +244,7 @@ class SpatialGrid:
     ``MECNetwork``'s coverage and candidate pairs rely on that.
     """
 
-    __slots__ = ("_xy", "_cell_size", "_buckets", "_copies")
+    __slots__ = ("_x", "_y", "_cell_size", "_table")
 
     def __init__(
         self, points: Sequence[Point] | np.ndarray, cell_size_m: float
@@ -132,51 +253,13 @@ class SpatialGrid:
             raise ConfigurationError(
                 f"cell_size_m must be > 0, got {cell_size_m}"
             )
-        xy = _as_xy(points)
-        self._xy = xy
+        self._x, self._y = np.ascontiguousarray(_as_xy(points).T)
         self._cell_size = float(cell_size_m)
-        buckets: dict[tuple[int, int], np.ndarray] = {}
-        index = np.arange(len(xy))
-        if len(xy):
-            scaled = xy / self._cell_size
-            cells = np.floor(scaled).astype(np.int64)
-            # A point within rounding distance of a cell edge is also
-            # filed in the cell(s) across it: a pair's computed distance
-            # can round to exactly the radius while their cells are one
-            # further apart than a query scans.
-            frac = scaled - cells
-            pad = 1e-9 * (1.0 + np.abs(scaled))
-            shift = (frac > 1.0 - pad).astype(np.int64) - (frac < pad)
-            near_x, near_y = shift[:, 0] != 0, shift[:, 1] != 0
-            copies = (
-                (near_x, shift * (1, 0)),
-                (near_y, shift * (0, 1)),
-                (near_x & near_y, shift),
-            )
-            index = np.concatenate(
-                [index] + [index[near] for near, _ in copies]
-            )
-            cells = np.concatenate(
-                [cells] + [(cells + offset)[near] for near, offset in copies]
-            )
-            # Group point indices by cell via one lexsort; each bucket
-            # keeps its indices ascending so query output column order
-            # matches the dense row-major nonzero() order after sorting.
-            order = np.lexsort((cells[:, 1], cells[:, 0]))
-            sorted_cells = cells[order]
-            boundaries = np.nonzero(
-                np.any(np.diff(sorted_cells, axis=0) != 0, axis=1)
-            )[0] + 1
-            starts = np.concatenate(([0], boundaries, [len(order)]))
-            for i in range(len(starts) - 1):
-                lo, hi = starts[i], starts[i + 1]
-                key = (int(sorted_cells[lo, 0]), int(sorted_cells[lo, 1]))
-                buckets[key] = np.sort(index[order[lo:hi]])
-        self._buckets = buckets
-        self._copies = len(index) > len(xy)
+        # ``(radius, table)`` of the last radius queried.
+        self._table: tuple[float, _CellTable] | None = None
 
     def __len__(self) -> int:
-        return len(self._xy)
+        return len(self._x)
 
     def query_radius(
         self,
@@ -188,71 +271,58 @@ class SpatialGrid:
         Returns ``(rows, cols, dists)`` — parallel arrays with ``rows``
         indexing into ``queries`` and ``cols`` into the indexed points —
         sorted lexicographically by ``(row, col)``, i.e. exactly the
-        order ``np.nonzero(dense_distances <= radius)`` would produce.
-        Each pair occurs once, so one sort by the unique flat key
-        ``row * len(self) + col`` gives that order.
+        order ``np.nonzero(dense_distances <= radius)`` would produce:
+        queries are expanded in input order, each against its cell's
+        ascending point list, so no sort is needed.
         """
         if radius_m <= 0:
             raise ConfigurationError(
                 f"radius_m must be > 0, got {radius_m}"
             )
         q_xy = _as_xy(queries)
-        if len(q_xy) == 0 or len(self._xy) == 0:
-            empty_i = np.empty(0, dtype=np.intp)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=float)
-        reach = int(math.ceil(radius_m / self._cell_size))
-        q_cells = np.floor(q_xy / self._cell_size).astype(np.int64)
-        # Process queries grouped by their cell: one candidate gather and
-        # one small dense distance block per occupied query cell.
-        order = np.lexsort((q_cells[:, 1], q_cells[:, 0]))
-        sorted_cells = q_cells[order]
-        boundaries = np.nonzero(
-            np.any(np.diff(sorted_cells, axis=0) != 0, axis=1)
-        )[0] + 1
-        starts = np.concatenate(([0], boundaries, [len(order)]))
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
-        buckets = self._buckets
-        for i in range(len(starts) - 1):
-            lo, hi = starts[i], starts[i + 1]
-            cx, cy = int(sorted_cells[lo, 0]), int(sorted_cells[lo, 1])
-            neighbor_parts = [
-                bucket
-                for dx in range(-reach, reach + 1)
-                for dy in range(-reach, reach + 1)
-                if (bucket := buckets.get((cx + dx, cy + dy))) is not None
-            ]
-            if not neighbor_parts:
-                continue
-            cand = np.sort(np.concatenate(neighbor_parts))
-            if self._copies:
-                # An edge point filed twice may be gathered twice.
-                first = np.empty(len(cand), dtype=bool)
-                first[0] = True
-                np.not_equal(cand[1:], cand[:-1], out=first[1:])
-                cand = cand[first]
-            group_rows = order[lo:hi]
-            q_block = q_xy[group_rows]
-            t_block = self._xy[cand]
-            dists = np.hypot(
-                q_block[:, 0][:, None] - t_block[:, 0][None, :],
-                q_block[:, 1][:, None] - t_block[:, 1][None, :],
+        if len(q_xy) == 0:
+            return _no_pairs()
+        radius_m = float(radius_m)
+        cached = self._table
+        if cached is None or cached[0] != radius_m:
+            cached = (
+                radius_m,
+                _cell_table(self._x, self._y, self._cell_size, radius_m),
             )
-            keep = dists <= radius_m
-            block_rows, block_cols = np.nonzero(keep)
-            if len(block_rows):
-                rows_parts.append(group_rows[block_rows])
-                cols_parts.append(cand[block_cols])
-                dist_parts.append(dists[block_rows, block_cols])
-        if not rows_parts:
-            empty_i = np.empty(0, dtype=np.intp)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=float)
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        dists = np.concatenate(dist_parts)
-        final = np.argsort(rows * len(self._xy) + cols)
-        return rows[final], cols[final], dists[final]
+            self._table = cached
+        table = cached[1]
+        if table is None:
+            return _no_pairs()
+        x, y = self._x, self._y
+        q_x, q_y = np.ascontiguousarray(q_xy.T)
+        parts = []
+        for lo in range(0, len(q_x), _QUERY_CHUNK):
+            c_x, c_y = q_x[lo:lo + _QUERY_CHUNK], q_y[lo:lo + _QUERY_CHUNK]
+            cells = np.floor(
+                q_xy[lo:lo + _QUERY_CHUNK] / self._cell_size
+            ).astype(np.int64)
+            starts, counts = table.slices(cells[:, 0], cells[:, 1])
+            # One CSR expansion: each query against its cell's list.
+            ends = np.cumsum(counts)
+            rows = np.repeat(np.arange(len(counts)), counts)
+            cols = table.points.take(
+                np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+            )
+            dists = np.hypot(
+                c_x.take(rows) - x.take(cols), c_y.take(rows) - y.take(cols)
+            )
+            keep = np.flatnonzero(dists <= radius_m)
+            parts.append((rows.take(keep) + lo, cols.take(keep), dists.take(keep)))
+        if len(parts) == 1:
+            return parts[0]
+        rows, cols, dists = zip(*parts)
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+
+
+def _no_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The empty ``(rows, cols, dists)`` of :meth:`SpatialGrid.query_radius`."""
+    empty_i = np.empty(0, dtype=np.intp)
+    return empty_i, empty_i.copy(), np.empty(0, dtype=float)
 
 
 def _as_xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ def _at_radius(bs: Point, radius: float, axis: int, sign: float) -> Point:
 @st.composite
 def _target(draw, network: MECNetwork):
     region = network.region
-    cell = network.coverage_radius_m  # the grid's cell size
+    cell = network._grid._cell_size
     kind = draw(st.sampled_from(["anywhere", "cell_edge", "radius"]))
     if kind == "radius":
         bs = draw(st.sampled_from(network.base_stations)).position

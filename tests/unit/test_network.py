@@ -11,8 +11,11 @@ from repro.model.entities import (
     ServiceProvider,
     UserEquipment,
 )
+from repro.model.batchnet import BatchNetworkBuilder
 from repro.model.geometry import Point, Rectangle
 from repro.model.network import MECNetwork
+from repro.sim.config import ScenarioConfig
+from repro.sim.scenario import build_scenario
 
 
 class TestLookups:
@@ -187,6 +190,45 @@ class TestValidation:
                 **args,
             )
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(sp_id=7),  # unknown SP
+            dict(service_id=99),  # unknown service
+            dict(ue_id=0),  # the id of the batch's first UE
+        ],
+        ids=["unknown_sp", "unknown_service", "duplicate_id"],
+    )
+    def test_batch_network_refuses_what_construction_refuses(self, change):
+        network = make_tiny_network(
+            ue_specs=[dict(ue_id=0), dict(ue_id=1, sp_id=1, service_id=1)]
+        )
+        builder = BatchNetworkBuilder(
+            providers=network.providers,
+            base_stations=network.base_stations,
+            services=network.services,
+            region=network.region,
+            coverage_radius_m=network.coverage_radius_m,
+        )
+        first, second = network.user_equipments
+        ues = [first, UserEquipment(**{
+            "ue_id": 1, "sp_id": 1, "position": second.position,
+            "service_id": 1, "cru_demand": 4, "rate_demand_bps": 2e6,
+            **change,
+        })]
+        with pytest.raises(ConfigurationError) as constructed:
+            MECNetwork(
+                providers=network.providers,
+                base_stations=network.base_stations,
+                user_equipments=ues,
+                services=network.services,
+                region=network.region,
+                coverage_radius_m=network.coverage_radius_m,
+            )
+        with pytest.raises(ConfigurationError) as batched:
+            builder.network_for(ues)
+        assert str(batched.value) == str(constructed.value)
+
     def test_describe_mentions_populations(self, tiny_network):
         text = tiny_network.describe()
         assert "2 SPs" in text
@@ -280,6 +322,34 @@ class TestWithMovedUEs:
         assert moved.base_stations is network.base_stations
         assert moved.providers is network.providers
         assert moved.services is network.services
+
+    def test_move_reuses_unmoved_objects(self):
+        network = build_scenario(ScenarioConfig.paper(), 30, 2).network
+        ues = network.user_equipments
+        mover = ues[7]
+        target = Point(mover.position.x + 40.0, mover.position.y)
+        moved = network.with_moved_ues({mover.ue_id: target})
+        for row, ue in enumerate(moved.user_equipments):
+            if row == 7:
+                assert ue.position == target and ue is not mover
+            else:
+                assert ue is ues[row]
+            assert moved.user_equipment(ue.ue_id) is ue
+
+    def test_move_of_a_column_built_network_builds_no_objects(self):
+        network = build_scenario(ScenarioConfig.paper(), 30, 2).network
+        assert "user_equipments" not in vars(network)  # built from columns
+        ue_ids = network.ue_columns().ue_ids.tolist()
+        looked_up = network.user_equipment(ue_ids[3])
+        mover = network.user_equipment(ue_ids[7])
+        target = Point(mover.position.x + 40.0, mover.position.y)
+        moved = network.with_moved_ues({mover.ue_id: target})
+        for net in (network, moved):
+            assert "user_equipments" not in vars(net)
+            assert set(net._ue_by_id) <= {ue_ids[3], ue_ids[7]}
+        assert moved.user_equipment(ue_ids[3]) is looked_up
+        assert moved.user_equipment(ue_ids[7]).position == target
+        assert network.user_equipment(ue_ids[7]) is mover
 
     def test_empty_move_returns_self(self):
         network = make_tiny_network()

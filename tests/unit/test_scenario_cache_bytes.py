@@ -67,8 +67,8 @@ class TestByteBound:
 
     def test_oversized_scenario_returned_uncached(self, monkeypatch):
         monkeypatch.setenv("DMRA_SCENARIO_CACHE_MB", "1")
-        # 1500 UEs x 25 BSs is over a MB of geometry + radio map.
-        scenario = build_scenario_cached(CONFIG, ue_count=1500, seed=5)
+        # 2000 UEs x 25 BSs is over a MB of geometry + radio map.
+        scenario = build_scenario_cached(CONFIG, ue_count=2000, seed=5)
         assert estimate_scenario_bytes(scenario) > 1024 * 1024
         assert scenario_cache_info()["size"] == 0
 

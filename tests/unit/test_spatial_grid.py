@@ -11,6 +11,7 @@ import pytest
 from oracles.coverage import dense_filter
 
 from repro.errors import ConfigurationError
+from repro.model import geometry
 from repro.model.geometry import Point, SpatialGrid, pairwise_distances_m
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
@@ -56,10 +57,12 @@ class TestSpatialGrid:
         ],
     )
     def test_pair_at_radius_just_past_the_scanned_cells(self, target, query):
-        # The computed distance rounds to exactly the radius, but the
-        # target sits one cell beyond the query's reach (cell -1 vs the
-        # scanned 0..20): only its copy across the cell edge finds it.
-        # Hypothesis found this case; it fails without the edge copies.
+        # The computed distance rounds to exactly the radius although
+        # the target lies beyond it, in cell -1, eleven cells from the
+        # query's cell 10: the candidate table must still list it for
+        # cell 10 (it files a point by its distance to each cell's
+        # rectangle, plus a rounding margin).  Hypothesis found this
+        # case.
         radius = 100.0
         grid = SpatialGrid([target], cell_size_m=10.0)
         rows, cols, dists = grid.query_radius([query], radius)
@@ -67,6 +70,77 @@ class TestSpatialGrid:
         assert dense[0, 0] == radius
         assert rows.tolist() == [0] and cols.tolist() == [0]
         assert dists.tolist() == [radius]
+
+    def test_chunk_boundaries_split_a_cells_queries(self, monkeypatch):
+        """More queries than one chunk, each cell's queries spread over
+        several chunks (and interleaved with other cells'): the output
+        is still the dense filter, bit for bit, for any chunk size."""
+        rng = np.random.default_rng(8)
+        points = rng.uniform(0.0, 300.0, size=(25, 2))
+        cells = rng.integers(0, 3, size=(240, 2)) * 100.0
+        queries = cells + rng.uniform(0.0, 100.0, size=(240, 2))
+        radius = 120.0
+        dense = pairwise_distances_m(queries, points)
+        want_rows, want_cols = np.nonzero(dense <= radius)
+        want = dense[want_rows, want_cols]
+        for chunk in (1, 7, 64, 239, 240):
+            monkeypatch.setattr(geometry, "_QUERY_CHUNK", chunk)
+            rows, cols, dists = SpatialGrid(points, 100.0).query_radius(
+                queries, radius
+            )
+            assert rows.tolist() == want_rows.tolist()
+            assert cols.tolist() == want_cols.tolist()
+            assert np.array_equal(dists.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "offset",
+        [
+            1e7,  # the table's key range fits an int64 as it is
+            4e9,  # past 2**63 cells: keys name blocks of cells
+        ],
+    )
+    def test_huge_extent_against_the_cell(self, offset):
+        """Two clusters far apart next to a 1 m cell: the answer is the
+        dense filter and the table stays O(points x cells per disc),
+        however large the bounding box of the layout."""
+        rng = np.random.default_rng(9)
+        cluster = rng.uniform(0.0, 6.0, size=(30, 2))
+        points = np.concatenate([cluster, cluster + offset])
+        queries = np.concatenate([
+            rng.uniform(-2.0, 8.0, size=(40, 2)),
+            rng.uniform(-2.0, 8.0, size=(40, 2)) + offset,
+            points[::7] + (2.5, 0.0),  # at exactly the radius, or close
+        ])
+        radius, cell = 2.5, 1.0
+        grid = SpatialGrid(points, cell_size_m=cell)
+        rows, cols, dists = grid.query_radius(queries, radius)
+        dense = pairwise_distances_m(queries, points)
+        want_rows, want_cols = np.nonzero(dense <= radius)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+        assert dists.tolist() == dense[want_rows, want_cols].tolist()
+        table = grid._table[1]
+        assert (table.shift > 0) == (offset > 1e8)
+        per_point = (2 * int(np.ceil(radius / cell)) + 3) ** 2
+        assert len(table.points) <= len(points) * per_point
+
+    def test_non_finite_positions_pair_with_nothing(self):
+        """A point or query at a NaN or infinite coordinate is within the
+        radius of nothing, as in the dense filter."""
+        points = np.array(
+            [[0.0, 0.0], [np.nan, 5.0], [np.inf, 0.0], [3.0, -np.inf]]
+        )
+        queries = np.array([[1.0, 1.0], [np.nan, 0.0], [-np.inf, 2.0]])
+        with np.errstate(invalid="ignore"):  # a NaN query's cell cast
+            rows, cols, dists = SpatialGrid(points, 10.0).query_radius(
+                queries, 20.0
+            )
+            nothing = SpatialGrid(points[1:], 10.0).query_radius(
+                queries, 20.0
+            )
+        assert (rows.tolist(), cols.tolist()) == ([0], [0])
+        assert dists.tolist() == [np.hypot(1.0, 1.0)]
+        assert [len(a) for a in nothing] == [0, 0, 0]
 
     def test_empty_point_set_and_empty_queries(self):
         grid = SpatialGrid([], cell_size_m=100.0)
@@ -161,8 +235,12 @@ class TestNetworkGeometryModes:
     def test_estimated_geometry_bytes_positive_and_mode_dependent(
         self, networks
     ):
-        """The estimate counts the stored pairs, not UE x BS cells."""
+        """The estimate counts the stored pairs, not UE x BS cells; under
+        the paper's full hosting the candidate arrays are the coverage
+        arrays, counted once."""
         network, _, covered, candidate = networks
-        pairs = int(covered.sum() + candidate.sum())
-        rows = 2 * (network.ue_count + 1)
+        assert (covered == candidate).all()
+        assert network._cand_cols is network._cov_cols
+        pairs = int(covered.sum())
+        rows = network.ue_count + 1
         assert network.estimated_geometry_bytes() == 16 * pairs + 8 * rows
