@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-scale bench-kernel bench-stream bench-bound metrics-baseline metrics-baseline-grid gap-baseline bench-paper figures extensions examples clean
+.PHONY: install test bench bench-smoke bench-kernel bench-stream bench-bound metrics-baseline metrics-baseline-grid gap-baseline bench-paper figures extensions examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -23,20 +23,11 @@ bench:
 bench-smoke:
 	bash -c 'time $(PYTHON) benchmarks/bench_smoke.py'
 
-# Scale bench: a 100k-UE, 2500-BS sharded run must finish inside a
-# wall-clock + peak-RSS envelope, and a shard-count sweep must keep
-# total profit within 1% of the single-shard (= monolithic) result;
-# writes BENCH_pr5.json (caps/knobs via BENCH_SCALE_*, see
-# benchmarks/bench_scale.py).
-bench-scale:
-	bash -c 'time $(PYTHON) benchmarks/bench_scale.py'
-
 # Kernel bench: SoA vs object matching kernel on one mid-size
 # monolithic scenario (bit-parity + BENCH_KERNEL_MIN_SPEEDUP floor),
-# plus the 100k-UE sharded headline on the SoA kernel (match-phase
-# wall cap, unchanged RSS cap, profit-vs-monolithic deviation bound);
-# writes BENCH_pr6.json (knobs via BENCH_KERNEL_*, see
-# benchmarks/bench_kernel.py).
+# plus the 100k-UE headline allocated on the SoA kernel (allocation
+# wall cap, peak-RSS cap); writes BENCH_pr6.json (knobs via
+# BENCH_KERNEL_*, see benchmarks/bench_kernel.py).
 bench-kernel:
 	bash -c 'time $(PYTHON) benchmarks/bench_kernel.py'
 
@@ -52,7 +43,7 @@ bench-stream:
 	bash -c 'time $(PYTHON) benchmarks/bench_stream.py'
 
 # Bound bench: certify the optimality gap of the 100k-UE / 2500-BS
-# sharded run with the Lagrangian upper bound (a scale where the exact
+# DMRA allocation with the Lagrangian upper bound (a scale where the exact
 # ILP refuses), gate the certified gap, the bound-phase wall/RSS, and
 # Lagrangian-vs-LP tightness at 600 UEs; writes BENCH_pr10.json
 # (caps/knobs via BENCH_BOUND_*, see benchmarks/bench_bound.py and

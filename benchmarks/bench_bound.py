@@ -2,8 +2,8 @@
 
 Three measurements, all seeded:
 
-* **headline** — certify the gap of a 100k-UE / 2500-BS sharded DMRA
-  run (the ``bench_scale`` scenario) with the Lagrangian upper bound.
+* **headline** — certify the gap of the monolithic DMRA allocation of
+  a 100k-UE / 2500-BS scenario with the Lagrangian upper bound.
   The exact ILP refuses this instance by design (the variable guard
   trips at ~850k candidate links); the whole point of
   :mod:`repro.bound` is that certification keeps working there.  The
@@ -30,9 +30,7 @@ Emits ``BENCH_pr10.json`` at the repo root and exits non-zero when:
 * the ILP does not refuse the headline instance.
 
 Knobs: ``BENCH_BOUND_UES`` (headline population, default 100000),
-``BENCH_BOUND_ITERATIONS`` (subgradient budget, default 150),
-``BENCH_BOUND_SHARDS`` / ``BENCH_BOUND_WORKERS`` (incumbent run,
-defaults 9 / 4).
+``BENCH_BOUND_ITERATIONS`` (subgradient budget, default 150).
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from repro.bound import (
 )
 from repro.core.dmra import DMRAAllocator
 from repro.errors import ConfigurationError
-from repro.scale import run_sharded
 from repro.sim.config import ScenarioConfig
 from repro.sim.runner import run_allocation
 from repro.sim.scenario import build_scenario
@@ -66,7 +63,8 @@ from repro.sim.scenario import build_scenario
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_pr10.json"
 
-# The bench_scale deployment: 15 km side, 300 m BS grid pitch, 2500 BSs.
+# The 100k-UE headline deployment: 15 km side, 300 m BS grid pitch,
+# 2500 BSs.
 CONFIG = ScenarioConfig.paper(region_side_m=15000.0, bs_per_sp=500)
 SEED = 1
 
@@ -94,8 +92,6 @@ def _peak_rss_mb() -> float:
 def main() -> int:
     headline_ues = _env_int("BENCH_BOUND_UES", 100_000)
     iterations = _env_int("BENCH_BOUND_ITERATIONS", 150)
-    shards = _env_int("BENCH_BOUND_SHARDS", 9)
-    workers = _env_int("BENCH_BOUND_WORKERS", 4)
     max_seconds = _env_float("BENCH_BOUND_MAX_SECONDS", 60.0)
     max_rss_mb = _env_float("BENCH_BOUND_MAX_RSS_MB", 2048.0)
     max_gap = _env_float("BENCH_BOUND_MAX_GAP", 0.10)
@@ -138,14 +134,11 @@ def main() -> int:
             f"{max_lp_dev}"
         )
 
-    # --- headline: certify a 100k-UE sharded run ---------------------
-    incumbent_outcome = run_sharded(
-        CONFIG,
-        ue_count=headline_ues,
-        seed=SEED,
-        shards=shards,
-        workers=workers,
-        kernel="soa",
+    # --- headline: certify a 100k-UE monolithic allocation ------------
+    scenario = build_scenario(CONFIG, headline_ues, SEED)
+    incumbent_outcome = run_allocation(
+        scenario,
+        DMRAAllocator(pricing=scenario.pricing, rho=CONFIG.rho, kernel="soa"),
     )
     headline_profit = incumbent_outcome.metrics.total_profit
     print(
@@ -154,7 +147,6 @@ def main() -> int:
         f"profit={headline_profit:.0f}"
     )
 
-    scenario = build_scenario(CONFIG, headline_ues, SEED)
     bound_start = time.perf_counter()
     certificate = certify_gap(
         scenario.network,

@@ -1,20 +1,17 @@
 """Matching-kernel benchmark: SoA vs object engine (``make bench-kernel``).
 
-Three measurements, all seeded:
+Two measurements, both seeded:
 
 * **kernel duel** — one mid-size monolithic scenario (12k UEs, 200 BSs
   by default) matched by both kernels on the same network and radio
   map.  The assignments must be **bit-identical** (grants tuple, cloud
   set, rounds — the SoA parity contract), and the SoA kernel must beat
   the object engine by at least ``BENCH_KERNEL_MIN_SPEEDUP``.
-* **headline** — the PR 5 scale scenario (100k UEs, 2500 BSs, 9
-  shards) run with ``kernel="soa"``: the matching phase must finish
-  under ``BENCH_KERNEL_MAX_MATCH_SECONDS`` (default 10 — the issue's
-  "well under 10 s" target against PR 5's ~24.7 s object-kernel
-  ``match_s``) inside the unchanged peak-RSS cap.
-* **deviation** — the same 100k population single-shard (bit-identical
-  to the monolithic allocation) vs 9 shards, both on the SoA kernel;
-  total SP profit must agree within ``BENCH_KERNEL_MAX_DEVIATION``.
+* **headline** — the 100k-UE, 2500-BS scenario allocated by
+  ``DMRAAllocator(kernel="soa")`` through
+  :func:`~repro.sim.runner.run_allocation`: the allocation must finish
+  under ``BENCH_KERNEL_MAX_MATCH_SECONDS`` (default 10) inside the
+  peak-RSS cap, with every UE accounted for.
 
 Emits ``BENCH_pr6.json`` at the repo root and exits non-zero on parity
 drift, a missed floor/cap, or unaccounted UEs.
@@ -22,12 +19,9 @@ drift, a missed floor/cap, or unaccounted UEs.
 Knobs: ``BENCH_KERNEL_UES`` (duel population, default 12000),
 ``BENCH_KERNEL_MIN_SPEEDUP`` (default 3.0; relaxed in CI),
 ``BENCH_KERNEL_HEADLINE_UES`` (default 100000),
-``BENCH_KERNEL_SHARDS`` (default 9), ``BENCH_KERNEL_WORKERS``
-(default 1 — serial is the memory-bounded path and beats a fork pool
-on small core counts), ``BENCH_KERNEL_REPEATS`` (duel best-of, default
-3), ``BENCH_KERNEL_MAX_MATCH_SECONDS`` (default 10; relaxed
-in CI), ``BENCH_KERNEL_MAX_RSS_MB`` (default 1024),
-``BENCH_KERNEL_MAX_DEVIATION`` (default 0.01).
+``BENCH_KERNEL_REPEATS`` (duel best-of, default 3),
+``BENCH_KERNEL_MAX_MATCH_SECONDS`` (default 10; relaxed in CI),
+``BENCH_KERNEL_MAX_RSS_MB`` (default 1024).
 """
 
 from __future__ import annotations
@@ -44,10 +38,10 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.core.dmra import DMRAPolicy
+from repro.core.dmra import DMRAAllocator, DMRAPolicy
 from repro.core.soa import make_matching_engine
-from repro.scale import run_sharded
 from repro.sim.config import ScenarioConfig
+from repro.sim.runner import run_allocation
 from repro.sim.scenario import build_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +52,7 @@ OUTPUT = REPO_ROOT / "BENCH_pr6.json"
 DUEL_CONFIG = ScenarioConfig.paper(region_side_m=5000.0, bs_per_sp=40)
 DUEL_SEED = 2
 
-# The PR 5 headline scenario (15 km side, 50 x 50 BS grid).
+# The 100k-UE headline deployment (15 km side, 50 x 50 BS grid).
 SCALE_CONFIG = ScenarioConfig.paper(region_side_m=15000.0, bs_per_sp=500)
 SCALE_SEED = 1
 
@@ -124,33 +118,13 @@ def _duel(ue_count: int, repeats: int, failures: list[str]) -> dict:
     }
 
 
-def _scale_record(outcome) -> dict:
-    return {
-        "shards": outcome.shard_count,
-        "wall_s": round(outcome.wall_time_s, 3),
-        "match_s": round(outcome.match_time_s, 3),
-        "reconcile_s": round(outcome.reconcile_time_s, 3),
-        "total_profit": round(outcome.metrics.total_profit, 2),
-        "edge_served": outcome.metrics.edge_served,
-        "cloud_forwarded": outcome.metrics.cloud_forwarded,
-        "evictions": outcome.total_evictions,
-    }
-
-
 def main() -> int:
     duel_ues = _env_int("BENCH_KERNEL_UES", 12_000)
     duel_repeats = _env_int("BENCH_KERNEL_REPEATS", 3)
     min_speedup = _env_float("BENCH_KERNEL_MIN_SPEEDUP", 3.0)
     headline_ues = _env_int("BENCH_KERNEL_HEADLINE_UES", 100_000)
-    shards = _env_int("BENCH_KERNEL_SHARDS", 9)
-    # Serial by default: one shard's arrays live at a time (the
-    # memory-bounded path), and with a ~3 s total match the fork pool's
-    # page-table copies cost more than they recover on small core
-    # counts.  BENCH_KERNEL_WORKERS opts into the pool on big boxes.
-    workers = _env_int("BENCH_KERNEL_WORKERS", 1)
     max_match_s = _env_float("BENCH_KERNEL_MAX_MATCH_SECONDS", 10.0)
     max_rss_mb = _env_float("BENCH_KERNEL_MAX_RSS_MB", 1024.0)
-    max_deviation = _env_float("BENCH_KERNEL_MAX_DEVIATION", 0.01)
 
     failures: list[str] = []
 
@@ -161,64 +135,43 @@ def main() -> int:
             f"{min_speedup:.2f}x floor"
         )
 
-    # --- single-shard (= monolithic) reference on the SoA kernel -----
-    mono = run_sharded(
-        SCALE_CONFIG,
-        ue_count=headline_ues,
-        seed=SCALE_SEED,
-        shards=1,
-        workers=1,
-        kernel="soa",
-    )
-    mono_record = _scale_record(mono)
-    print(
-        f"mono      shards=1  match={mono_record['match_s']:.2f}s  "
-        f"profit={mono_record['total_profit']:.2f}"
-    )
-
-    # --- headline: 100k UEs, 9 shards, SoA kernel --------------------
-    headline = run_sharded(
-        SCALE_CONFIG,
-        ue_count=headline_ues,
-        seed=SCALE_SEED,
-        shards=shards,
-        workers=workers,
-        kernel="soa",
+    # --- headline: 100k UEs, one monolithic SoA allocation ------------
+    scenario = build_scenario(SCALE_CONFIG, headline_ues, SCALE_SEED)
+    outcome = run_allocation(
+        scenario,
+        DMRAAllocator(
+            pricing=scenario.pricing, rho=SCALE_CONFIG.rho, kernel="soa"
+        ),
     )
     peak_rss = _peak_rss_mb()
-    headline_record = _scale_record(headline)
-    headline_record["ues"] = headline_ues
-    headline_record["workers"] = workers
-    headline_record["peak_rss_mb"] = round(peak_rss, 1)
-    deviation = abs(
-        headline.metrics.total_profit - mono.metrics.total_profit
-    ) / mono.metrics.total_profit
-    headline_record["deviation_vs_monolithic"] = round(deviation, 6)
+    headline = {
+        "ues": headline_ues,
+        "match_s": round(outcome.wall_time_s, 3),
+        "total_profit": round(outcome.metrics.total_profit, 2),
+        "edge_served": outcome.metrics.edge_served,
+        "cloud_forwarded": outcome.metrics.cloud_forwarded,
+        "rounds": outcome.metrics.rounds,
+        "peak_rss_mb": round(peak_rss, 1),
+    }
     print(
-        f"headline  shards={shards}  match={headline_record['match_s']:.2f}s  "
-        f"wall={headline_record['wall_s']:.2f}s  "
-        f"peak_rss={peak_rss:.0f}MB  deviation={deviation:.4f}"
+        f"headline  match={headline['match_s']:.2f}s  "
+        f"peak_rss={peak_rss:.0f}MB  "
+        f"profit={headline['total_profit']:.2f}"
     )
 
-    accounted = len(headline.assignment.grants) + len(
-        headline.assignment.cloud_ue_ids
-    )
+    accounted = outcome.metrics.edge_served + outcome.metrics.cloud_forwarded
     if accounted != headline_ues:
         failures.append(
             f"headline: {accounted} UEs accounted != {headline_ues}"
         )
-    if headline.match_time_s > max_match_s:
+    if outcome.wall_time_s > max_match_s:
         failures.append(
-            f"headline: match {headline.match_time_s:.1f}s > "
+            f"headline: match {outcome.wall_time_s:.1f}s > "
             f"{max_match_s:.0f}s cap"
         )
     if peak_rss > max_rss_mb:
         failures.append(
             f"headline: peak RSS {peak_rss:.0f}MB > {max_rss_mb:.0f}MB cap"
-        )
-    if deviation > max_deviation:
-        failures.append(
-            f"headline: profit deviation {deviation:.4f} > {max_deviation}"
         )
 
     report = {
@@ -227,11 +180,9 @@ def main() -> int:
             "min_speedup": min_speedup,
             "max_match_seconds": max_match_s,
             "max_rss_mb": max_rss_mb,
-            "max_deviation": max_deviation,
         },
         "duel": duel,
-        "monolithic": mono_record,
-        "headline": headline_record,
+        "headline": headline,
         "failures": failures,
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")

@@ -28,10 +28,14 @@ def jain_index(values: Sequence[float]) -> float:
         raise ConfigurationError("jain_index needs at least one value")
     if any(v < 0 for v in data):
         raise ConfigurationError("jain_index expects non-negative values")
+    peak = max(data)
+    if peak == 0:
+        return 1.0
+    # Scaled to a peak of 1, the squares neither underflow nor overflow:
+    # unscaled, two equal values near 1e-160 read 1.00006.
+    data = [v / peak for v in data]
     square_of_sum = sum(data) ** 2
     sum_of_squares = sum(v * v for v in data)
-    if sum_of_squares == 0:
-        return 1.0
     return square_of_sum / (len(data) * sum_of_squares)
 
 

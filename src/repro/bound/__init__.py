@@ -2,9 +2,9 @@
 
 The exact ILP (:class:`repro.baselines.optimal.OptimalILPAllocator`)
 refuses instances beyond a few tens of thousands of candidate links.
-This package certifies how far a *feasible* allocation (DMRA, a
-baseline, a sharded run) sits from optimal at any scale, via two upper
-bounds on the TPM objective:
+This package certifies how far a *feasible* allocation (DMRA or a
+baseline) sits from optimal at any scale, via two upper bounds on the
+TPM objective:
 
 ``lp``
     The LP relaxation over the exact Eq. 12--15 constraint matrix

@@ -32,8 +32,7 @@ Examples::
     dmra figure fig2 --scale smoke --out results/
     dmra run --allocator dmra --ues 600 --seed 1
     dmra run --ues 600 --seed 1 --trace run.jsonl --metrics run.json
-    dmra run --ues 100000 --region-m 15000 --bs-per-sp 500 \
-             --shards 16 --shard-workers 4 --profile
+    dmra run --ues 100000 --region-m 15000 --bs-per-sp 500 --profile
     dmra trace run.jsonl --min-ms 1
     dmra trace metrics run.jsonl --format prom
     dmra trace diff baseline.json candidate.json --rel-tol 0.01
@@ -311,24 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=(
                     "print a per-round phase-time table (proposal vs "
                     "BS-decision wall time; matching-based allocators "
-                    "only), or partition/match/reconcile phase rows "
-                    "with --shards"
-                ),
-            )
-            cmd.add_argument(
-                "--shards", type=int, default=None, metavar="N",
-                help=(
-                    "run the geometry-sharded scale path with N shards "
-                    "(dmra allocator only; N=1 is bit-identical to the "
-                    "monolithic run — see docs/scaling.md)"
-                ),
-            )
-            cmd.add_argument(
-                "--shard-workers", type=int, default=1, metavar="M",
-                help=(
-                    "fork-pool processes for the per-shard matchings "
-                    "(default: 1 = serial, the memory-bounded path; "
-                    "results are identical at any worker count)"
+                    "only)"
                 ),
             )
             cmd.add_argument(
@@ -756,20 +738,15 @@ def _add_scenario_arguments(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    return ScenarioConfig.paper(
+def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    config = ScenarioConfig.paper(
         placement=args.placement,
         cross_sp_markup=args.iota,
         rho=args.rho,
         region_side_m=getattr(args, "region_m", 1200.0),
         bs_per_sp=getattr(args, "bs_per_sp", 5),
     )
-
-
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    return build_scenario(
-        _config_from_args(args), ue_count=args.ues, seed=args.seed
-    )
+    return build_scenario(config, ue_count=args.ues, seed=args.seed)
 
 
 _ALLOCATOR_BUILDERS = {
@@ -848,9 +825,7 @@ def _matching_policy_for(name: str, scenario: Scenario):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if getattr(args, "shards", None) is not None:
-        return _cmd_run_sharded(args)
-    # Scenario build through accounting: the span `--shards` reports.
+    # `wall time` spans scenario build through accounting.
     start = time.perf_counter()
     scenario = _scenario_from_args(args)
     allocator = _build_allocator(args.allocator, scenario)
@@ -956,61 +931,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         _PENDING_OUTCOME_FAMILIES.extend(metrics_from_certificates(
             certificates, baseline_profits or None
         ).families)
-    return 0
-
-
-def _cmd_run_sharded(args: argparse.Namespace) -> int:
-    """``dmra run --shards N``: the geometry-sharded scale path."""
-    from repro.scale import run_sharded
-
-    if args.allocator != "dmra":
-        raise ConfigurationError(
-            f"--shards is DMRA-specific (reconciliation ranks claims "
-            f"with the DMRA BS-side preference order); "
-            f"got --allocator {args.allocator!r}"
-        )
-    config = _config_from_args(args)
-    outcome = run_sharded(
-        config,
-        ue_count=args.ues,
-        seed=args.seed,
-        shards=args.shards,
-        workers=args.shard_workers,
-        kernel=getattr(args, "kernel", "auto"),
-    )
-    metrics = outcome.metrics
-    print(f"sharded run:        {outcome.shard_count} shards, "
-          f"{outcome.workers} workers, {args.ues} UEs "
-          f"(seed {args.seed}, {getattr(args, 'kernel', 'auto')} kernel)")
-    print(f"shard UEs:          {min(outcome.shard_ue_counts)}"
-          f"..{max(outcome.shard_ue_counts)} per shard")
-    print(f"shard halo BSs:     {min(outcome.shard_bs_counts)}"
-          f"..{max(outcome.shard_bs_counts)} per shard")
-    print(f"total profit:       {metrics.total_profit:.1f}")
-    for sp_id, profit in sorted(metrics.profit_by_sp.items()):
-        print(f"  SP {sp_id} profit:      {profit:.1f}")
-    print(f"edge served:        {metrics.edge_served}/{metrics.ue_count}")
-    print(f"cloud forwarded:    {metrics.cloud_forwarded}")
-    print(f"same-SP fraction:   {metrics.same_sp_fraction:.2f}")
-    print(f"matching rounds:    {metrics.rounds}")
-    print(f"evictions:          {outcome.total_evictions}")
-    print(f"re-proposal:        {outcome.reproposal_rounds} rounds, "
-          f"{outcome.reproposal_grants} grants")
-    print(f"wall time:          {outcome.wall_time_s * 1e3:.1f} ms")
-    if getattr(args, "profile", False):
-        print()
-        print("phase profile:")
-        header = f"{'phase':<12} {'ms':>10} {'share':>7}"
-        print(header)
-        print("-" * len(header))
-        wall = max(outcome.wall_time_s, 1e-12)
-        for phase, seconds in (
-            ("partition", outcome.partition_time_s),
-            ("match", outcome.match_time_s),
-            ("reconcile", outcome.reconcile_time_s),
-        ):
-            print(f"{phase:<12} {seconds * 1e3:>10.1f} "
-                  f"{seconds / wall:>6.1%}")
     return 0
 
 

@@ -217,6 +217,7 @@ class MECNetwork:
         object.__setattr__(self, "_bs_id_array", bs_id_array)
         bs_side = self.bs_columns()
         ue_sp, ue_service = _ue_positions(bs_side, ues)
+        _refuse_non_finite("BS", bs_side.bs_ids, bs_side.bs_xy)
         object.__setattr__(self, "_ue_sp", ue_sp)
         object.__setattr__(self, "_ue_service", ue_service)
 
@@ -429,6 +430,11 @@ class MECNetwork:
         if not new_positions:
             return self
         rows = [self._row_of(ue_id) for ue_id in new_positions]  # validates
+        moved_xy = np.array(
+            [position.as_tuple() for position in new_positions.values()],
+            dtype=float,
+        )
+        _refuse_non_finite("UE", list(new_positions), moved_xy)
         clone = object.__new__(MECNetwork)
         for name in (*_BS_SIDE, "_ue_row", "_ue_sp", "_ue_service"):
             object.__setattr__(clone, name, getattr(self, name))
@@ -448,7 +454,7 @@ class MECNetwork:
         object.__setattr__(clone, "_ue_by_id", ue_by_id)
         ue_columns = self.ue_columns()
         xy = ue_columns.xy.copy()
-        xy[rows] = [position.as_tuple() for position in new_positions.values()]
+        xy[rows] = moved_xy
         object.__setattr__(clone, "_ue_columns", replace(ue_columns, xy=xy))
 
         row_index = np.array(sorted(rows), dtype=np.intp)
@@ -766,7 +772,8 @@ def _ue_positions(
     """Each UE row's SP and service position in ``bs_side``.
 
     Raises the network's :class:`ConfigurationError` for the first
-    duplicate UE id, then for the first UE of an unknown SP or service.
+    duplicate UE id, then for the first UE of an unknown SP or service,
+    then for the first UE at a non-finite position.
     """
     repeat = _first_repeat(ues.ue_ids)
     if repeat is not None:
@@ -784,7 +791,24 @@ def _ue_positions(
         raise ConfigurationError(
             f"UE {ue_id} requests unknown service {ues.service_ids[row]}"
         )
+    _refuse_non_finite("UE", ues.ue_ids, ues.xy)
     return ue_sp, ue_service
+
+
+def _refuse_non_finite(kind: str, ids, xy: np.ndarray) -> None:
+    """Raise :class:`ConfigurationError` for the first of ``ids`` whose
+    ``(x, y)`` row of ``xy`` holds a NaN or an infinity.
+
+    Such an entity would pair with nothing in the coverage query: a UE
+    would go to the cloud and a BS would cover nobody, silently.
+    """
+    finite = np.isfinite(xy)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ConfigurationError(
+            f"{kind} {ids[row]} has a non-finite position "
+            f"({xy[row, 0]}, {xy[row, 1]})"
+        )
 
 
 def _first_repeat(ids: np.ndarray) -> int | None:

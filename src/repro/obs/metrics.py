@@ -83,8 +83,6 @@ _LABELED_HISTOGRAM_PREFIXES = {
 #: last dot-segment; trace derivation folds them into labeled families.
 _LABELED_COUNTER_PREFIXES = {
     "online.sp_profit": "sp",
-    "scale.shard_rounds": "shard",
-    "scale.shard_evictions": "shard",
     "stream.sp_profit": "sp",
     "stream.shard_events": "shard",
     "dist.messages": "kind",

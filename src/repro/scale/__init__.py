@@ -1,51 +1,25 @@
-"""Sharded, memory-bounded execution of Alg. 1 for large populations.
+"""Scenario construction in chunks and the region's tiling.
 
-The monolithic path builds one dense scenario and matches it in one
-process — fine at the paper's few thousand UEs, hopeless at the
-ROADMAP's production scale.  This package decomposes a run spatially:
+Two pieces that the static builder and the stream share:
 
-* :mod:`repro.scale.partition` — tile the region; each shard owns its
-  UEs plus a halo of every reachable BS;
-* :mod:`repro.scale.streaming` — build scenario entities chunk by
-  chunk (bit-identical to the monolithic builder);
-* :mod:`repro.scale.executor` — run the existing matching engine per
-  shard over the fork-pool machinery;
-* :mod:`repro.scale.reconcile` — evict least-preferred claims from
-  over-subscribed BSs and let evictees re-propose against residual
-  capacity (:func:`repro.core.residual.residual_match`);
-* :mod:`repro.scale.runner` — the orchestrating entry point,
-  :func:`~repro.scale.runner.run_sharded`.
+* :mod:`repro.scale.streaming` — build a scenario's skeleton first,
+  then its UE demands as columns (the static path,
+  :func:`repro.sim.scenario.build_scenario`) or chunk by chunk (the
+  stream's tapes), bit-identical either way;
+* :mod:`repro.scale.partition` — tile the region into a near-square
+  grid and give every UE position exactly one tile (the stream's
+  shards).
 
-See docs/scaling.md for the model and its deviation bounds.
+The static allocation itself is one monolithic Alg. 1 run; see
+docs/scaling.md for what bounds its memory and why it is not sharded.
 """
 
-from repro.scale.executor import ShardJob, ShardResult, run_shards
-from repro.scale.partition import (
-    ShardPlan,
-    ShardTile,
-    assign_shards,
-    halo_bs_indices,
-    partition_network,
-    plan_tiles,
-)
-from repro.scale.reconcile import ReconcileOutcome, reconcile_claims
-from repro.scale.runner import ShardedOutcome, run_sharded
+from repro.scale.partition import assign_shards, plan_tiles
 from repro.scale.streaming import ScenarioFrame, build_scenario_frame
 
 __all__ = [
-    "ReconcileOutcome",
     "ScenarioFrame",
-    "ShardJob",
-    "ShardPlan",
-    "ShardResult",
-    "ShardTile",
-    "ShardedOutcome",
     "assign_shards",
     "build_scenario_frame",
-    "halo_bs_indices",
-    "partition_network",
     "plan_tiles",
-    "reconcile_claims",
-    "run_shards",
-    "run_sharded",
 ]

@@ -1,72 +1,25 @@
 """Spatial partitioning: tile the deployment area into UE shards.
 
-A shard owns the UEs whose positions fall inside its tile and carries a
-**halo** of every BS a tile-resident UE could possibly reach: any BS
-within ``coverage_radius_m`` of the tile rectangle (point-to-rectangle
-distance).  Because a UE inside the tile is never farther from a BS
-than the tile boundary is, the halo is a provable superset of every
-owned UE's coverage set — each shard therefore sees exactly the same
-candidate set ``B_u`` for its UEs as the monolithic network, which is
-what makes per-shard matching results comparable and ``--shards 1``
-bit-identical.
-
 Tiles form an ``nx x ny`` grid with ``nx * ny == shard_count``; the
 factor pair is chosen closest to square, with the larger factor along
 the longer region side (prime shard counts degenerate to strips).
 Every UE maps to exactly one tile: positions are binned by
 ``floor((x - x_min) / tile_w)`` clipped into range, so points on the
 region's far edge (or outside it) land in the last tile instead of
-falling through.
+falling through.  The stream (:mod:`repro.stream.runner`) routes each
+arrival to the shard that owns its tile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.model.entities import BaseStation
 from repro.model.geometry import Rectangle
-from repro.model.network import MECNetwork
 
-__all__ = [
-    "ShardTile",
-    "ShardPlan",
-    "plan_tiles",
-    "assign_shards",
-    "halo_bs_indices",
-    "partition_network",
-]
-
-
-@dataclass(frozen=True)
-class ShardTile:
-    """One tile of the partition: its bounds plus owned/halo members."""
-
-    shard_index: int
-    bounds: Rectangle
-    ue_ids: tuple[int, ...]
-    bs_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A full partition of one network into geometry shards."""
-
-    shard_count: int
-    nx: int
-    ny: int
-    tiles: tuple[ShardTile, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tiles) != self.shard_count:
-            raise ConfigurationError(
-                f"plan has {len(self.tiles)} tiles for "
-                f"{self.shard_count} shards"
-            )
+__all__ = ["plan_tiles", "assign_shards"]
 
 
 def plan_tiles(region: Rectangle, shard_count: int) -> tuple[int, int, tuple[Rectangle, ...]]:
@@ -125,74 +78,3 @@ def assign_shards(
         np.floor((xy[:, 1] - region.y_min) / tile_h).astype(np.int64), 0, ny - 1
     )
     return iy * nx + ix
-
-
-def halo_bs_indices(
-    base_stations: Sequence[BaseStation],
-    bounds: Rectangle,
-    coverage_radius_m: float,
-) -> np.ndarray:
-    """Indices (deployment order) of BSs within reach of a tile.
-
-    A BS belongs to the halo when its point-to-rectangle distance to
-    ``bounds`` is at most ``coverage_radius_m``.  For any UE inside the
-    tile, ``dist(UE, BS) >= dist(tile, BS)``, so a BS outside the halo
-    cannot cover any owned UE — the halo is a superset of the union of
-    the owned UEs' coverage sets.
-    """
-    if coverage_radius_m <= 0:
-        raise ConfigurationError(
-            f"coverage_radius_m must be > 0, got {coverage_radius_m}"
-        )
-    if not base_stations:
-        return np.empty(0, dtype=np.intp)
-    bs_xy = np.asarray(
-        [bs.position.as_tuple() for bs in base_stations], dtype=float
-    ).reshape(-1, 2)
-    dx = np.maximum(
-        np.maximum(bounds.x_min - bs_xy[:, 0], bs_xy[:, 0] - bounds.x_max), 0.0
-    )
-    dy = np.maximum(
-        np.maximum(bounds.y_min - bs_xy[:, 1], bs_xy[:, 1] - bounds.y_max), 0.0
-    )
-    return np.nonzero(np.hypot(dx, dy) <= coverage_radius_m)[0]
-
-
-def partition_network(network: MECNetwork, shard_count: int) -> ShardPlan:
-    """Partition a materialized network into ``shard_count`` shards.
-
-    Ownership and halos follow the module rules; UE and BS ids within a
-    tile keep their network order (ascending ``ue_id`` / deployment
-    order), so downstream shard networks preserve the monolithic entity
-    ordering.
-    """
-    nx, ny, bounds = plan_tiles(network.region, shard_count)
-    ues = network.user_equipments
-    if ues:
-        ue_xy = np.asarray(
-            [ue.position.as_tuple() for ue in ues], dtype=float
-        ).reshape(-1, 2)
-        owner = assign_shards(ue_xy, network.region, nx, ny)
-    else:
-        owner = np.empty(0, dtype=np.int64)
-    ue_ids_by_shard: list[list[int]] = [[] for _ in range(shard_count)]
-    for ue, shard in zip(ues, owner.tolist()):
-        ue_ids_by_shard[shard].append(ue.ue_id)
-    tiles = []
-    for index in range(shard_count):
-        halo = halo_bs_indices(
-            network.base_stations, bounds[index], network.coverage_radius_m
-        )
-        tiles.append(
-            ShardTile(
-                shard_index=index,
-                bounds=bounds[index],
-                ue_ids=tuple(ue_ids_by_shard[index]),
-                bs_ids=tuple(
-                    network.base_stations[i].bs_id for i in halo.tolist()
-                ),
-            )
-        )
-    return ShardPlan(
-        shard_count=shard_count, nx=nx, ny=ny, tiles=tuple(tiles)
-    )

@@ -1,9 +1,10 @@
 """Scenario construction in two steps: the skeleton, then UE chunks.
 
 :func:`repro.sim.scenario.build_scenario` materializes one monolithic
-:class:`~repro.model.network.MECNetwork` plus its radio map — exactly
-the allocation the sharded path exists to avoid.  Both builders share
-this module's split of the construction:
+:class:`~repro.model.network.MECNetwork` plus its radio map, and the
+stream's tapes (:mod:`repro.stream.tape`) and the online simulator
+(:mod:`repro.dynamics.online`) materialize UEs as they arrive.  All
+share this module's split of the construction:
 
 1. :func:`build_scenario_frame` draws everything *except* the UE
    demands — providers, BS placement and hosting, the UE position
@@ -18,8 +19,7 @@ this module's split of the construction:
 would, so generating ``[0, c)`` then ``[c, 2c)`` with one generator is
 bit-identical to one ``[0, n)`` call — the streamed population equals
 the monolithic one entity for entity, pinned by the streaming parity
-test.  The sharded runner routes each chunk straight into per-shard
-buckets, so no step ever holds geometry proportional to ``UE x BS``.
+test.
 """
 
 from __future__ import annotations

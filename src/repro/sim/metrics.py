@@ -77,16 +77,7 @@ def compute_metrics(
     same_sp = int(np.count_nonzero(columns.ue_sp[rows] == columns.bs_sp[cols]))
     same_sp_fraction = same_sp / len(grants) if len(grants) else 0.0
 
-    cloud_ids = np.fromiter(
-        assignment.cloud_ue_ids,
-        dtype=np.int64,
-        count=len(assignment.cloud_ue_ids),
-    )
-    cloud_rows = columns.ue_rows(cloud_ids)
-    if np.any(cloud_rows < 0):
-        raise UnknownEntityError(
-            f"unknown UE id {cloud_ids[np.argmax(cloud_rows < 0)]}"
-        )
+    cloud_rows = _cloud_rows(network, assignment)
     forwarded_traffic = sum(columns.ue_rate_demand_bps[cloud_rows].tolist())
     forwarded_crus = int(columns.ue_cru_demand[cloud_rows].sum())
 
@@ -111,6 +102,27 @@ def compute_metrics(
         ),
         rounds=assignment.rounds,
     )
+
+
+def _cloud_rows(network: MECNetwork, assignment: Assignment) -> np.ndarray:
+    """The network rows of the cloud UEs, in ascending UE-id order.
+
+    A float sum over the cloud UEs then depends only on which UEs went
+    to the cloud, not on the order the ``cloud_ue_ids`` set iterates in
+    (which follows how the set was built), so equal assignments give
+    equal sums.
+    """
+    cloud_ids = np.sort(np.fromiter(
+        assignment.cloud_ue_ids,
+        dtype=np.int64,
+        count=len(assignment.cloud_ue_ids),
+    ))
+    rows = network.columns().ue_rows(cloud_ids)
+    if np.any(rows < 0):
+        raise UnknownEntityError(
+            f"unknown UE id {cloud_ids[np.argmax(rows < 0)]}"
+        )
+    return rows
 
 
 def _utilization_by_bs(
@@ -193,20 +205,11 @@ def per_sp_forwarded_traffic(
 
     Every SP appears, zero-filled, so series across runs align even
     when an SP forwards nothing.  Each SP's sum adds its cloud UEs'
-    demands in ``cloud_ue_ids`` order (``np.bincount`` adds in input
-    order), as a per-UE loop would.
+    demands in ascending UE-id order (``np.bincount`` adds in input
+    order), as a per-UE loop over the sorted ids would.
     """
     columns = network.columns()
-    cloud_ids = np.fromiter(
-        assignment.cloud_ue_ids,
-        dtype=np.int64,
-        count=len(assignment.cloud_ue_ids),
-    )
-    rows = columns.ue_rows(cloud_ids)
-    if np.any(rows < 0):
-        raise UnknownEntityError(
-            f"unknown UE id {cloud_ids[np.argmax(rows < 0)]}"
-        )
+    rows = _cloud_rows(network, assignment)
     forwarded = np.bincount(
         columns.ue_sp[rows],
         weights=columns.ue_rate_demand_bps[rows],

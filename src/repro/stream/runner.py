@@ -13,9 +13,9 @@ against the from-scratch reference without mode-specific noise.
 Sharding trades borders for memory: BSs are tiled by
 :func:`repro.scale.partition.plan_tiles`, and a UE whose arrival
 position lands in one tile never proposes to another tile's BSs (no
-halo — unlike the static :mod:`repro.scale` path).  ``shards=1`` is
-lossless; larger counts drop cross-border candidates symmetrically in
-both modes, so the equivalence gate holds at any shard count.
+halo).  ``shards=1`` is lossless; larger counts drop cross-border
+candidates symmetrically in both modes, so the equivalence gate holds
+at any shard count.
 """
 
 from __future__ import annotations

@@ -162,13 +162,15 @@ def compute_metrics(
         same_sp / len(assignment.grants) if assignment.grants else 0.0
     )
 
+    # Ascending UE ids: the float sum must not depend on set order.
+    cloud_ue_ids = sorted(assignment.cloud_ue_ids)
     forwarded_traffic = sum(
         network.user_equipment(ue_id).rate_demand_bps
-        for ue_id in assignment.cloud_ue_ids
+        for ue_id in cloud_ue_ids
     )
     forwarded_crus = sum(
         network.user_equipment(ue_id).cru_demand
-        for ue_id in assignment.cloud_ue_ids
+        for ue_id in cloud_ue_ids
     )
 
     used_crus_by_bs: dict[int, int] = {}
@@ -230,9 +232,10 @@ def per_service_cru_utilization(
 def per_sp_forwarded_traffic(
     network: MECNetwork, assignment: Assignment
 ) -> dict[int, float]:
-    """``{sp_id: bits/s forwarded to the cloud}``, one cloud UE at a time."""
+    """``{sp_id: bits/s forwarded to the cloud}``, one cloud UE at a time,
+    in ascending UE-id order."""
     forwarded = {sp.sp_id: 0.0 for sp in network.providers}
-    for ue_id in assignment.cloud_ue_ids:
+    for ue_id in sorted(assignment.cloud_ue_ids):
         ue = network.user_equipment(ue_id)
         forwarded[ue.sp_id] += ue.rate_demand_bps
     return forwarded

@@ -1,35 +1,21 @@
-"""Property-based tests for the sharded scale subsystem.
+"""Property-based tests for the region tiling.
 
-Three invariants the ISSUE pins:
-
-* the partition covers every UE exactly once;
-* every BS a shard-owned UE can reach is present in that shard's halo;
-* reconciliation never leaves a BS over its CRU or RRB capacity, no
-  matter how over-subscribed the shard claims are.
+The invariant: every UE position, on or past the region's far edges
+included, is owned by exactly one tile.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compute.cru import Grant
-from repro.model.entities import BaseStation
-from repro.model.geometry import Point, Rectangle
-from repro.scale import ShardResult, partition_network, reconcile_claims
+from repro.model.geometry import Rectangle
 from repro.scale.partition import assign_shards, plan_tiles
-from repro.sim.config import ScenarioConfig
-from repro.sim.scenario import build_scenario
 
 RELAXED = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-# ----------------------------------------------------------------------
-# Partition properties
-# ----------------------------------------------------------------------
 
 
 @RELAXED
@@ -50,179 +36,3 @@ def test_assign_shards_covers_every_point_exactly_once(
     owners = assign_shards(xy, region, nx, ny)
     assert owners.shape == (count,)
     assert np.all((owners >= 0) & (owners < shards))
-
-
-@RELAXED
-@given(
-    seed=st.integers(min_value=0, max_value=500),
-    ue_count=st.integers(min_value=1, max_value=120),
-    shards=st.integers(min_value=1, max_value=9),
-    placement=st.sampled_from(["regular", "random"]),
-)
-def test_partition_owns_each_ue_once_with_complete_halos(
-    seed, ue_count, shards, placement
-):
-    network = build_scenario(
-        ScenarioConfig.paper(placement=placement),
-        ue_count=ue_count,
-        seed=seed,
-    ).network
-    plan = partition_network(network, shards)
-    owned = [ue_id for tile in plan.tiles for ue_id in tile.ue_ids]
-    assert sorted(owned) == [ue.ue_id for ue in network.user_equipments]
-    for tile in plan.tiles:
-        halo = set(tile.bs_ids)
-        for ue_id in tile.ue_ids:
-            assert set(network.covering_base_stations(ue_id)) <= halo
-
-
-# ----------------------------------------------------------------------
-# Reconciliation properties
-# ----------------------------------------------------------------------
-
-
-def _stations(rng, count, service_count):
-    stations = []
-    for bs_id in range(count):
-        hosted = {
-            service_id: int(rng.integers(0, 12))
-            for service_id in range(service_count)
-            if rng.random() < 0.8
-        }
-        stations.append(
-            BaseStation(
-                bs_id=bs_id,
-                sp_id=int(rng.integers(0, 3)),
-                position=Point(float(bs_id) * 10.0, 0.0),
-                cru_capacity=hosted,
-                rrb_capacity=int(rng.integers(1, 12)),
-            )
-        )
-    return stations
-
-
-def _random_results(rng, stations, shard_count, service_count):
-    """Deliberately over-subscribed claims: each shard grants on its own."""
-    results = []
-    next_ue = 0
-    for shard_index in range(shard_count):
-        grants = []
-        keys = []
-        for _ in range(int(rng.integers(0, 14))):
-            bs = stations[int(rng.integers(0, len(stations)))]
-            service_id = int(rng.integers(0, service_count))
-            grants.append(
-                Grant(
-                    bs_id=bs.bs_id,
-                    ue_id=next_ue,
-                    service_id=service_id,
-                    crus=int(rng.integers(1, 6)),
-                    rrbs=int(rng.integers(1, 6)),
-                )
-            )
-            keys.append(
-                (
-                    int(rng.integers(0, 2)),
-                    int(rng.integers(1, 8)),
-                    int(rng.integers(2, 12)),
-                    next_ue,
-                )
-            )
-            next_ue += 1
-        results.append(
-            ShardResult(
-                shard_index=shard_index,
-                ue_count=len(grants),
-                bs_count=len(stations),
-                grants=tuple(grants),
-                rank_keys=tuple(keys),
-                cloud_ue_ids=frozenset(),
-                rounds=1,
-            )
-        )
-    return results
-
-
-@RELAXED
-@given(
-    seed=st.integers(min_value=0, max_value=2_000),
-    bs_count=st.integers(min_value=1, max_value=6),
-    shard_count=st.integers(min_value=1, max_value=6),
-)
-def test_reconcile_never_exceeds_capacity(seed, bs_count, shard_count):
-    rng = np.random.default_rng(seed)
-    service_count = 3
-    stations = _stations(rng, bs_count, service_count)
-    results = _random_results(rng, stations, shard_count, service_count)
-    outcome = reconcile_claims(stations, results)
-
-    # Ledger conservation holds by construction; check it anyway.
-    outcome.ledgers.check_invariants()
-
-    # No BS over RRBs or over any per-service CRU pool.
-    by_bs = {bs.bs_id: bs for bs in stations}
-    usage_rrb: dict[int, int] = {}
-    usage_cru: dict[tuple[int, int], int] = {}
-    for shard_grants in outcome.surviving:
-        for grant in shard_grants:
-            usage_rrb[grant.bs_id] = usage_rrb.get(grant.bs_id, 0) + grant.rrbs
-            key = (grant.bs_id, grant.service_id)
-            usage_cru[key] = usage_cru.get(key, 0) + grant.crus
-    for bs_id, used in usage_rrb.items():
-        assert used <= by_bs[bs_id].rrb_capacity
-    for (bs_id, service_id), used in usage_cru.items():
-        assert used <= by_bs[bs_id].cru_capacity.get(service_id, 0)
-
-    # Survivors + evictions account for every claim exactly once.
-    total_claims = sum(len(result.grants) for result in results)
-    total_surviving = sum(len(s) for s in outcome.surviving)
-    assert total_surviving + len(outcome.evicted_ue_ids) == total_claims
-    assert outcome.total_evictions == len(outcome.evicted_ue_ids)
-
-
-@RELAXED
-@given(seed=st.integers(min_value=0, max_value=2_000))
-def test_reconcile_single_shard_admits_untouched(seed):
-    """Claims that already fit (one consistent ledger) survive verbatim."""
-    rng = np.random.default_rng(seed)
-    stations = _stations(rng, 4, 3)
-    # Build a feasible claim set: walk capacities down like a ledger.
-    rrb_left = {bs.bs_id: bs.rrb_capacity for bs in stations}
-    cru_left = {
-        (bs.bs_id, sid): crus
-        for bs in stations
-        for sid, crus in bs.cru_capacity.items()
-    }
-    grants = []
-    keys = []
-    for ue_id in range(20):
-        bs = stations[int(rng.integers(0, len(stations)))]
-        sid = int(rng.integers(0, 3))
-        crus = int(rng.integers(1, 4))
-        rrbs = int(rng.integers(1, 4))
-        if rrb_left[bs.bs_id] < rrbs:
-            continue
-        if cru_left.get((bs.bs_id, sid), 0) < crus:
-            continue
-        rrb_left[bs.bs_id] -= rrbs
-        cru_left[(bs.bs_id, sid)] -= crus
-        grants.append(
-            Grant(
-                bs_id=bs.bs_id, ue_id=ue_id, service_id=sid,
-                crus=crus, rrbs=rrbs,
-            )
-        )
-        keys.append((0, 1, crus + rrbs, ue_id))
-    result = ShardResult(
-        shard_index=0,
-        ue_count=len(grants),
-        bs_count=len(stations),
-        grants=tuple(grants),
-        rank_keys=tuple(keys),
-        cloud_ue_ids=frozenset(),
-        rounds=1,
-    )
-    outcome = reconcile_claims(stations, [result])
-    assert outcome.surviving == (tuple(grants),)
-    assert outcome.evicted_ue_ids == ()
-    assert outcome.total_evictions == 0

@@ -34,14 +34,18 @@ class TestRunCommand:
         assert "allocator:          dmra" in output
 
     def test_run_prints_wall_and_allocation_time(self, capsys):
-        """``wall time`` spans scenario build through accounting on
-        both paths; the monolithic path also times the allocator."""
+        """``wall time`` spans scenario build through accounting;
+        ``allocation time`` is the allocator's share of it."""
         assert main(["run", "--ues", "60", "--seed", "1"]) == 0
         times = _printed_ms(capsys.readouterr().out)
         assert set(times) == {"allocation time", "wall time"}
         assert 0 < times["allocation time"] < times["wall time"]
-        assert main(["run", "--ues", "60", "--seed", "1", "--shards", "1"]) == 0
-        assert set(_printed_ms(capsys.readouterr().out)) == {"wall time"}
+
+    def test_shards_is_not_a_run_option(self):
+        """The static allocation has one execution path; only the
+        stream (``dmra serve --shards``) tiles the region."""
+        with pytest.raises(SystemExit):
+            main(["run", "--ues", "40", "--shards", "2"])
 
     def test_run_each_allocator(self, capsys):
         for name in ("dcsp", "nonco", "greedy", "random", "cloud-only"):
@@ -62,51 +66,6 @@ class TestRunCommand:
             == 0
         )
         assert "total profit:" in capsys.readouterr().out
-
-
-class TestShardedRunCommand:
-    def test_run_sharded(self, capsys):
-        assert (
-            main(["run", "--ues", "120", "--seed", "2", "--shards", "2"])
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "sharded run:        2 shards" in output
-        assert "shard UEs:" in output
-        assert "shard halo BSs:" in output
-        assert "total profit:" in output
-        assert "evictions:" in output
-        assert "re-proposal:" in output
-
-    def test_run_sharded_profile_prints_phase_table(self, capsys):
-        assert (
-            main(
-                [
-                    "run",
-                    "--ues", "80",
-                    "--shards", "2",
-                    "--profile",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "phase" in output
-        assert "partition" in output
-        assert "reconcile" in output
-
-    def test_sharding_requires_dmra(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(
-                [
-                    "run",
-                    "--ues", "40",
-                    "--allocator", "greedy",
-                    "--shards", "2",
-                ]
-            )
 
 
 class TestInspectCommand:

@@ -16,7 +16,7 @@ from repro.model.network import MECNetwork
 from repro.model.workload import WorkloadModel
 from repro.obs.metrics import metrics_from_outcome
 from repro.radio.channel import RadioMap, build_radio_map
-from repro.sim.metrics import compute_metrics
+from repro.sim.metrics import compute_metrics, per_sp_forwarded_traffic
 from repro.sim.runner import run_allocation
 from repro.sim.scenario import Scenario, build_scenario
 
@@ -86,6 +86,48 @@ class TestComputeMetrics:
             if small_scenario.network.same_sp(g.ue_id, g.bs_id)
         ) / len(assignment.grants)
         assert metrics.same_sp_fraction == pytest.approx(manual)
+
+
+    def test_cloud_set_order_does_not_change_the_metrics(
+        self, small_scenario
+    ):
+        """Equal assignments give equal documents: the cloud demands are
+        summed in UE-id order, not in the frozenset's iteration order
+        (which follows insertion order on a hash collision)."""
+        base = small_scenario.network
+        template = base.user_equipments[0]
+        # Ids 0, 8 and 16 share a slot in a small set's table, and
+        # 1e16 + 1 + 1 != 1 + 1 + 1e16 in float arithmetic.
+        ues = [
+            UserEquipment(
+                ue_id=ue_id,
+                sp_id=template.sp_id,
+                position=template.position,
+                service_id=template.service_id,
+                cru_demand=1,
+                rate_demand_bps=rate,
+            )
+            for ue_id, rate in ((0, 1e16), (8, 1.0), (16, 1.0))
+        ]
+        network = MECNetwork(
+            providers=base.providers,
+            base_stations=base.base_stations,
+            user_equipments=ues,
+            services=base.services,
+            region=base.region,
+        )
+        forward = frozenset([0, 8, 16])
+        backward = frozenset([16, 8, 0])
+        assert list(forward) != list(backward)
+        first = Assignment(grants=(), cloud_ue_ids=forward)
+        second = Assignment(grants=(), cloud_ue_ids=backward)
+        pricing = small_scenario.pricing
+        assert compute_metrics(network, first, pricing) == compute_metrics(
+            network, second, pricing
+        )
+        assert per_sp_forwarded_traffic(
+            network, first
+        ) == per_sp_forwarded_traffic(network, second)
 
 
 class TestRunAllocation:

@@ -9,6 +9,7 @@ from repro.model.entities import (
     BaseStation,
     Service,
     ServiceProvider,
+    UEColumns,
     UserEquipment,
 )
 from repro.model.batchnet import BatchNetworkBuilder
@@ -180,6 +181,32 @@ class TestValidation:
                 **args,
             )
 
+    @pytest.mark.parametrize("columns", [False, True], ids=["objects", "columns"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_ue_at_non_finite_position_rejected(self, bad, columns):
+        ues = [
+            UserEquipment(0, 0, Point(0, 0), 0, 3, 2e6),
+            UserEquipment(1, 0, Point(5.0, bad), 0, 3, 2e6),
+            UserEquipment(2, 0, Point(bad, 0), 0, 3, 2e6),
+        ]
+        with pytest.raises(ConfigurationError, match="UE 1 has a non-finite"):
+            MECNetwork(
+                base_stations=[BaseStation(0, 0, Point(0, 0), {0: 10})],
+                user_equipments=UEColumns.of(ues) if columns else ues,
+                **self.base_args(),
+            )
+
+    def test_bs_at_non_finite_position_rejected(self):
+        with pytest.raises(ConfigurationError, match="BS 4 has a non-finite"):
+            MECNetwork(
+                base_stations=[
+                    BaseStation(3, 0, Point(0, 0), {0: 10}),
+                    BaseStation(4, 0, Point(np.nan, 0), {0: 10}),
+                ],
+                user_equipments=[UserEquipment(0, 0, Point(0, 0), 0, 3, 2e6)],
+                **self.base_args(),
+            )
+
     def test_non_positive_coverage_radius_rejected(self):
         args = self.base_args()
         with pytest.raises(ConfigurationError):
@@ -196,8 +223,9 @@ class TestValidation:
             dict(sp_id=7),  # unknown SP
             dict(service_id=99),  # unknown service
             dict(ue_id=0),  # the id of the batch's first UE
+            dict(position=Point(np.nan, 0.0)),
         ],
-        ids=["unknown_sp", "unknown_service", "duplicate_id"],
+        ids=["unknown_sp", "unknown_service", "duplicate_id", "nan_position"],
     )
     def test_batch_network_refuses_what_construction_refuses(self, change):
         network = make_tiny_network(
@@ -359,6 +387,13 @@ class TestWithMovedUEs:
         network = make_tiny_network()
         with pytest.raises(UnknownEntityError):
             network.with_moved_ues({999: Point(0.0, 0.0)})
+
+    def test_move_to_non_finite_position_rejected(self):
+        network = make_tiny_network(ue_specs=[dict(ue_id=0), dict(ue_id=1)])
+        with pytest.raises(ConfigurationError, match="UE 1 has a non-finite"):
+            network.with_moved_ues(
+                {0: Point(5.0, 5.0), 1: Point(np.nan, 5.0)}
+            )
 
     def test_original_network_is_untouched(self):
         network = make_tiny_network()

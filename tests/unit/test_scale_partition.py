@@ -1,16 +1,11 @@
-"""Unit tests for the spatial partitioner and the streaming builder."""
+"""Unit tests for the region tiling and the streaming builder."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.model.geometry import Point, Rectangle
-from repro.scale import (
-    build_scenario_frame,
-    halo_bs_indices,
-    partition_network,
-    plan_tiles,
-)
+from repro.model.geometry import Rectangle
+from repro.scale import build_scenario_frame, plan_tiles
 from repro.scale.partition import assign_shards
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
@@ -60,60 +55,6 @@ class TestAssignShards:
         xy = np.array([[1000.0, 1000.0], [0.0, 0.0], [1500.0, -3.0]])
         owners = assign_shards(xy, region, 2, 2)
         assert owners.tolist() == [3, 0, 1]
-
-
-class TestHaloBsIndices:
-    def test_halo_is_point_to_rectangle_distance(self):
-        bounds = Rectangle(0.0, 0.0, 100.0, 100.0)
-
-        class FakeBS:
-            def __init__(self, x, y):
-                self.position = Point(x, y)
-
-        stations = [
-            FakeBS(50.0, 50.0),    # inside
-            FakeBS(149.0, 50.0),   # 49 m east of the edge
-            FakeBS(151.0, 50.0),   # 51 m east of the edge
-            FakeBS(140.0, 140.0),  # corner distance ~56.6 m
-        ]
-        halo = halo_bs_indices(stations, bounds, coverage_radius_m=50.0)
-        assert halo.tolist() == [0, 1]
-
-    def test_empty_and_invalid(self):
-        bounds = Rectangle.square(10.0)
-        assert halo_bs_indices([], bounds, 50.0).tolist() == []
-        with pytest.raises(ConfigurationError):
-            halo_bs_indices([], bounds, 0.0)
-
-
-class TestPartitionNetwork:
-    @pytest.fixture(scope="class")
-    def network(self):
-        return build_scenario(
-            ScenarioConfig.paper(), ue_count=150, seed=5
-        ).network
-
-    def test_ues_partitioned_exactly_once(self, network):
-        plan = partition_network(network, 4)
-        seen = [ue for tile in plan.tiles for ue in tile.ue_ids]
-        assert sorted(seen) == sorted(
-            ue.ue_id for ue in network.user_equipments
-        )
-        assert len(seen) == len(set(seen))
-
-    def test_halo_contains_every_covering_bs(self, network):
-        plan = partition_network(network, 4)
-        for tile in plan.tiles:
-            halo = set(tile.bs_ids)
-            for ue_id in tile.ue_ids:
-                covering = set(network.covering_base_stations(ue_id))
-                assert covering <= halo
-
-    def test_single_shard_owns_everything(self, network):
-        plan = partition_network(network, 1)
-        (tile,) = plan.tiles
-        assert len(tile.ue_ids) == network.ue_count
-        assert len(tile.bs_ids) == network.bs_count
 
 
 class TestScenarioFrame:
