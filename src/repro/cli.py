@@ -876,7 +876,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 metrics_from_certificates([certificate]).families
             )
     if getattr(args, "profile", False):
-        _print_radio_map_profile(scenario)
         _print_phase_profile(args.allocator, scenario)
     return 0
 
@@ -932,31 +931,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             certificates, baseline_profits or None
         ).families)
     return 0
-
-
-def _print_radio_map_profile(scenario: Scenario) -> None:
-    """Time radio-map construction (vectorized vs scalar reference)."""
-    import time
-
-    from repro.radio.channel import build_radio_map, build_radio_map_reference
-
-    budget = scenario.config.link_budget()
-    rate_model = scenario.config.rate_model_fn()
-    start = time.perf_counter()
-    vectorized = build_radio_map(
-        scenario.network, budget, rate_model=rate_model
-    )
-    vectorized_s = time.perf_counter() - start
-    start = time.perf_counter()
-    build_radio_map_reference(scenario.network, budget, rate_model=rate_model)
-    reference_s = time.perf_counter() - start
-    print()
-    print(
-        f"radio map build:    {len(vectorized)} links, "
-        f"vectorized {vectorized_s * 1e3:.1f} ms, "
-        f"scalar reference {reference_s * 1e3:.1f} ms "
-        f"({reference_s / vectorized_s:.1f}x)"
-    )
 
 
 def _print_phase_profile(name: str, scenario: Scenario) -> None:

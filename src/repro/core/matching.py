@@ -24,8 +24,8 @@ proposal-time feasibility check fails removes that BS permanently —
 Hot-path design
 ---------------
 The engine produces *bit-identical* assignments to the straightforward
-reference implementation (:mod:`repro.core.matching_reference`, kept for
-the golden parity tests) while scaling to large populations:
+reference implementation (``tests/oracles/matching.py``, the golden
+parity tests' oracle) while scaling to large populations:
 
 * **Cached preference statics** — a policy may split its UE score into a
   round-invariant part (:meth:`MatchingPolicy.static_ue_score`, e.g. the

@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError
 from repro.model.geometry import Point, Rectangle
 from repro.model.network import MECNetwork
 from repro.obs.telemetry import get_telemetry
+from repro.radio import channel
 from repro.radio.channel import build_radio_map
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import Scenario, build_scenario
@@ -207,7 +208,6 @@ def run_mobility(
     sticky: bool = True,
     incremental: bool = True,
     position_epsilon_m: float = 1e-9,
-    rebuild_fraction: float = 0.5,
 ) -> MobilityOutcome:
     """Run an epoch-based mobility simulation.
 
@@ -228,12 +228,13 @@ def run_mobility(
     and yield identical assignments; ``incremental=False`` keeps the
     full-rebuild path as the executable specification.
 
-    ``rebuild_fraction`` is the displaced-fraction crossover: once at
-    least that fraction of UEs moved in an epoch, incremental patching
-    cannot win (it re-does most of the work *plus* the stitching), so
-    the epoch takes the full-rebuild route directly.  Models where
-    everyone moves every epoch (random walk) therefore no longer pay an
-    incremental penalty; models with mostly idle UEs still patch.
+    :data:`repro.radio.channel.REBUILD_FRACTION` is the displaced-
+    fraction crossover: once more than that fraction of UEs moved in an
+    epoch, incremental patching cannot win (it re-does most of the work
+    *plus* the stitching), so the epoch takes the full-rebuild route
+    directly.  Models where everyone moves every epoch (random walk)
+    therefore no longer pay an incremental penalty; models with mostly
+    idle UEs still patch.
     """
     if epochs <= 0:
         raise ConfigurationError(f"epochs must be > 0, got {epochs}")
@@ -244,10 +245,6 @@ def run_mobility(
     if position_epsilon_m < 0:
         raise ConfigurationError(
             f"position_epsilon_m must be >= 0, got {position_epsilon_m}"
-        )
-    if rebuild_fraction <= 0:
-        raise ConfigurationError(
-            f"rebuild_fraction must be > 0, got {rebuild_fraction}"
         )
     if mobility is None:
         mobility = RandomWalk()
@@ -311,7 +308,7 @@ def run_mobility(
                 "mobility.displaced_fraction",
                 displaced_count / len(ues) if ues else 0.0,
             )
-            if displaced_count > rebuild_fraction * len(ues):
+            if displaced_count > channel.REBUILD_FRACTION * len(ues):
                 # Crossover: patching would redo most of the work plus
                 # the stitching — take the full-rebuild route.
                 patch = False
@@ -325,7 +322,6 @@ def run_mobility(
             network = network.with_moved_ues(displaced)
             radio_map = radio_map.with_updated_ues(
                 network, budget, displaced.keys(), rate_model=rate_model,
-                rebuild_fraction=rebuild_fraction,
             )
         else:
             moved = [

@@ -9,8 +9,8 @@ exist:
   on a shared singleton: no allocation, no clock read, no branching
   beyond one attribute call.  Instrumentation left in a hot loop costs
   one method dispatch when telemetry is off, which is the subsystem's
-  zero-overhead guarantee (pinned by ``make bench-smoke``'s
-  ``telemetry`` section).
+  zero-overhead guarantee: every untraced benchmark op runs through
+  these null spans.
 * :class:`Recorder` — an in-memory collector.  Spans form a tree
   (``span("match")`` inside ``span("sweep.cell")`` nests), counters
   accumulate sums, gauges keep last/min/max, timers aggregate named
@@ -24,9 +24,9 @@ event tuples to one per-recorder list and defer all tree/dict
 construction (:class:`SpanRecord` nodes, attribute dicts, child lists)
 to flush time — the first access of :attr:`Recorder.roots`, typically
 when the trace is written.  An enabled span on the hot path therefore
-costs two clock reads, two tuple allocations, and two list appends;
-``make bench-smoke`` pins the resulting engine overhead
-(``telemetry.recording_overhead_pct``).
+costs two clock reads, two tuple allocations, and two list appends; a
+traced benchmark run reports the resulting overhead
+(``obs.trace_overhead``).
 
 Backends are installed process-wide with :func:`set_telemetry` or,
 preferably, scoped with the :func:`telemetry_session` context manager.

@@ -4,7 +4,6 @@ from repro.radio.channel import (
     LinkMetrics,
     RadioMap,
     build_radio_map,
-    build_radio_map_reference,
     register_array_rate_model,
 )
 from repro.radio.interference import (
@@ -66,7 +65,6 @@ __all__ = [
     "RadioMap",
     "ShadowedPathLoss",
     "build_radio_map",
-    "build_radio_map_reference",
     "register_array_rate_model",
     "interference_mw_array",
     "loss_db_array",

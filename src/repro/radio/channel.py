@@ -15,10 +15,10 @@ once over all pairs — while the allocator-facing API
 (:meth:`RadioMap.link`, :meth:`RadioMap.links_of_ue`, iteration) hands
 out lazily materialized :class:`LinkMetrics` views.
 
-:func:`build_radio_map_reference` keeps the original per-pair scalar
-loop; the parity suite pins the vectorized map against it link for link
-(exact integer demands and candidate sets, float fields to ≤1e-9
-relative), so the fast path can never silently drift from Eqs. 2--4.
+The parity suites pin the vectorized map against the original per-pair
+scalar loop (``tests/oracles/radio_map.py``) link for link (exact
+integer demands and candidate sets, float fields to ≤1e-9 relative), so
+the fast path can never silently drift from Eqs. 2--4.
 """
 
 from __future__ import annotations
@@ -35,19 +35,22 @@ from repro.radio.mcs import mcs_rate_bps, mcs_rate_bps_array
 from repro.radio.ofdma import (
     per_rrb_rate_bps,
     per_rrb_rate_bps_array,
-    rrbs_required,
     rrbs_required_array,
 )
 from repro.radio.sinr import LinkBudget
-from repro.radio.units import db_to_linear, dbm_to_mw
 
 __all__ = [
     "LinkMetrics",
     "RadioMap",
     "build_radio_map",
-    "build_radio_map_reference",
     "register_array_rate_model",
 ]
+
+#: The displaced-fraction crossover of an incremental update: once more
+#: than this fraction of the UEs moved, patching would redo most of a
+#: fresh build plus the chunk stitching, so the update rebuilds instead
+#: (same values, different route).
+REBUILD_FRACTION = 0.5
 
 #: Signature of a per-RRB rate model: (rrb_bandwidth_hz, sinr) -> bits/s.
 RateModel = Callable[[float, float], float]
@@ -283,7 +286,6 @@ class RadioMap:
         budget: LinkBudget,
         ue_ids: Iterable[int],
         rate_model: RateModel | None = None,
-        rebuild_fraction: float = 0.5,
     ) -> "RadioMap":
         """A new map with the given UEs' rows recomputed against ``network``.
 
@@ -294,7 +296,7 @@ class RadioMap:
         reused verbatim.  Callers must ensure unlisted UEs genuinely
         kept their position (and hence candidate set).
 
-        When at least ``rebuild_fraction`` of the population moved,
+        When more than :data:`REBUILD_FRACTION` of the population moved,
         chunk-stitching cannot beat a straight batched rebuild, so the
         call falls back to :func:`build_radio_map` — same values,
         different route.
@@ -302,7 +304,7 @@ class RadioMap:
         moved = set(ue_ids)
         if not moved:
             return self
-        if len(moved) > rebuild_fraction * network.ue_count:
+        if len(moved) > REBUILD_FRACTION * network.ue_count:
             # Most of the population moved (e.g. a random walk): a
             # straight batched rebuild beats stitching per-UE chunks.
             return build_radio_map(network, budget, rate_model=rate_model)
@@ -477,8 +479,9 @@ def build_radio_map(
     allocators uniformly treat them as infeasible rather than special-
     casing missing entries.
 
-    The output is link-for-link interchangeable with
-    :func:`build_radio_map_reference` (pinned by the parity suite).
+    The output is link-for-link interchangeable with the scalar
+    per-pair loop in ``tests/oracles/radio_map.py`` (pinned by the
+    parity suites).
     """
     with get_telemetry().span("radio.build", path="batched") as span:
         columns = _vectorized_columns(network, budget, rate_model)
@@ -492,51 +495,3 @@ def build_radio_map(
         )
         span.set(links=len(radio_map), ues=network.ue_count)
     return radio_map
-
-
-def build_radio_map_reference(
-    network: MECNetwork,
-    budget: LinkBudget,
-    rate_model: RateModel | None = None,
-) -> RadioMap:
-    """The original per-pair scalar builder (parity baseline).
-
-    Kept as the executable specification the vectorized
-    :func:`build_radio_map` is tested against.  Constant per-call
-    attribute lookups (path-loss model, interference model, noise power)
-    are hoisted out of the pair loop; the arithmetic is unchanged.
-    """
-    if rate_model is None:
-        rate_model = per_rrb_rate_bps
-    with get_telemetry().span("radio.build", path="reference") as span:
-        loss_db = budget.pathloss.loss_db
-        interference_mw = budget.interference.interference_mw
-        noise_mw = budget.noise_mw
-        bandwidth = budget.rrb_bandwidth_hz
-        links: list[LinkMetrics] = []
-        for ue in network.user_equipments:
-            tx_power = ue.tx_power_dbm
-            tx_mw = dbm_to_mw(tx_power)
-            for bs_id in network.candidate_base_stations(ue.ue_id):
-                distance = network.distance_m(ue.ue_id, bs_id)
-                signal = tx_mw / db_to_linear(loss_db(distance))
-                sinr = signal / (
-                    noise_mw + interference_mw(distance, (), tx_power)
-                )
-                rate = rate_model(bandwidth, sinr)
-                if rate > 0:
-                    demand = rrbs_required(ue.rate_demand_bps, rate)
-                else:
-                    demand = network.base_station(bs_id).rrb_capacity + 1
-                links.append(
-                    LinkMetrics(
-                        ue_id=ue.ue_id,
-                        bs_id=bs_id,
-                        distance_m=distance,
-                        sinr_linear=sinr,
-                        per_rrb_rate_bps=rate,
-                        rrbs_required=demand,
-                    )
-                )
-        span.set(links=len(links), ues=network.ue_count)
-    return RadioMap.from_links(links)

@@ -3,7 +3,7 @@
 The hot-path engine (cached preference statics, watermark-tracked
 ``f_u``, cursor-based candidate walks) promises *identical* results to
 the straightforward reference implementation preserved in
-:mod:`repro.core.matching_reference` — same grants in the same order,
+``tests/oracles/matching.py`` — same grants in the same order,
 same cloud set, same round count.  These tests pin that promise across
 seeded scenarios for both matching-based schemes; NonCo (which bypasses
 the engine entirely) is pinned against a recorded digest so drift in
@@ -11,15 +11,19 @@ shared plumbing cannot hide.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
+from oracles.matching import ReferenceMatchingEngine
+from oracles.radio_map import assert_link_parity, build_radio_map_reference
 
 from repro.baselines.dcsp import DCSPPolicy
 from repro.baselines.nonco import NonCoAllocator
 from repro.core.dmra import DMRAPolicy
 from repro.core.matching import IterativeMatchingEngine
-from repro.core.matching_reference import ReferenceMatchingEngine
 from repro.econ.pricing import PaperPricing
+from repro.radio.channel import build_radio_map
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 
@@ -101,3 +105,43 @@ def test_nonco_assignment_digest_is_stable(ue_count, seed, placement):
         scenario.network, scenario.radio_map
     )
     assert _digest(assignment) == NONCO_DIGESTS[(ue_count, seed, placement)]
+
+
+# The outcome digest recorded when the hot-path engine replaced the
+# reference: its DMRA assignment on the paper deployment with 2000 UEs
+# at seed 1.
+PARITY_FIXTURE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "results" / "parity_pr1.json"
+)
+
+
+def test_paper_scale_digest_and_oracle_parity():
+    """At 2000 UEs the object engine reproduces the recorded digest and
+    the reference engine's assignment, and the vectorized radio map
+    equals the scalar reference loop link for link."""
+    fixture = json.loads(PARITY_FIXTURE.read_text())
+    config = ScenarioConfig.paper()
+    scenario = build_scenario(config, fixture["ue_count"], fixture["seed"])
+    optimized = IterativeMatchingEngine(
+        DMRAPolicy(pricing=scenario.pricing)
+    ).run(scenario.network, scenario.radio_map)
+    digest = _digest(optimized)
+    assert digest == fixture["digest"], (
+        f"outcome digest is now {digest}; update {PARITY_FIXTURE.name} "
+        f"only for a deliberate behaviour change"
+    )
+    reference = ReferenceMatchingEngine(
+        DMRAPolicy(pricing=scenario.pricing)
+    ).run(scenario.network, scenario.radio_map)
+    assert optimized.grants == reference.grants  # includes order
+    assert optimized.cloud_ue_ids == reference.cloud_ue_ids
+    assert optimized.rounds == reference.rounds
+
+    budget, rate_model = config.link_budget(), config.rate_model_fn()
+    assert_link_parity(
+        build_radio_map(scenario.network, budget, rate_model=rate_model),
+        build_radio_map_reference(
+            scenario.network, budget, rate_model=rate_model
+        ),
+    )

@@ -8,13 +8,10 @@ the ledgers on every proposal.  It is O(rounds · UEs · |B_u|) with heavy
 constants — fine for hand-sized networks, the throughput bottleneck at
 production scale.
 
-It is kept (and excluded from production call sites) for two reasons:
-
-* the **golden parity suite** asserts the optimized engine produces
-  bit-identical assignments — same grants, same cloud set, same
-  productive round count — on seeded scenarios under every policy;
-* the **bench harness** (``make bench-smoke``) measures the optimized
-  engine's speedup against it.
+It is kept as the oracle of the golden parity suite, which asserts
+that the optimized engine produces bit-identical assignments — same
+grants, same cloud set, same productive round count — on seeded
+scenarios under every policy.
 
 Round semantics match the optimized engine: ``Assignment.rounds``
 counts *productive* rounds (rounds that sent at least one service

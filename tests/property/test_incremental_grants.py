@@ -10,7 +10,7 @@ batch of UEs from one corner of the region and checks:
 
 * ``assignment.grants`` equals the oracle's diff, order included;
 * grants, cloud set and round count equal those of the reference engine
-  (:class:`~repro.core.matching_reference.ReferenceMatchingEngine`) run
+  (:class:`oracles.matching.ReferenceMatchingEngine`) run
   on an identical pool, and both pools end in the same state.
 
 Draws cover pools whose ledger order differs from BS id order, exact
@@ -28,12 +28,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import grant_diff as oracle
+from oracles.matching import ReferenceMatchingEngine
 
 from repro.baselines.dcsp import DCSPPolicy
 from repro.compute.cru import LedgerPool
 from repro.core.dmra import DMRAPolicy
 from repro.core.matching import IterativeMatchingEngine
-from repro.core.matching_reference import ReferenceMatchingEngine
 from repro.core.steering import CongestionSteeredPolicy
 from repro.econ.pricing import PaperPricing
 from repro.sim.config import ScenarioConfig

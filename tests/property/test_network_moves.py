@@ -11,12 +11,14 @@ distance equals the radius is in coverage).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.coverage import assert_pairs_are_dense_filter, dense_filter
 
 from repro.model.geometry import Point
 from repro.model.network import MECNetwork
+from repro.radio import channel
 from repro.radio.channel import build_radio_map
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
@@ -139,10 +141,12 @@ def test_move_equals_a_fresh_network(seed, ue_count, placement, movers, data):
             assert moved.distance_m(ue_id, bs_id) == distances[row, col]
 
     budget, rate_model = config.link_budget(), config.rate_model_fn()
-    updated = scenario.radio_map.with_updated_ues(
-        moved, budget, targets.keys(), rate_model=rate_model,
-        rebuild_fraction=1.0,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        # Every move takes the patch route, even when all UEs moved.
+        patch.setattr(channel, "REBUILD_FRACTION", 1.0)
+        updated = scenario.radio_map.with_updated_ues(
+            moved, budget, targets.keys(), rate_model=rate_model,
+        )
     rebuilt = build_radio_map(fresh, budget, rate_model=rate_model)
     assert list(updated) == list(rebuilt)
     for ue_id in ue_ids:

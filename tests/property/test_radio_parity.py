@@ -5,8 +5,9 @@ relative."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.radio_map import build_radio_map_reference
 
-from repro.radio.channel import build_radio_map, build_radio_map_reference
+from repro.radio.channel import build_radio_map
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 

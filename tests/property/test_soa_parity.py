@@ -135,6 +135,20 @@ def test_soa_matches_object_engine_under_contention(ue_count, seed):
     assert len(outcome.grants) + len(outcome.cloud_ue_ids) == ue_count
 
 
+def test_soa_matches_object_engine_at_12k_ues():
+    """The mid-size duel: 12,000 UEs on 200 BSs, where the round loop
+    dominates and evictions and cloud fallbacks are plentiful."""
+    config = ScenarioConfig.paper(region_side_m=5000.0, bs_per_sp=40)
+    scenario = build_scenario(config, 12_000, 2)
+    outcome = _assert_bit_parity(
+        scenario.network,
+        scenario.radio_map,
+        dict(pricing=scenario.pricing, rho=config.rho),
+    )
+    assert len(outcome.grants) + len(outcome.cloud_ue_ids) == 12_000
+    assert outcome.cloud_ue_ids and outcome.rounds > 1
+
+
 def test_every_candidate_born_retired_exhausts_identically():
     """UEs whose demand exceeds every BS's capacity from the start:
     all pairs are infeasible before round 1, so both kernels must

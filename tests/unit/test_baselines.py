@@ -16,6 +16,8 @@ from repro.errors import ConfigurationError
 from repro.model.geometry import Point
 from repro.radio.channel import build_radio_map
 from repro.radio.sinr import LinkBudget
+from repro.sim.config import ScenarioConfig
+from repro.sim.scenario import build_scenario
 
 PRICING = PaperPricing(base_price=1.0, cross_sp_markup=2.0, distance_weight=0.01)
 
@@ -210,6 +212,18 @@ class TestOptimalILP:
             allocator.allocate(
                 small_scenario.network, small_scenario.radio_map
             )
+
+    def test_default_guard_refuses_a_large_instance(self):
+        """8,000 paper-config UEs have 59,894 feasible links, past the
+        default 50,000-variable guard: the ILP refuses before it builds
+        a model (HiGHS accepts 6,000 UEs' 44,932 and takes seconds)."""
+        scenario = build_scenario(ScenarioConfig.paper(), 8000, 1)
+        allocator = OptimalILPAllocator(pricing=scenario.pricing)
+        with pytest.raises(
+            ConfigurationError, match="59894 candidate links exceed the "
+            "50000-variable ILP guard"
+        ):
+            allocator.allocate(scenario.network, scenario.radio_map)
 
     def test_invalid_guard_value(self):
         with pytest.raises(ConfigurationError):

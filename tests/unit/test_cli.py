@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigurationError
 
 
 def _printed_ms(output: str) -> dict[str, float]:
@@ -46,6 +47,25 @@ class TestRunCommand:
         stream (``dmra serve --shards``) tiles the region."""
         with pytest.raises(SystemExit):
             main(["run", "--ues", "40", "--shards", "2"])
+
+    def test_profile_prints_round_phase_table(self, capsys):
+        assert main(["run", "--ues", "500", "--seed", "1", "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index(
+            f"{'round':>6} {'proposals':>10} {'accepted':>9} {'cloud':>6} "
+            f"{'propose ms':>11} {'accept ms':>10}"
+        )
+        # A rule, one row per round from round 1, then the totals.
+        assert set(lines[header + 1]) == {"-"}
+        assert lines[header + 2].split()[0] == "1"
+        assert lines[-1].split()[0] == "total"
+
+    def test_profile_needs_a_matching_allocator(self):
+        with pytest.raises(ConfigurationError, match="--profile"):
+            main([
+                "run", "--ues", "500", "--seed", "1",
+                "--allocator", "nonco", "--profile",
+            ])
 
     def test_run_each_allocator(self, capsys):
         for name in ("dcsp", "nonco", "greedy", "random", "cloud-only"):

@@ -13,6 +13,7 @@ from repro.dynamics.mobility import (
 )
 from repro.errors import ConfigurationError
 from repro.model.geometry import Point, Rectangle
+from repro.radio import channel
 from repro.sim.config import ScenarioConfig
 
 CONFIG = ScenarioConfig.paper()
@@ -140,21 +141,23 @@ class TestRunMobility:
 
 
 @dataclass(frozen=True)
-class HalfFrozenWalk:
-    """A walk where only even-numbered UEs move.
+class SparseWalk:
+    """A walk where only every ``movers_mod``-th UE moves.
 
-    Exercises the partial-move incremental path: odd UEs keep their
-    positions (and cached radio-map columns), even UEs are displaced.
-    The RNG is still drawn for every UE, matching the run loop's
-    one-draw-per-UE contract.
+    Exercises the partial-move incremental path: the other UEs keep
+    their positions (and cached radio-map columns).  The RNG is still
+    drawn for every UE, matching the run loop's one-draw-per-UE
+    contract.
     """
 
+    movers_mod: int
     speed_mps: float = 5.0
 
     def step(self, ue_id, position, dt_s, region, rng):
-        """Move even UEs like a random walk; pin odd UEs in place."""
+        """Move every ``movers_mod``-th UE like a random walk; pin the
+        rest in place."""
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        if ue_id % 2 == 1:
+        if ue_id % self.movers_mod:
             return position
         distance = self.speed_mps * dt_s
         x = float(np.clip(
@@ -190,7 +193,7 @@ class TestIncrementalParity:
         assert incremental.records == full.records
 
     def test_partial_moves_records_identical(self):
-        incremental, full = self.run_pair(mobility=HalfFrozenWalk())
+        incremental, full = self.run_pair(mobility=SparseWalk(movers_mod=2))
         assert incremental.records == full.records
 
     def test_non_sticky_records_identical(self):
@@ -224,8 +227,8 @@ class TestIncrementalParity:
 class TestRebuildCrossover:
     """The displaced-fraction crossover must not change results, ever."""
 
-    def test_crossover_settings_all_agree(self):
-        # Half the UEs move each epoch (HalfFrozenWalk): fraction 0.25
+    def test_crossover_settings_all_agree(self, monkeypatch):
+        # Half the UEs move each epoch (even ids): fraction 0.25
         # forces the rebuild route, 0.75 the patch route, and the
         # default sits at the boundary.  All must match the
         # full-rebuild reference exactly.
@@ -235,13 +238,12 @@ class TestRebuildCrossover:
             epochs=3,
             epoch_duration_s=30.0,
             seed=7,
-            mobility=HalfFrozenWalk(),
+            mobility=SparseWalk(movers_mod=2),
         )
         reference = run_mobility(**kwargs, incremental=False)
         for fraction in (0.25, 0.5, 0.75, 1.0):
-            outcome = run_mobility(
-                **kwargs, incremental=True, rebuild_fraction=fraction
-            )
+            monkeypatch.setattr(channel, "REBUILD_FRACTION", fraction)
+            outcome = run_mobility(**kwargs, incremental=True)
             assert outcome.records == reference.records, fraction
 
     def test_random_walk_takes_rebuild_route(self):
@@ -273,11 +275,34 @@ class TestRebuildCrossover:
         displaced = recorder.gauges["mobility.displaced_fraction"]
         assert displaced.min >= 0.9
 
-    def test_rebuild_fraction_validated(self):
-        with pytest.raises(ConfigurationError):
-            run_mobility(
-                CONFIG, 10, 1, 30.0, 0, rebuild_fraction=0.0
-            )
+    def test_sparse_movers_take_patch_route(self):
+        # Every 10th UE moves: one batched build for epoch 0, then each
+        # epoch patches exactly the 50 movers' links, and still matches.
+        from repro.obs import Recorder, telemetry_session
+
+        kwargs = dict(
+            config=CONFIG,
+            ue_count=500,
+            epochs=5,
+            epoch_duration_s=30.0,
+            seed=2,
+            mobility=SparseWalk(movers_mod=10),
+        )
+        recorder = Recorder()
+        with telemetry_session(recorder):
+            incremental = run_mobility(**kwargs, incremental=True)
+        full = run_mobility(**kwargs, incremental=False)
+        assert incremental.records == full.records
+        builds = [
+            (span.attrs.get("path"), span.attrs.get("moved"))
+            for span in _walk_spans(recorder.roots)
+            if span.name == "radio.build"
+        ]
+        assert builds == [("batched", None)] + [("incremental", 50)] * 5
+        displaced = recorder.gauges["mobility.displaced_fraction"]
+        assert (displaced.count, displaced.min, displaced.max) == (
+            5, 0.1, 0.1
+        )
 
 
 def _walk_spans(spans):

@@ -5,9 +5,10 @@ import math
 import pytest
 
 from conftest import make_tiny_network
+from oracles.radio_map import build_radio_map_reference
 from repro.errors import UnknownEntityError
 from repro.model.geometry import Point
-from repro.radio.channel import build_radio_map, build_radio_map_reference
+from repro.radio.channel import build_radio_map
 from repro.radio.ofdma import per_rrb_rate_bps, rrbs_required
 from repro.radio.sinr import LinkBudget
 

@@ -12,12 +12,12 @@ int64 that must fall back to lexsort).
 import numpy as np
 import pytest
 from conftest import make_tiny_network
+from oracles.matching import ReferenceMatchingEngine
 
 from repro.baselines.dcsp import DCSPPolicy
 from repro.compute.cru import LedgerPool
 from repro.core.dmra import DMRAPolicy
 from repro.core.matching import IterativeMatchingEngine, RoundStats
-from repro.core.matching_reference import ReferenceMatchingEngine
 from repro.core.soa import (
     KERNELS,
     SoAMatchingEngine,

@@ -127,11 +127,19 @@ class TestModeEquivalence:
 
     def test_paper_config_parity_with_moves(self, monkeypatch):
         monkeypatch.setenv("DMRA_DEBUG_STREAM", "1")
-        stream = light_stream(move_fraction=0.2)
-        inc = run_stream(CONFIG, stream, seed=7, mode="incremental")
-        res = run_stream(CONFIG, stream, seed=7, mode="rescratch")
-        assert inc.digest == res.digest
-        assert inc.moves > 0
+        # A light tape with 20% movers, and 10 arrivals/s for 240 s with
+        # 5% movers (2,429 arrivals and 4,973 events at seed 1).
+        busy = StreamConfig(
+            horizon_s=240.0,
+            arrivals=PoissonArrivals(rate_per_s=10.0),
+            holding=ExponentialHolding(mean_s=20.0),
+            move_fraction=0.05,
+        )
+        for stream, seed in ((light_stream(move_fraction=0.2), 7), (busy, 1)):
+            inc = run_stream(CONFIG, stream, seed=seed, mode="incremental")
+            res = run_stream(CONFIG, stream, seed=seed, mode="rescratch")
+            assert inc.digest == res.digest, seed
+            assert inc.moves > 0
 
     def test_kernel_parity(self):
         stream = light_stream()
