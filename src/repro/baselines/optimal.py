@@ -139,16 +139,21 @@ class OptimalILPAllocator(Allocator):
 
     def _compile(self, network: MECNetwork, radio_map: RadioMap):
         """Candidate links, their profits, and the Eq. 12--15 rows."""
-        links = [link for link in radio_map if link.feasible]
-        if len(links) > self.max_variables:
+        # The guard counts on the map's columns (LinkMetrics.feasible's
+        # rule), so refusing a large instance materializes no link.
+        count = int(np.count_nonzero(
+            (radio_map.rrb_demands >= 1) & (radio_map.per_rrb_rates_bps > 0)
+        ))
+        if count > self.max_variables:
             raise ConfigurationError(
-                f"{len(links)} candidate links exceed the "
+                f"{count} candidate links exceed the "
                 f"{self.max_variables}-variable ILP guard "
                 f"({network.ue_count} UEs x ~"
-                f"{len(links) / max(network.ue_count, 1):.1f} candidates); "
+                f"{count / max(network.ue_count, 1):.1f} candidates); "
                 f"use repro.bound (Lagrangian/LP gap certification) or a "
                 f"heuristic allocator for instances this large"
             )
+        links = [link for link in radio_map if link.feasible]
         profits = np.array(
             [
                 marginal_profit(network, link.ue_id, link.bs_id, self.pricing)

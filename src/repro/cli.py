@@ -876,7 +876,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 metrics_from_certificates([certificate]).families
             )
     if getattr(args, "profile", False):
-        _print_phase_profile(args.allocator, scenario)
+        _print_phase_profile(
+            args.allocator, scenario, getattr(allocator, "kernel", "object")
+        )
     return 0
 
 
@@ -933,14 +935,22 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_phase_profile(name: str, scenario: Scenario) -> None:
-    """Re-run the matching under an observer and print phase timings."""
-    from repro.analysis import trace_convergence
+def _print_phase_profile(name: str, scenario: Scenario, kernel: str) -> None:
+    """Re-run the matching under an observer and print phase timings.
+
+    The re-run picks its engine with the ``kernel`` the allocator used
+    (DCSP runs on the object engine), so the table times the kernel that
+    produced the printed allocation.
+    """
+    from repro.analysis import ConvergenceTrace
+    from repro.core.soa import make_matching_engine
 
     policy = _matching_policy_for(name, scenario)
-    trace = trace_convergence(
-        policy, scenario.network, scenario.radio_map
+    rounds: list = []
+    assignment = make_matching_engine(policy, kernel=kernel).run(
+        scenario.network, scenario.radio_map, observer=rounds.append
     )
+    trace = ConvergenceTrace(rounds=tuple(rounds), assignment=assignment)
     print()
     print("per-round phase profile (propose = Alg. 1 lines 3-10, "
           "accept = lines 12-25):")

@@ -77,22 +77,24 @@ class DMRAPolicy(MatchingPolicy):
         return dmra_price_term(ue, bs_id, ctx, self.pricing)
 
     def static_ue_scores(
-        self, ue: UserEquipment, bs_ids: list[int], ctx: MatchingContext
+        self,
+        ue: UserEquipment,
+        bs_ids: list[int],
+        distances_m: list[float],
+        ctx: MatchingContext,
     ) -> list[float | None]:
-        """Batched Eq. 9--10 prices with the UE-side lookups hoisted.
+        """Batched Eq. 9--10 prices from the links' radio-map distances.
 
-        Value-identical to :func:`dmra_price_term` per element — same
-        distance, same ownership test, same arithmetic.
+        Value-identical to :func:`dmra_price_term` per element: the map's
+        distances are the pair distances the network stores, and the
+        ownership test and arithmetic are the same.
         """
-        network = ctx.network
         price = self.pricing.price_per_cru
-        distance = network.distance_m
-        sp_of = self._bs_owner_map(network)
-        ue_id = ue.ue_id
+        sp_of = self._bs_owner_map(ctx.network)
         ue_sp = ue.sp_id
         return [
-            price(distance(ue_id, bs_id), ue_sp == sp_of[bs_id])
-            for bs_id in bs_ids
+            price(distance, ue_sp == sp_of[bs_id])
+            for bs_id, distance in zip(bs_ids, distances_m)
         ]
 
     def round_additive_terms(

@@ -27,18 +27,23 @@ The engine produces *bit-identical* assignments to the straightforward
 reference implementation (``tests/oracles/matching.py``, the golden
 parity tests' oracle) while scaling to large populations:
 
-* **Cached preference statics** — a policy may split its UE score into a
-  round-invariant part (:meth:`MatchingPolicy.static_ue_score`, e.g. the
-  Eq. 17 price term) and a per-round additive term table
+* **Columnar set-up** — a run lifts its UEs' candidate links out of
+  the radio map's columns (:meth:`RadioMap.ue_link_columns`: BS ids,
+  ``n_{u,i}`` demands and distances, whole columns at once for a batch
+  map), sorts each UE's links by ``bs_id``, and builds its pair states
+  from those lists: no :class:`~repro.radio.channel.LinkMetrics` and no
+  network distance lookup per pair.
+* **Preference statics** — a policy may split its UE score into a
+  round-invariant part (:meth:`MatchingPolicy.static_ue_scores`, e.g.
+  the Eq. 17 price term, priced from the map's distances) and a
+  per-round additive term table
   (:meth:`MatchingPolicy.round_additive_terms`, e.g. the slack term,
   which depends only on the (BS, service) ledger state frozen during a
-  proposal phase).  Statics are computed once per (UE, BS) pair and
-  memoized across :meth:`IterativeMatchingEngine.run` calls on the same
-  network — the online simulation reuses one engine across arrival
-  batches, so later batches pay no price recomputation.  The scoring
-  inner loop then degenerates to one dict lookup and one addition per
-  candidate, with zero per-pair policy calls.  BS-side rank keys get the
-  same treatment via :meth:`MatchingPolicy.static_bs_rank_key`.
+  proposal phase).  Statics are computed once per (UE, BS) pair per
+  run, so the scoring inner loop degenerates to one dict lookup and one
+  addition per candidate, with zero per-pair policy calls.  BS-side
+  rank keys get the same treatment via
+  :meth:`MatchingPolicy.static_bs_rank_key`.
 * **Incremental ``f_u`` via capacity watermarks** — instead of rescanning
   a UE's whole ledger neighbourhood per proposal, the engine tracks one
   feasibility flag per (UE, BS) pair.  Resources only shrink during a
@@ -64,6 +69,7 @@ import heapq
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable
 
 from repro.compute.cru import BSLedger, Grant, LedgerPool
@@ -122,7 +128,7 @@ class MatchingContext:
 
     def rrbs_required(self, ue_id: int, bs_id: int) -> int:
         """``n_{u,i}`` for a candidate link."""
-        return self.radio_map.link(ue_id, bs_id).rrbs_required
+        return self.radio_map.rrbs_required(ue_id, bs_id)
 
     def link_fits(self, ue: UserEquipment, bs_id: int) -> bool:
         """Alg. 1 line 6: the BS currently has room for this UE's demand."""
@@ -196,8 +202,8 @@ class MatchingPolicy(ABC):
         """Round-invariant component of :meth:`ue_score`, or ``None``.
 
         Returning a float opts the (UE, BS) pair into the engine's
-        preference cache: the value is computed once per pair and,
-        every round, combined with the policy's additive dynamic term
+        preference cache: the value is computed once per pair per run
+        and, every round, combined with the policy's additive dynamic term
         (:meth:`round_additive_terms`) as ``static + term``.  Returning
         ``None`` (the default) keeps the uncached per-call path — the
         right choice whenever the score does not decompose that way.
@@ -205,13 +211,20 @@ class MatchingPolicy(ABC):
         return None
 
     def static_ue_scores(
-        self, ue: UserEquipment, bs_ids: list[int], ctx: MatchingContext
+        self,
+        ue: UserEquipment,
+        bs_ids: list[int],
+        distances_m: list[float],
+        ctx: MatchingContext,
     ) -> list[float | None]:
         """Batched :meth:`static_ue_score` over one UE's candidate BSs.
 
-        The engine fills its preference cache through this entry point,
-        so policies can hoist per-UE lookups out of the per-BS loop.
-        The default delegates to the scalar hook element-wise.
+        The engine prices its pair states through this entry point, so
+        policies can hoist per-UE lookups out of the per-BS loop.
+        ``distances_m`` are the links' distances from the radio map, in
+        ``bs_ids`` order: the pair distances the network stores, so a
+        policy can price from them instead of looking each one up.  The
+        default delegates to the scalar hook element-wise.
         """
         return [self.static_ue_score(ue, bs_id, ctx) for bs_id in bs_ids]
 
@@ -220,8 +233,9 @@ class MatchingPolicy(ABC):
     ) -> dict[int, dict[int, float]] | None:
         """Per-round dynamic score terms, or ``None`` to disable caching.
 
-        Called once before each proposal phase (ledgers are frozen until
-        the next BS-decision phase).  Must return
+        Called once before each proposal phase that has a UE left to
+        score (ledgers are frozen until the next BS-decision phase).
+        Must return
         ``{service_id: {bs_id: term}}`` such that for every UE ``u`` of
         ``service_id`` and candidate BS ``i``::
 
@@ -301,17 +315,15 @@ class _FeasibilityTracker:
         self.retired = 0
         cru_heaps: dict[tuple[int, int], list] = {}
         rrb_heaps: dict[int, list] = {}
-        # Snapshot the candidate BSs' remaining capacities once
-        # (ledgers are quiescent here) so the per-pair feasibility test
-        # is two dict reads.
-        remaining_rrbs: dict[int, int] = {}
-        remaining_crus: dict[tuple[int, int], int] = {}
+        # Snapshot the remaining capacities the pairs test (ledgers are
+        # quiescent here): each candidate BS's RRBs, and its CRUs for
+        # the services the batch requests only, read on first use.
         ledger_of = ctx.ledgers.ledger
-        for bs_id in ctx.candidate_bs_ids:
-            ledger = ledger_of(bs_id)
-            remaining_rrbs[bs_id] = ledger.remaining_rrbs
-            for service_id, crus in ledger.remaining_crus_by_service().items():
-                remaining_crus[(bs_id, service_id)] = crus
+        remaining_rrbs = {
+            bs_id: ledger_of(bs_id).remaining_rrbs
+            for bs_id in ctx.candidate_bs_ids
+        }
+        remaining_crus: dict[tuple[int, int], int] = {}
         seq = 0
         for ue_id in target_ids:
             ue = ue_by_id[ue_id]
@@ -319,20 +331,22 @@ class _FeasibilityTracker:
             cru_demand = ue.cru_demand
             alive = 0
             for pair in cands[ue_id]:
-                if (
-                    remaining_crus[(pair.bs_id, service_id)] < cru_demand
-                    or remaining_rrbs[pair.bs_id] < pair.rrbs
-                ):
+                slot = (pair.bs_id, service_id)
+                crus = remaining_crus.get(slot)
+                if crus is None:
+                    crus = remaining_crus[slot] = ledger_of(
+                        pair.bs_id
+                    ).remaining_crus(service_id)
+                if crus < cru_demand or remaining_rrbs[pair.bs_id] < pair.rrbs:
                     # Already infeasible (pre-loaded ledgers): the pair
                     # can never come back, so it is born retired.
                     pair.alive = False
                     continue
                 alive += 1
                 seq += 1
-                key = (pair.bs_id, service_id)
-                heap = cru_heaps.get(key)
+                heap = cru_heaps.get(slot)
                 if heap is None:
-                    heap = cru_heaps[key] = []
+                    heap = cru_heaps[slot] = []
                 heap.append((-cru_demand, seq, pair, ue_id))
                 heap = rrb_heaps.get(pair.bs_id)
                 if heap is None:
@@ -382,14 +396,8 @@ class IterativeMatchingEngine:
             raise AllocationError(f"max_rounds must be > 0, got {max_rounds}")
         self.policy = policy
         self.max_rounds = max_rounds
-        # Static-score caches shared across run() calls on one network —
-        # the online simulation's incremental batches hit them warm.  The
-        # strong references also pin the key objects so ``is`` checks
-        # cannot be fooled by id reuse.
-        self._static_cache: dict[tuple[int, int], float | None] = {}
+        # The run's static BS-side rank components per (UE, BS) pair.
         self._bs_rank_cache: dict[tuple[int, int], tuple | None] = {}
-        self._cache_network: MECNetwork | None = None
-        self._cache_radio_map: RadioMap | None = None
 
     def run(
         self,
@@ -427,27 +435,10 @@ class IterativeMatchingEngine:
             target_ids = sorted(ue.ue_id for ue in network.user_equipments)
         else:
             target_ids = sorted(set(ue_ids))
-        # Sorted so the proposal scan's first-wins tie-break equals the
-        # reference's (score, bs_id) argmin ordering.
-        candidate_sets = {
-            ue_id: sorted(network.candidate_base_stations(ue_id))
-            for ue_id in target_ids
-        }
-        ctx = MatchingContext(
-            network=network,
-            radio_map=radio_map,
-            ledgers=ledgers,
-            candidate_sets=candidate_sets,
-            candidate_bs_ids=tuple(sorted({
-                bs_id for bs_ids in candidate_sets.values()
-                for bs_id in bs_ids
-            })),
+        ctx, ue_by_id, cands, tracker = self._set_up(
+            network, radio_map, ledgers, target_ids
         )
-        network_ue = network.user_equipment
-        ue_by_id = {ue_id: network_ue(ue_id) for ue_id in target_ids}
         service_ids = frozenset(ue.service_id for ue in ue_by_id.values())
-        cands = self._build_pair_states(ctx, target_ids, ue_by_id)
-        tracker = _FeasibilityTracker(ctx, target_ids, cands, ue_by_id)
         unassociated = list(target_ids)
         cloud: set[int] = set()
         booked: dict[int, list[Grant]] = {}
@@ -547,61 +538,60 @@ class IterativeMatchingEngine:
         )
 
     # ------------------------------------------------------------------
-    # Preference statics
+    # Set-up: candidate links as columns, preference statics
     # ------------------------------------------------------------------
 
-    def _build_pair_states(
+    def _set_up(
         self,
-        ctx: MatchingContext,
+        network: MECNetwork,
+        radio_map: RadioMap,
+        ledgers: LedgerPool,
         target_ids: list[int],
-        ue_by_id: dict[int, UserEquipment],
-    ) -> dict[int, list[_PairState]]:
-        """One :class:`_PairState` per candidate link, statics cached."""
-        if (
-            self._cache_network is not ctx.network
-            or self._cache_radio_map is not ctx.radio_map
+    ) -> tuple[
+        MatchingContext,
+        dict[int, UserEquipment],
+        dict[int, list[_PairState]],
+        _FeasibilityTracker,
+    ]:
+        """The run's context, UEs, priced pair states and ``f_u`` tracker.
+
+        A UE's candidates are its links in ``radio_map``, lifted as
+        columns (:meth:`RadioMap.ue_link_columns`) and sorted by
+        ``bs_id``, so the proposal scan's first-wins tie-break equals
+        the reference's ``(score, bs_id)`` argmin.  Each pair's static
+        score is priced from the link's distance in the map — the pair
+        distance the network's coverage CSR stores.
+        """
+        network_ue = network.user_equipment
+        ue_by_id = {ue_id: network_ue(ue_id) for ue_id in target_ids}
+        links = {}
+        for ue_id, columns in zip(
+            target_ids, radio_map.ue_link_columns(target_ids)
         ):
-            self._static_cache.clear()
-            self._bs_rank_cache.clear()
-            self._cache_network = ctx.network
-            self._cache_radio_map = ctx.radio_map
-        cache = self._static_cache
-        policy = self.policy
-        link = ctx.radio_map.link
+            if columns[0] != sorted(columns[0]):
+                columns = tuple(map(list, zip(*sorted(zip(*columns)))))
+            links[ue_id] = columns
+        ctx = MatchingContext(
+            network=network,
+            radio_map=radio_map,
+            ledgers=ledgers,
+            candidate_sets={
+                ue_id: bs_ids for ue_id, (bs_ids, _, _) in links.items()
+            },
+            candidate_bs_ids=tuple(sorted({
+                bs_id for bs_ids, _, _ in links.values() for bs_id in bs_ids
+            })),
+        )
+        self._bs_rank_cache = {}
+        static_ue_scores = self.policy.static_ue_scores
         cands: dict[int, list[_PairState]] = {}
-        for ue_id in target_ids:
-            ue = ue_by_id[ue_id]
-            bs_ids = ctx.candidate_sets[ue_id]
-            missing = [
-                bs_id for bs_id in bs_ids if (ue_id, bs_id) not in cache
-            ]
-            if len(missing) == len(bs_ids):
-                # Cold cache (the common single-shot case): one batch
-                # call, pairs built straight from its result.
-                statics = policy.static_ue_scores(ue, bs_ids, ctx)
-                pairs = []
-                for bs_id, static in zip(bs_ids, statics):
-                    cache[(ue_id, bs_id)] = static
-                    pairs.append(
-                        _PairState(
-                            ue_id, bs_id, static, link(ue_id, bs_id).rrbs_required
-                        )
-                    )
-                cands[ue_id] = pairs
-                continue
-            if missing:
-                for bs_id, static in zip(
-                    missing, policy.static_ue_scores(ue, missing, ctx)
-                ):
-                    cache[(ue_id, bs_id)] = static
-            cands[ue_id] = [
-                _PairState(
-                    ue_id, bs_id, cache[(ue_id, bs_id)],
-                    link(ue_id, bs_id).rrbs_required,
-                )
-                for bs_id in bs_ids
-            ]
-        return cands
+        for ue_id, (bs_ids, rrbs, distances) in links.items():
+            statics = static_ue_scores(ue_by_id[ue_id], bs_ids, distances, ctx)
+            cands[ue_id] = list(
+                map(_PairState, repeat(ue_id), bs_ids, statics, rrbs)
+            )
+        tracker = _FeasibilityTracker(ctx, target_ids, cands, ue_by_id)
+        return ctx, ue_by_id, cands, tracker
 
     def _rank_key(self, ue_id: int, bs_id: int, ctx: MatchingContext) -> tuple:
         """BS-side sort key, with the policy's static components cached.
@@ -664,7 +654,11 @@ class IterativeMatchingEngine:
         snapshot = ctx.f_u_snapshot
         policy = self.policy
         ue_score = policy.ue_score
-        terms = policy.round_additive_terms(ctx, service_ids)
+        # The terminating probe round has nobody left to score.
+        terms = (
+            policy.round_additive_terms(ctx, service_ids)
+            if unassociated else None
+        )
         tracker_count = tracker._count
         for ue_id in unassociated:
             ue = ue_by_id[ue_id]
@@ -762,6 +756,9 @@ class IterativeMatchingEngine:
         rank = self._rank_key
         for service_id in sorted(by_service):
             candidates = by_service[service_id]
+            if len(candidates) == 1:  # a lone request needs no ranking
+                picks.append(candidates[0])
+                continue
             best = min(
                 candidates, key=lambda pair: rank(pair.ue_id, bs_id, ctx)
             )

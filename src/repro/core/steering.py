@@ -81,10 +81,14 @@ class CongestionSteeredPolicy(DMRAPolicy):
         return None
 
     def static_ue_scores(
-        self, ue: UserEquipment, bs_ids: list[int], ctx: MatchingContext
+        self,
+        ue: UserEquipment,
+        bs_ids: list[int],
+        distances_m: list[float],
+        ctx: MatchingContext,
     ) -> list[float | None]:
         if self.beta == 0.0:
-            return super().static_ue_scores(ue, bs_ids, ctx)
+            return super().static_ue_scores(ue, bs_ids, distances_m, ctx)
         return [None] * len(bs_ids)
 
     def round_additive_terms(

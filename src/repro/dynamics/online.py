@@ -215,9 +215,8 @@ def run_online(
     )
     if policy is None:
         policy = DMRAPolicy(pricing=frame.pricing, rho=config.rho)
-    # One engine for the whole run; per-batch networks mean its static
-    # caches reset each batch, but every cached value would have been
-    # recomputed anyway (new UEs each batch).
+    # One engine for the whole run, matching each batch on its own
+    # per-batch network.
     engine = make_matching_engine(policy, kernel=kernel)
     builder = BatchNetworkBuilder(
         providers=frame.providers,

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.model.entities import (
     BaseStation,
     Service,
@@ -62,6 +64,15 @@ class BatchNetworkBuilder:
             region=region,
             coverage_radius_m=coverage_radius_m,
         )
+        # SP and service id -> position in ``providers`` / ``services``:
+        # what the template's id indexes answer, as plain dict lookups.
+        self._sp_position = {
+            sp.sp_id: row for row, sp in enumerate(self._template.providers)
+        }
+        self._service_position = {
+            service.service_id: row
+            for row, service in enumerate(self._template.services)
+        }
 
     @property
     def template(self) -> MECNetwork:
@@ -77,25 +88,42 @@ class BatchNetworkBuilder:
 
         Value-identical to ``MECNetwork(..., user_equipments=ues)``, and
         refusing what it refuses (a duplicate UE id, a UE of an unknown
-        SP or service) with the same error: the UE-side CSR arrays come
-        from the same assembly as construction, and every BS-side
-        structure is shared with the template.
+        SP or service, a non-finite position) with the same error: the
+        UE-side CSR arrays come from the same assembly as construction,
+        and every BS-side structure is shared with the template.
         """
         template = self._template
         ues = tuple(ues)
         ue_columns = UEColumns.of(ues)
+        ue_by_id = {ue.ue_id: ue for ue in ues}
         # The objects validated their own fields; the rest is checked
-        # against the template's BS side.
-        ue_sp, ue_service = _ue_positions(template.bs_columns(), ue_columns)
+        # against the template's BS side: distinct ids, known SPs and
+        # services, finite positions.  A batch failing any of these
+        # goes to the constructor's own check, which raises its error.
+        sp_of, service_of = self._sp_position, self._service_position
+        if (
+            len(ue_by_id) == len(ues)
+            and all(
+                ue.sp_id in sp_of and ue.service_id in service_of
+                for ue in ues
+            )
+            and np.isfinite(ue_columns.xy).all()
+        ):
+            ue_sp = np.array([sp_of[ue.sp_id] for ue in ues], dtype=np.int64)
+            ue_service = np.array(
+                [service_of[ue.service_id] for ue in ues], dtype=np.int64
+            )
+        else:
+            ue_sp, ue_service = _ue_positions(
+                template.bs_columns(), ue_columns
+            )
 
         clone = object.__new__(MECNetwork)
         for name in _BS_SIDE:
             object.__setattr__(clone, name, getattr(template, name))
         object.__setattr__(clone, "user_equipments", ues)
         object.__setattr__(clone, "_ue_columns", ue_columns)
-        object.__setattr__(
-            clone, "_ue_by_id", {ue.ue_id: ue for ue in ues}
-        )
+        object.__setattr__(clone, "_ue_by_id", ue_by_id)
         object.__setattr__(clone, "_ue_sp", ue_sp)
         object.__setattr__(clone, "_ue_service", ue_service)
         for name, value in _pair_csr(

@@ -24,6 +24,7 @@ the fast path can never silently drift from Eqs. 2--4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -195,13 +196,12 @@ class RadioMap:
 
     def link(self, ue_id: int, bs_id: int) -> LinkMetrics:
         """Metrics for one candidate link."""
-        try:
-            index = self._position_index[(ue_id, bs_id)]
-        except KeyError:
-            raise UnknownEntityError(
-                f"no candidate link UE {ue_id} -> BS {bs_id}"
-            ) from None
-        return self._metric_at(index)
+        return self._metric_at(self._position(ue_id, bs_id))
+
+    def rrbs_required(self, ue_id: int, bs_id: int) -> int:
+        """``n_{u,i}`` of one candidate link, read from the demand
+        column (no :class:`LinkMetrics` is materialized)."""
+        return int(self._rrbs[self._position(ue_id, bs_id)])
 
     def has_link(self, ue_id: int, bs_id: int) -> bool:
         """Whether the pair is a candidate link."""
@@ -221,6 +221,30 @@ class RadioMap:
         rows without materializing :class:`LinkMetrics` objects.
         """
         return self._ue_index.get(ue_id, (0, 0))
+
+    def ue_link_columns(
+        self, ue_ids: Sequence[int]
+    ) -> list[tuple[list[int], list[int], list[float]]]:
+        """Each UE's links as ``(bs_ids, rrb_demands, distances_m)`` lists.
+
+        One entry per id of ``ue_ids`` (distinct ids), in the map's
+        column order within a UE; a UE without links gets empty lists.
+        When those UEs hold every link of the map (a batch map), each
+        column is converted once; otherwise each UE's slice is.  No
+        :class:`LinkMetrics` is materialized.
+        """
+        spans = list(map(self._ue_index.get, ue_ids, repeat((0, 0))))
+        columns = (self._bs_ids, self._rrbs, self._distance_m)
+        if sum(stop - start for start, stop in spans) == len(self._ue_ids):
+            bs_ids, rrbs, distances = (column.tolist() for column in columns)
+            return [
+                (bs_ids[start:stop], rrbs[start:stop], distances[start:stop])
+                for start, stop in spans
+            ]
+        return [
+            tuple(column[start:stop].tolist() for column in columns)
+            for start, stop in spans
+        ]
 
     def __len__(self) -> int:
         return len(self._ue_ids)
@@ -375,6 +399,15 @@ class RadioMap:
             )
 
     # ------------------------------------------------------------------
+
+    def _position(self, ue_id: int, bs_id: int) -> int:
+        """Column position of a candidate link."""
+        try:
+            return self._position_index[(ue_id, bs_id)]
+        except KeyError:
+            raise UnknownEntityError(
+                f"no candidate link UE {ue_id} -> BS {bs_id}"
+            ) from None
 
     def _metric_at(self, index: int) -> LinkMetrics:
         cached = self._metrics[index]

@@ -13,6 +13,11 @@ that the optimized engine produces bit-identical assignments — same
 grants, same cloud set, same productive round count — on seeded
 scenarios under every policy.
 
+:func:`per_pair_states` is the optimized engine's old run set-up, one
+radio-map and policy call per candidate pair; the engine now reads a
+run's links as columns, and a property suite holds its pair states
+equal to these.
+
 Round semantics match the optimized engine: ``Assignment.rounds``
 counts *productive* rounds (rounds that sent at least one service
 request), excluding the terminating zero-proposal probe.
@@ -29,7 +34,57 @@ from repro.errors import AllocationError
 from repro.model.network import MECNetwork
 from repro.radio.channel import RadioMap
 
-__all__ = ["ReferenceMatchingEngine"]
+__all__ = ["ReferenceMatchingEngine", "per_pair_states"]
+
+
+def per_pair_states(
+    policy: MatchingPolicy,
+    network: MECNetwork,
+    radio_map: RadioMap,
+    ledgers: LedgerPool,
+    ue_ids: Iterable[int],
+) -> dict[int, list[tuple[int, float | None, int, bool]]]:
+    """Each target UE's pair states as the per-pair set-up built them.
+
+    One ``(bs_id, static, rrbs, alive)`` per BS of the UE's ``B_u`` (the
+    network's candidate set), ascending in ``bs_id``: ``static`` from
+    one scalar :meth:`MatchingPolicy.static_ue_score` call per pair --
+    for DMRA :func:`~repro.core.preferences.dmra_price_term`, which
+    looks up ``network.distance_m`` per pair, exactly what DMRA's
+    batched hook computed when it priced pair by pair -- ``rrbs`` from
+    ``radio_map.link()``, and ``alive`` false for a pair the pool can
+    no longer fit (born retired).
+    """
+    target_ids = sorted(set(ue_ids))
+    candidate_sets = {
+        ue_id: sorted(network.candidate_base_stations(ue_id))
+        for ue_id in target_ids
+    }
+    ctx = MatchingContext(
+        network=network,
+        radio_map=radio_map,
+        ledgers=ledgers,
+        candidate_sets=candidate_sets,
+        candidate_bs_ids=tuple(sorted({
+            bs_id for bs_ids in candidate_sets.values() for bs_id in bs_ids
+        })),
+    )
+    states = {}
+    for ue_id in target_ids:
+        ue = network.user_equipment(ue_id)
+        rows = []
+        for bs_id in candidate_sets[ue_id]:
+            rrbs = radio_map.link(ue_id, bs_id).rrbs_required
+            ledger = ledgers.ledger(bs_id)
+            alive = (
+                ledger.remaining_crus(ue.service_id) >= ue.cru_demand
+                and ledger.remaining_rrbs >= rrbs
+            )
+            rows.append(
+                (bs_id, policy.static_ue_score(ue, bs_id, ctx), rrbs, alive)
+            )
+        states[ue_id] = rows
+    return states
 
 
 class ReferenceMatchingEngine:

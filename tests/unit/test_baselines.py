@@ -1,6 +1,8 @@
 """Unit tests for the baseline allocators (DCSP, NonCo, greedy, random,
 cloud-only, ILP)."""
 
+from unittest import mock
+
 import pytest
 
 from conftest import make_tiny_network
@@ -14,6 +16,7 @@ from repro.econ.accounting import compute_profit
 from repro.econ.pricing import PaperPricing
 from repro.errors import ConfigurationError
 from repro.model.geometry import Point
+from repro.radio import channel
 from repro.radio.channel import build_radio_map
 from repro.radio.sinr import LinkBudget
 from repro.sim.config import ScenarioConfig
@@ -216,14 +219,18 @@ class TestOptimalILP:
     def test_default_guard_refuses_a_large_instance(self):
         """8,000 paper-config UEs have 59,894 feasible links, past the
         default 50,000-variable guard: the ILP refuses before it builds
-        a model (HiGHS accepts 6,000 UEs' 44,932 and takes seconds)."""
+        a model (HiGHS accepts 6,000 UEs' 44,932 and takes seconds),
+        and before it materializes a single ``LinkMetrics``."""
         scenario = build_scenario(ScenarioConfig.paper(), 8000, 1)
         allocator = OptimalILPAllocator(pricing=scenario.pricing)
-        with pytest.raises(
+        with mock.patch.object(
+            channel, "LinkMetrics", wraps=channel.LinkMetrics
+        ) as made, pytest.raises(
             ConfigurationError, match="59894 candidate links exceed the "
             "50000-variable ILP guard"
         ):
             allocator.allocate(scenario.network, scenario.radio_map)
+        assert made.call_count == 0
 
     def test_invalid_guard_value(self):
         with pytest.raises(ConfigurationError):

@@ -1,8 +1,13 @@
 """Unit tests for the command-line interface."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 from repro.cli import main
+from repro.core.matching import IterativeMatchingEngine
+from repro.core.soa import SoAMatchingEngine
 from repro.errors import ConfigurationError
 
 
@@ -14,6 +19,29 @@ def _printed_ms(output: str) -> dict[str, float]:
         if value.strip().endswith(" ms"):
             times[label.strip()] = float(value.split()[0])
     return times
+
+
+@contextmanager
+def _engine_spies():
+    """Count the calls of both matching kernels' ``run`` (still run)."""
+    with mock.patch.object(
+        SoAMatchingEngine, "run", autospec=True,
+        side_effect=SoAMatchingEngine.run,
+    ) as soa_run, mock.patch.object(
+        IterativeMatchingEngine, "run", autospec=True,
+        side_effect=IterativeMatchingEngine.run,
+    ) as object_run:
+        yield soa_run, object_run
+
+
+def _profile_rows(output: str) -> list[list[str]]:
+    """The per-round rows of ``run --profile``'s phase table."""
+    lines = output.splitlines()
+    start = next(
+        i for i, line in enumerate(lines) if line.startswith(" round")
+    )
+    rows = [line.split() for line in lines[start + 2:]]
+    return rows[:[row[0] for row in rows].index("total")]
 
 
 class TestCliBasics:
@@ -59,6 +87,32 @@ class TestRunCommand:
         assert set(lines[header + 1]) == {"-"}
         assert lines[header + 2].split()[0] == "1"
         assert lines[-1].split()[0] == "total"
+
+    def test_profile_times_the_kernel_that_allocated(self, capsys):
+        """``--kernel soa --profile`` re-runs the SoA kernel, never the
+        object engine, and the table's productive rounds are the
+        printed ``matching rounds``."""
+        with _engine_spies() as (soa_run, object_run):
+            assert main([
+                "run", "--ues", "500", "--seed", "1", "--kernel", "soa",
+                "--profile",
+            ]) == 0
+        assert soa_run.call_count == 2  # the allocation, then the profile
+        assert object_run.call_count == 0
+        output = capsys.readouterr().out
+        printed = int(output.split("matching rounds:")[1].split()[0])
+        rows = _profile_rows(output)
+        assert sum(1 for row in rows if int(row[1]) > 0) == printed > 0
+
+    def test_dcsp_profile_runs_on_the_object_engine(self, capsys):
+        with _engine_spies() as (soa_run, object_run):
+            assert main([
+                "run", "--ues", "500", "--seed", "1", "--allocator", "dcsp",
+                "--profile",
+            ]) == 0
+        assert object_run.call_count == 2
+        assert soa_run.call_count == 0
+        assert _profile_rows(capsys.readouterr().out)
 
     def test_profile_needs_a_matching_allocator(self):
         with pytest.raises(ConfigurationError, match="--profile"):

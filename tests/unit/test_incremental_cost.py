@@ -20,6 +20,7 @@ from repro.core.soa import make_matching_engine
 from repro.model.batchnet import BatchNetworkBuilder
 from repro.model.geometry import Point
 from repro.model.network import BSColumns, EntityColumns, MECNetwork
+from repro.radio.channel import build_radio_map
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 
@@ -89,6 +90,53 @@ def test_incremental_run_reads_only_candidate_ledgers(
     assert [bs_id for bs_id in reads if bs_id not in candidates] == []
     assert reads
     assert len(outcome.grants) + len(outcome.cloud_ue_ids) == 1
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        lambda pricing: DMRAPolicy(pricing=pricing),
+        lambda pricing: DCSPPolicy(),
+    ],
+    ids=["dmra", "dcsp"],
+)
+def test_one_ue_flush_materializes_no_link(wide_scenario, policy):
+    """The object engine reads a batch's links as columns: one-UE runs
+    on ``network_for`` batches against a loaded pool leave each batch
+    radio map's lazy ``LinkMetrics`` cache empty."""
+    network = wide_scenario.network
+    config = wide_scenario.config
+    builder = BatchNetworkBuilder(
+        providers=network.providers,
+        base_stations=network.base_stations,
+        services=network.services,
+        region=network.region,
+        coverage_radius_m=network.coverage_radius_m,
+    )
+    engine = make_matching_engine(
+        policy(wide_scenario.pricing), kernel="object"
+    )
+    covered = [
+        ue for ue in network.user_equipments
+        if network.candidate_base_stations(ue.ue_id)
+    ][:20]
+    pool = LedgerPool(network.base_stations)
+    engine.run(
+        network, wide_scenario.radio_map, ledgers=pool,
+        ue_ids={ue.ue_id for ue in network.user_equipments}
+        - {ue.ue_id for ue in covered},
+    )
+    granted = []
+    for ue in covered:
+        batch = builder.network_for([ue])
+        radio_map = build_radio_map(
+            batch, config.link_budget(), rate_model=config.rate_model_fn()
+        )
+        outcome = engine.run(batch, radio_map, ledgers=pool, ue_ids=[ue.ue_id])
+        granted.append(bool(outcome.grants))
+        assert len(radio_map)
+        assert radio_map._metrics == [None] * len(radio_map)
+    assert set(granted) == {True, False}  # some grants, some cloud
 
 
 def test_batch_network_builds_only_its_ue_columns(small_scenario):

@@ -224,8 +224,14 @@ class TestValidation:
             dict(service_id=99),  # unknown service
             dict(ue_id=0),  # the id of the batch's first UE
             dict(position=Point(np.nan, 0.0)),
+            # Two faults: the constructor's order decides the message.
+            dict(ue_id=0, sp_id=7),
+            dict(service_id=99, position=Point(np.inf, 0.0)),
         ],
-        ids=["unknown_sp", "unknown_service", "duplicate_id", "nan_position"],
+        ids=[
+            "unknown_sp", "unknown_service", "duplicate_id", "nan_position",
+            "duplicate_id_and_unknown_sp", "unknown_service_and_inf_position",
+        ],
     )
     def test_batch_network_refuses_what_construction_refuses(self, change):
         network = make_tiny_network(
