@@ -184,7 +184,9 @@ def _live_plane(args: argparse.Namespace, flight=None):
     :class:`Recorder` for the duration so the endpoint has scalar state
     to scrape.  On exit: one final flush (so a post-run scrape equals
     the run's totals), then the optional ``--linger`` window, then
-    shutdown.
+    shutdown.  If the command fails, the endpoint shuts down at once
+    with no final flush, so ``--flush`` never holds a partial run's
+    totals as if they were final, and the error propagates.
     """
     listen = getattr(args, "listen", None)
     if listen is None:
@@ -220,7 +222,11 @@ def _live_plane(args: argparse.Namespace, flight=None):
         if args.flush is None:
             # No periodic flusher: readiness means "endpoint warm".
             live.mark_ready()
-        yield live
+        try:
+            yield live
+        except BaseException:
+            live.stop(final_flush=False)
+            raise
         live.flush_to_disk()
         if args.linger > 0:
             time.sleep(args.linger)
@@ -497,19 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rho", type=float, default=10.0)
     serve.add_argument("--iota", type=float, default=2.0)
     serve.add_argument(
-        "--mode", default="incremental",
-        choices=("incremental", "rescratch"),
-        help=(
-            "'incremental' re-matches only the dirty neighborhood; "
-            "'rescratch' is the from-scratch reference the equivalence "
-            "gate compares against"
-        ),
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the region into N tiles with independent engines",
-    )
-    serve.add_argument(
         "--kernel", default="auto", choices=list(KERNELS),
         help="matching kernel for the re-match batches",
     )
@@ -527,14 +520,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # dest differs from the shared --metrics on purpose: serve writes an
     # *outcome-only* document (metrics_from_stream), never the merged
     # trace-derived families, because trace mechanics (match spans,
-    # rematch timers) legitimately differ between --mode values and
-    # would break the CI equivalence diff.
+    # rematch timers) differ from a from-scratch replay of the same
+    # tape, whose outcome document must diff clean against this one.
     serve.add_argument(
         "--metrics", dest="metrics_out", type=Path, default=None,
         metavar="FILE",
         help=(
             "write the replay's outcome-only dmra.metrics/1 document "
-            "to FILE; diff across --mode values with 'dmra trace diff'"
+            "to FILE; compare two with 'dmra trace diff'"
         ),
     )
     _add_live_arguments(serve)
@@ -542,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--flight-dump", type=Path, default=None, metavar="FILE",
         help=(
             "write the flight recorder's ring (last events before "
-            "completion) as a JSON postmortem to FILE"
+            "completion or failure) as a JSON postmortem to FILE"
         ),
     )
 
@@ -1213,28 +1206,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.listen is not None or args.flight_dump is not None
         else None
     )
-    with _live_plane(args, flight=flight):
-        outcome = serve_stream(
-            config,
-            stream,
-            seed=args.seed,
-            mode=args.mode,
-            shards=args.shards,
-            kernel=args.kernel,
-            queue_maxsize=args.queue,
-            flight=flight,
-        )
-    if args.flight_dump is not None and flight is not None:
-        flight.dump_to(args.flight_dump)
-        print(f"wrote flight dump {args.flight_dump}")
+    try:
+        with _live_plane(args, flight=flight):
+            outcome = serve_stream(
+                config,
+                stream,
+                seed=args.seed,
+                kernel=args.kernel,
+                queue_maxsize=args.queue,
+                flight=flight,
+            )
+    except BaseException as exc:
+        # A failed replay leaves its last events as evidence and no
+        # metrics document that looks complete; the error propagates.
+        if flight is not None:
+            flight.note("failed", error=repr(exc))
+        raise
+    finally:
+        if args.flight_dump is not None:
+            flight.dump_to(args.flight_dump)
+            print(f"wrote flight dump {args.flight_dump}")
     if args.metrics_out is not None:
         from repro.obs import metrics_from_stream, write_metrics
 
         doc = metrics_from_stream(outcome, manifest=_manifest_for(args))
         written = write_metrics(args.metrics_out, doc)
         print(f"wrote metrics {written}")
-    print(f"stream replay:       mode={outcome.mode} "
-          f"shards={outcome.shards} kernel={outcome.kernel}")
+    print(f"stream replay:       kernel={outcome.kernel}")
     print(f"horizon:             {args.horizon:.0f} s, rate {args.rate}/s, "
           f"mean holding {args.holding:.0f} s, "
           f"move fraction {args.move_fraction:.2f}")

@@ -84,7 +84,6 @@ _LABELED_HISTOGRAM_PREFIXES = {
 _LABELED_COUNTER_PREFIXES = {
     "online.sp_profit": "sp",
     "stream.sp_profit": "sp",
-    "stream.shard_events": "shard",
     "dist.messages": "kind",
     "dist.bytes": "kind",
     "dist.sp_requests": "sp",
@@ -901,10 +900,11 @@ def metrics_from_stream(
 
     Every family here is an *outcome* fact — counters, profits,
     occupancy — that the equivalence invariant makes identical between
-    the incremental engine and the from-scratch reference, so the CI
-    gate can ``dmra trace diff`` two of these documents across modes.
-    The only mode-sensitive quantities (wall-clock throughput) live
-    under the ``dmra_wall_`` prefix, which diffs ignore by default.
+    the incremental engine and a from-scratch replay of the same tape,
+    so ``dmra trace diff`` of two such documents must say OK.  The
+    only quantity that depends on how the replay ran (wall-clock
+    throughput) lives under the ``dmra_wall_`` prefix, which diffs
+    ignore by default.
     """
     build = _Builder()
     build.scalar(
@@ -966,14 +966,6 @@ def metrics_from_stream(
             for sp_id, profit in sorted(outcome.profit_by_sp.items())
         ],
     )
-    build.add(
-        "dmra_stream_shard_events", "counter",
-        "Tape events routed to each shard",
-        [
-            MetricSample.of(count, shard=shard_id)
-            for shard_id, count in enumerate(outcome.shard_events)
-        ],
-    )
     build.scalar(
         "dmra_stream_peak_edge_active", "gauge",
         "Peak concurrent edge-served tasks", outcome.peak_edge_active,
@@ -1000,7 +992,7 @@ def metrics_from_stream(
                 MetricSample.of(series.last_value, stat="last"),
             ],
         )
-    # Wall-clock throughput: mode-dependent by construction, so it
+    # Wall-clock throughput depends on the host and the engine, so it
     # lives under the diff-ignored dmra_wall_ prefix.
     build.scalar(
         "dmra_wall_stream_events_per_s", "gauge",

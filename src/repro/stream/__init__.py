@@ -1,19 +1,14 @@
-"""Event-driven streaming allocation: churn tapes, incremental engine,
-from-scratch oracle, and the backpressured service loop.
+"""Event-driven streaming allocation: churn tapes, the incremental
+engine, and the backpressured service loop.
 
 See ``docs/streaming.md`` for the dirty-neighborhood invariant and the
-equivalence gate that pins the incremental engine to the from-scratch
-reference.
+from-scratch replay (``tests/oracles/stream.py``) the engine is held
+equal to.
 """
 
-from repro.stream.engine import (
-    SOA_BATCH_THRESHOLD,
-    IncrementalShardEngine,
-    RescratchShardEngine,
-)
+from repro.stream.engine import SOA_BATCH_THRESHOLD, IncrementalShardEngine
 from repro.stream.events import StreamEvent
 from repro.stream.runner import (
-    MODES,
     StreamDispatcher,
     StreamOutcome,
     replay_tape,
@@ -23,11 +18,9 @@ from repro.stream.service import serve_stream, serve_stream_async
 from repro.stream.tape import ChurnTape, StreamConfig, open_tape
 
 __all__ = [
-    "MODES",
     "SOA_BATCH_THRESHOLD",
     "ChurnTape",
     "IncrementalShardEngine",
-    "RescratchShardEngine",
     "StreamConfig",
     "StreamDispatcher",
     "StreamEvent",

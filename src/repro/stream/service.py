@@ -1,9 +1,9 @@
 """Asyncio service loop around the stream dispatcher.
 
 ``serve_stream`` splits a tape replay into a producer coroutine (reads
-the tape) and a consumer coroutine (dispatches into the per-shard
-engines), joined by a **bounded** :class:`asyncio.Queue`.  When the
-allocator falls behind, ``await queue.put`` suspends the producer — the
+the tape) and a consumer coroutine (dispatches into the engine),
+joined by a **bounded** :class:`asyncio.Queue`.  When the allocator
+falls behind, ``await queue.put`` suspends the producer — the
 tape is the backpressure boundary, so memory stays bounded by the queue
 size no matter how bursty the event stream is.  In production the
 producer would read a socket or broker; here it reads the deterministic
@@ -15,9 +15,9 @@ Queue depth is observed as a real labeled gauge (``stream.queue_depth``)
 and a depth histogram (``stream.queue_depth_hist``), so it reaches
 metrics documents and ``dmra trace diff``; the peak also remains a span
 attribute for the trace report.  Depth depends on scheduler
-interleaving, so the gated incremental-vs-rescratch CI diff keeps
-comparing the *outcome-only* metrics documents, where these families
-never appear.  Per-event dispatch latency lands in the
+interleaving, so it stays out of the *outcome-only* metrics document
+that ``dmra serve --metrics`` writes and the from-scratch equivalence
+test diffs.  Per-event dispatch latency lands in the
 ``stream.event_latency_s.<kind>`` histograms (one per event kind,
 folded into one ``event``-labeled Prometheus family).
 """
@@ -48,11 +48,8 @@ async def serve_stream_async(
     stream: StreamConfig,
     seed: int,
     *,
-    mode: str = "incremental",
-    shards: int = 1,
     kernel: str = "auto",
     policy: MatchingPolicy | None = None,
-    scan_cadence: int = 1024,
     series_stride: int = 1,
     queue_maxsize: int = DEFAULT_QUEUE_MAXSIZE,
     flight=None,
@@ -69,18 +66,11 @@ async def serve_stream_async(
         )
     tel = get_telemetry()
     with tel.span(
-        "stream.serve", mode=mode, shards=shards, kernel=kernel,
-        queue_maxsize=queue_maxsize,
+        "stream.serve", kernel=kernel, queue_maxsize=queue_maxsize,
     ) as serve_span:
         tape = open_tape(config, stream, seed)
         dispatcher = StreamDispatcher(
-            tape,
-            mode=mode,
-            shards=shards,
-            kernel=kernel,
-            policy=policy,
-            scan_cadence=scan_cadence,
-            series_stride=series_stride,
+            tape, kernel=kernel, policy=policy, series_stride=series_stride
         )
         queue: asyncio.Queue = asyncio.Queue(maxsize=queue_maxsize)
         max_depth = 0

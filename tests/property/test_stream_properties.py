@@ -1,6 +1,7 @@
-"""Property tests: incremental re-matching equals from-scratch re-solve,
-and event processing stays deterministic and ledger-conserving under
-adversarial tapes — simultaneous timestamps, zero-length holdings.
+"""Property tests: incremental re-matching equals the from-scratch replay
+(``oracles.stream``), and event processing stays deterministic and
+ledger-conserving under adversarial tapes — simultaneous timestamps,
+zero-length holdings.
 """
 
 import os
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.stream import run_from_scratch
 
 from repro.dynamics.arrivals import BatchArrivals, PoissonArrivals
 from repro.dynamics.online import OnlineConfig, run_online
@@ -88,8 +90,8 @@ class TestIncrementalEqualsRescratch:
     @given(stream=tapes(), seed=st.integers(min_value=0, max_value=2**16))
     def test_random_tapes_bit_exact(self, stream, seed):
         with debug_checks():
-            inc = run_stream(SMALL, stream, seed=seed, mode="incremental")
-            res = run_stream(SMALL, stream, seed=seed, mode="rescratch")
+            inc = run_stream(SMALL, stream, seed=seed)
+            res = run_from_scratch(SMALL, stream, seed=seed)
         assert inc.digest == res.digest
         assert inc.admitted_edge == res.admitted_edge
         assert inc.admitted_cloud == res.admitted_cloud
@@ -108,26 +110,10 @@ class TestIncrementalEqualsRescratch:
             holding=MixedHolding(duration_s=10.0, zero_fraction=0.4),
         )
         with debug_checks():
-            inc = run_stream(SMALL, stream, seed=seed, mode="incremental")
-            res = run_stream(SMALL, stream, seed=seed, mode="rescratch")
+            inc = run_stream(SMALL, stream, seed=seed)
+            res = run_from_scratch(SMALL, stream, seed=seed)
         assert inc.digest == res.digest
         assert inc.cancelled == res.cancelled
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        stream=tapes(),
-        seed=st.integers(min_value=0, max_value=2**16),
-        shards=st.sampled_from([2, 4]),
-    )
-    def test_sharded_random_tapes(self, stream, seed, shards):
-        with debug_checks():
-            inc = run_stream(
-                SMALL, stream, seed=seed, mode="incremental", shards=shards
-            )
-            res = run_stream(
-                SMALL, stream, seed=seed, mode="rescratch", shards=shards
-            )
-        assert inc.digest == res.digest
 
 
 class TestStreamDeterminism:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.stream import run_from_scratch
 
 from repro.dynamics.arrivals import (
     ExponentialHolding,
@@ -103,14 +104,14 @@ class TestChurnTape:
 
 
 class TestModeEquivalence:
-    """The incremental engine must match the from-scratch oracle."""
+    """The incremental engine must match the from-scratch replay."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_saturated_parity_bit_exact(self, seed, monkeypatch):
         monkeypatch.setenv("DMRA_DEBUG_STREAM", "1")
         stream = saturating_stream()
-        inc = run_stream(SATURATED, stream, seed=seed, mode="incremental")
-        res = run_stream(SATURATED, stream, seed=seed, mode="rescratch")
+        inc = run_stream(SATURATED, stream, seed=seed)
+        res = run_from_scratch(SATURATED, stream, seed=seed)
         assert inc.digest == res.digest
         assert inc.admitted_edge == res.admitted_edge
         assert inc.admitted_cloud == res.admitted_cloud
@@ -136,8 +137,8 @@ class TestModeEquivalence:
             move_fraction=0.05,
         )
         for stream, seed in ((light_stream(move_fraction=0.2), 7), (busy, 1)):
-            inc = run_stream(CONFIG, stream, seed=seed, mode="incremental")
-            res = run_stream(CONFIG, stream, seed=seed, mode="rescratch")
+            inc = run_stream(CONFIG, stream, seed=seed)
+            res = run_from_scratch(CONFIG, stream, seed=seed)
             assert inc.digest == res.digest, seed
             assert inc.moves > 0
 
@@ -147,18 +148,6 @@ class TestModeEquivalence:
         soa = run_stream(CONFIG, stream, seed=2, kernel="soa")
         auto = run_stream(CONFIG, stream, seed=2, kernel="auto")
         assert obj.digest == soa.digest == auto.digest
-
-    def test_sharded_parity(self):
-        stream = light_stream(move_fraction=0.15)
-        inc = run_stream(CONFIG, stream, seed=4, shards=4)
-        res = run_stream(CONFIG, stream, seed=4, shards=4,
-                         mode="rescratch")
-        assert inc.digest == res.digest
-        assert inc.shards == 4
-        assert len(inc.shard_events) == 4
-        assert sum(inc.shard_events) == inc.events_processed
-        # Multiple tiles actually receive traffic.
-        assert sum(1 for count in inc.shard_events if count) > 1
 
     def test_replay_deterministic(self):
         stream = light_stream(move_fraction=0.1)
@@ -201,19 +190,19 @@ class TestStreamOutcome:
 class TestDispatcherInternals:
     def test_blocked_index_drains_with_population(self):
         tape = open_tape(SATURATED, saturating_stream(), seed=2)
-        dispatcher = StreamDispatcher(tape, mode="incremental")
+        dispatcher = StreamDispatcher(tape)
         for event in dispatcher.events():
             dispatcher.dispatch(event)
         outcome = dispatcher.finish()
         assert outcome.admitted_cloud > 0
         # Every UE departed, so the blocked-candidate index and the
         # dirty set must have emptied themselves back out.
-        for engine in dispatcher._engines:
-            assert engine.blocked_index_size == 0
-            assert not engine.dirty_ids
-            assert engine.edge_active == 0
-            assert engine.cloud_active == 0
-            assert engine.used_rrbs == 0
+        engine = dispatcher._engine
+        assert engine.blocked_index_size == 0
+        assert not engine.dirty_ids
+        assert engine.edge_active == 0
+        assert engine.cloud_active == 0
+        assert engine.used_rrbs == 0
 
     def test_out_of_order_event_rejected(self):
         tape = open_tape(CONFIG, light_stream(), seed=1)
@@ -249,6 +238,14 @@ class TestValidation:
         tape = open_tape(CONFIG, light_stream(), seed=1)
         with pytest.raises(ConfigurationError, match="shards"):
             StreamDispatcher(tape, shards=0)
+
+    def test_only_the_untiled_incremental_stream_constructs(self):
+        tape = open_tape(CONFIG, light_stream(), seed=1)
+        StreamDispatcher(tape, mode="incremental", shards=1, kernel="auto")
+        with pytest.raises(ConfigurationError, match="shards"):
+            StreamDispatcher(tape, shards=4)
+        with pytest.raises(ConfigurationError, match="mode"):
+            StreamDispatcher(tape, mode="rescratch")
 
     def test_bad_stream_config_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,12 +1,18 @@
 """Unit tests for the asyncio service loop and the ``dmra serve`` CLI."""
 
 import pytest
+from oracles.stream import run_from_scratch
 
 from repro.cli import main
 from repro.dynamics.arrivals import ExponentialHolding, PoissonArrivals
 from repro.errors import ConfigurationError
 from repro.sim.config import ScenarioConfig
-from repro.stream import StreamConfig, run_stream, serve_stream
+from repro.stream import (
+    StreamConfig,
+    StreamDispatcher,
+    run_stream,
+    serve_stream,
+)
 
 CONFIG = ScenarioConfig.paper()
 
@@ -38,10 +44,11 @@ class TestServeStream:
         loose = serve_stream(CONFIG, stream, seed=4, queue_maxsize=1024)
         assert tight.digest == loose.digest
 
-    def test_service_mode_parity(self):
+    def test_service_mode_parity(self, monkeypatch):
+        monkeypatch.setenv("DMRA_DEBUG_STREAM", "1")
         stream = short_stream()
-        inc = serve_stream(CONFIG, stream, seed=5, mode="incremental")
-        res = serve_stream(CONFIG, stream, seed=5, mode="rescratch")
+        inc = serve_stream(CONFIG, stream, seed=5)
+        res = run_from_scratch(CONFIG, stream, seed=5)
         assert inc.digest == res.digest
 
     def test_bad_queue_maxsize_rejected(self):
@@ -107,29 +114,51 @@ SERVE_ARGS = [
     "--move-fraction", "0.1", "--seed", "3",
 ]
 
+#: The tape CI's stream-smoke job serves.
+CI_SERVE_ARGS = [
+    "serve", "--rate", "4", "--horizon", "120", "--holding", "30",
+    "--move-fraction", "0.1", "--seed", "1",
+]
+CI_STREAM = StreamConfig(
+    horizon_s=120.0,
+    arrivals=PoissonArrivals(rate_per_s=4.0),
+    holding=ExponentialHolding(mean_s=30.0),
+    move_fraction=0.1,
+)
+
 
 class TestServeCli:
     def test_serve_smoke(self, capsys):
         assert main(SERVE_ARGS) == 0
         out = capsys.readouterr().out
-        assert "mode=incremental" in out
+        assert "kernel=auto" in out
         assert "digest:" in out
         assert "events/s" in out
 
-    def test_mode_documents_diff_clean(self, tmp_path, capsys):
-        """The CI equivalence gate in miniature: outcome documents of
-        the two modes must be identical under ``dmra trace diff``."""
-        inc = tmp_path / "inc.json"
-        res = tmp_path / "res.json"
-        assert main(
-            SERVE_ARGS + ["--mode", "incremental", "--metrics", str(inc)]
-        ) == 0
-        assert main(
-            SERVE_ARGS + ["--mode", "rescratch", "--metrics", str(res)]
-        ) == 0
-        assert main(["trace", "diff", str(inc), str(res)]) == 0
+    def test_mode_documents_diff_clean(self, tmp_path, capsys, monkeypatch):
+        """The outcome document ``dmra serve --metrics`` writes for CI's
+        tape must equal, under ``dmra trace diff``, the one derived from
+        the from-scratch replay of the same tape."""
+        from repro.obs import metrics_from_stream, read_metrics, write_metrics
+
+        monkeypatch.setenv("DMRA_DEBUG_STREAM", "1")
+        served = tmp_path / "served.json"
+        scratch = tmp_path / "scratch.json"
+        assert main(CI_SERVE_ARGS + ["--metrics", str(served)]) == 0
+        out = capsys.readouterr().out
+        assert "digest:              00457ea5" in out
+        assert "1021 (" in out and "49 moves" in out
+
+        outcome = run_from_scratch(CONFIG, CI_STREAM, seed=1)
+        assert outcome.digest.startswith("00457ea5")
+        assert (outcome.events_processed, outcome.moves) == (1021, 49)
+        assert outcome.admitted_cloud == 0
+        manifest = read_metrics(served).manifest
+        write_metrics(scratch, metrics_from_stream(outcome, manifest))
+        assert main(["trace", "diff", str(served), str(scratch)]) == 0
         out = capsys.readouterr().out
         assert "verdict: OK" in out
+        assert "manifest: aligned" in out
 
     def test_mode_documents_carry_aligned_manifests(self, tmp_path):
         from repro.obs import read_metrics
@@ -147,10 +176,6 @@ class TestServeCli:
         assert main(SERVE_ARGS + ["--trace", str(trace)]) == 0
         assert trace.exists()
         assert "wrote trace" in capsys.readouterr().out
-
-    def test_sharded_serve(self, capsys):
-        assert main(SERVE_ARGS + ["--shards", "4"]) == 0
-        assert "shards=4" in capsys.readouterr().out
 
     def test_listen_writes_port_file_and_final_flush(
         self, tmp_path, capsys
@@ -184,3 +209,55 @@ class TestServeCli:
         dump = json.loads(dump_path.read_text())
         assert dump["schema"] == "dmra.flight/1"
         assert dump["entries"][-1]["kind"] == "finish"
+
+    def test_failed_serve_dumps_flight_ring_without_final_flush(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A replay that raises at its Nth event writes the flight ring,
+        does no final live-plane flush, and lets the error out."""
+        import json
+        import threading
+
+        from repro.obs import LiveServer
+
+        fail_at = 200
+        dispatch = StreamDispatcher.dispatch
+        failed = threading.Event()
+
+        def failing_dispatch(self, event):
+            if self.events_processed + 1 == fail_at:
+                failed.set()
+                raise RuntimeError("injected dispatch failure")
+            dispatch(self, event)
+
+        flush = LiveServer.flush_to_disk
+        late_flushes = []
+
+        def watched_flush(self):
+            # The final flush runs on the command's thread; the periodic
+            # flusher runs on a worker thread.
+            if failed.is_set() and threading.current_thread() is (
+                threading.main_thread()
+            ):
+                late_flushes.append(self)
+            flush(self)
+
+        monkeypatch.setattr(StreamDispatcher, "dispatch", failing_dispatch)
+        monkeypatch.setattr(LiveServer, "flush_to_disk", watched_flush)
+        dump_path = tmp_path / "flight.json"
+        with pytest.raises(RuntimeError, match="injected"):
+            main(CI_SERVE_ARGS + [
+                "--listen", "127.0.0.1:0",
+                "--flush", str(tmp_path / "live.json"),
+                "--flush-interval", "60",
+                "--flight-dump", str(dump_path),
+            ])
+        assert failed.is_set()
+        assert not late_flushes
+        assert "wrote flight dump" in capsys.readouterr().out
+        dump = json.loads(dump_path.read_text())
+        entries = dump["entries"]
+        assert entries[-1]["kind"] == "failed"
+        assert "injected" in entries[-1]["error"]
+        # One note per event before the failing one, then the failure.
+        assert dump["total_noted"] == len(entries) == fail_at
