@@ -251,9 +251,7 @@ class Assignment:
         narrow(
             grants.crus[alive] == columns.ue_cru_demand[rows[alive]], "crus"
         )
-        positions = _link_positions(
-            columns, radio_map, rows[alive], cols[alive], network.bs_count
-        )
+        positions = radio_map.positions(network, rows[alive], cols[alive])
         narrow(positions >= 0, "link")
         expected_rrbs[alive] = radio_map.rrb_demands[positions[positions >= 0]]
         narrow(grants.rrbs[alive] == expected_rrbs[alive], "rrbs")
@@ -326,42 +324,6 @@ def _duplicate_message(ue_id: int) -> str:
 
 def _overlap_message(ue_ids: Iterable[int]) -> str:
     return f"UEs both edge-served and cloud-forwarded: {sorted(ue_ids)}"
-
-
-def _link_positions(
-    columns: EntityColumns,
-    radio_map: RadioMap,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    n_bs: int,
-) -> np.ndarray:
-    """Radio-map column position of each ``(row, col)`` pair, ``-1`` if
-    the map has no such link.
-
-    The map's ``(ue, bs)`` columns become flat ``row * n_bs + col``
-    keys, sorted once unless already in key order (as built maps are),
-    and each pair is found by binary search.  Among duplicate links the
-    last one wins, as in :meth:`RadioMap.link`.
-    """
-    map_rows = columns.ue_rows(radio_map.ue_ids)
-    map_cols = columns.bs_cols(radio_map.bs_ids)
-    keys = np.where(
-        (map_rows >= 0) & (map_cols >= 0), map_rows * n_bs + map_cols, -1
-    )
-    order = None
-    if not np.all(keys[1:] >= keys[:-1]):
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-    wanted = rows * n_bs + cols
-    # Probing in ascending key order keeps the searches cache-friendly.
-    probe = np.argsort(wanted)
-    positions = np.empty(len(wanted), dtype=np.int64)
-    positions[probe] = np.searchsorted(keys, wanted[probe], side="right") - 1
-    found = positions >= 0
-    found[found] = keys[positions[found]] == wanted[found]
-    if order is not None:
-        positions = order[np.where(found, positions, 0)]
-    return np.where(found, positions, -1)
 
 
 def _first_overflow(keys, amounts, capacity_of):

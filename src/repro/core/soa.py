@@ -77,7 +77,7 @@ from repro.compute.cru import GrantColumns, LedgerPool
 from repro.core.assignment import Assignment
 from repro.core.matching import MatchingPolicy, RoundStats
 from repro.errors import AllocationError, ConfigurationError, UnknownEntityError
-from repro.model.network import MECNetwork
+from repro.model.network import MECNetwork, _run_positions
 from repro.obs.telemetry import get_telemetry
 from repro.radio.channel import RadioMap
 
@@ -243,7 +243,7 @@ class SoAMatchingEngine:
         # relies on).
         row_of_pair = gathered.row_of_pair
         sel, pair_bs = gathered.links, gathered.pair_bs
-        order = _bs_order_within_rows(row_of_pair, radio_map.bs_ids[sel])
+        order = _bs_order_within_rows(row_of_pair, pair_bs, bs_id_arr)
         if order is not None:
             sel, pair_bs = sel[order], pair_bs[order]
         pair_rrbs = radio_map.rrb_demands[sel]
@@ -538,17 +538,20 @@ def gather_candidates(
     radio_map: RadioMap,
     ue_ids: Iterable[int] | None = None,
 ) -> CandidateRows:
-    """Lift the target UEs' links out of the radio map's columns.
+    """Lift the target UEs' links out of the radio map's CSR.
 
     ``ue_ids=None`` targets every UE of ``network``.  A UE's links are
-    its run in the map's UE-grouped ``ue_ids`` column (the last run if
-    it has several, as :meth:`RadioMap.ue_slice` resolves them); a UE
-    without links gets an empty row.  Whole-array work over
-    :meth:`MECNetwork.columns` and the map's columns: no per-UE lookup.
+    its row's run of the map's CSR (:meth:`RadioMap.csr`), so for the
+    whole network in row order ``links`` is the identity and
+    ``pair_bs`` the map's columns; otherwise each target row's run is
+    sliced out.  A UE without links gets an empty row.  No per-UE
+    lookup.
 
-    Raises :class:`UnknownEntityError` for the lowest target UE id, or
-    the first linked BS id, that the network does not know.
+    Raises :class:`UnknownEntityError` for the lowest target UE id the
+    network does not know, and :class:`ConfigurationError` when the map
+    is not over the network's rows and columns.
     """
+    indptr, cols = radio_map.csr(network)
     columns = network.columns()
     if ue_ids is None:
         targets = np.sort(columns.ue_ids)
@@ -559,34 +562,12 @@ def gather_candidates(
         raise UnknownEntityError(
             f"unknown UE id {int(targets[np.argmax(rows < 0)])}"
         )
-
-    map_ues = radio_map.ue_ids
-    run_start = np.ones(len(map_ues), dtype=bool)
-    run_start[1:] = map_ues[1:] != map_ues[:-1]
-    starts = np.flatnonzero(run_start)
-    stops = np.append(starts[1:], len(map_ues))
-    run_rows = columns.ue_rows(map_ues[starts])
-    runs = np.flatnonzero(run_rows >= 0)
-    if np.any(run_rows[runs][1:] <= run_rows[runs][:-1]):
-        # Out of row order, maybe repeated: keep each UE's last run.
-        last = runs[::-1]
-        runs = last[np.unique(run_rows[last], return_index=True)[1]]
-    # Run ``len(starts)`` is an empty sentinel for UEs without links.
-    run_of_row = np.full(network.ue_count, len(starts), dtype=np.int64)
-    run_of_row[run_rows[runs]] = runs
-    run = run_of_row[rows]
-    counts = np.append(stops - starts, 0)[run]
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    n_pairs = int(indptr[-1])
-    links = np.repeat(
-        np.append(starts, 0)[run] - indptr[:-1], counts
-    ) + np.arange(n_pairs, dtype=np.int64)
-    link_bs_ids = radio_map.bs_ids[links]
-    pair_bs = columns.bs_cols(link_bs_ids)
-    if np.any(pair_bs < 0):
-        raise UnknownEntityError(
-            f"unknown BS id {int(link_bs_ids[np.argmax(pair_bs < 0)])}"
-        )
+    if len(rows) == network.ue_count and np.all(rows[1:] > rows[:-1]):
+        counts = np.diff(indptr)
+        links, pair_bs = np.arange(len(cols)), cols
+    else:
+        counts, links = _run_positions(indptr, rows)
+        pair_bs = cols[links]
     return CandidateRows(
         ue_ids=targets,
         rows=rows,
@@ -597,15 +578,15 @@ def gather_candidates(
 
 
 def _bs_order_within_rows(
-    row_of_pair: np.ndarray, bs_ids: np.ndarray
+    row_of_pair: np.ndarray, pair_bs: np.ndarray, bs_ids: np.ndarray
 ) -> np.ndarray | None:
     """The stable order that sorts each row's pairs by BS id, or
-    ``None`` when they already are (as in maps ``build_radio_map``
-    builds)."""
-    same_row = row_of_pair[1:] == row_of_pair[:-1]
-    if not np.any(same_row & (bs_ids[1:] < bs_ids[:-1])):
+    ``None`` when they already are: each row's BS columns ascend, so
+    their ids do whenever ``bs_ids`` ascends by column (the usual
+    numbering)."""
+    if np.all(bs_ids[1:] > bs_ids[:-1]):
         return None
-    return np.lexsort((bs_ids, row_of_pair))
+    return np.lexsort((bs_ids[pair_bs], row_of_pair))
 
 
 def _pool_remainders(

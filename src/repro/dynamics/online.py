@@ -11,7 +11,7 @@ during each iteration" behaviour the paper describes.
 
 Memory stays bounded by the *active* set, not total arrivals: UE
 entities are materialized lazily in arrival order through
-:class:`~repro.scale.streaming.ScenarioFrame` chunks, and each arrival
+:class:`~repro.sim.frame.ScenarioFrame` chunks, and each arrival
 batch is matched on a cheap per-batch network stamped out by
 :class:`~repro.model.batchnet.BatchNetworkBuilder` (bit-identical
 candidates/links to the monolithic construction).  Ledger conservation
@@ -50,8 +50,8 @@ from repro.errors import AllocationError, ConfigurationError
 from repro.model.batchnet import BatchNetworkBuilder
 from repro.obs.telemetry import get_telemetry
 from repro.radio.channel import build_radio_map
-from repro.scale.streaming import build_scenario_frame
 from repro.sim.config import ScenarioConfig
+from repro.sim.frame import build_scenario_frame
 from repro.sim.scenario import Scenario
 
 __all__ = [

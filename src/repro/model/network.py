@@ -289,11 +289,8 @@ class MECNetwork:
         An in-coverage pair returns its stored distance; any other pair
         is computed with the same float64 ``np.hypot``.
         """
-        rows = self._ue_row
-        if rows is None:
-            rows = self._index_ue_rows()
         try:
-            row = rows[ue_id]
+            row = self._ue_rows()[ue_id]
             col = self._bs_col[bs_id]
         except KeyError as exc:
             raise UnknownEntityError(f"unknown entity id {exc.args[0]}") from None
@@ -395,13 +392,7 @@ class MECNetwork:
             rows = np.arange(self.ue_count, dtype=np.intp)
             return np.repeat(rows, counts), self._cand_cols, self._cand_dists
         rows = np.asarray(rows, dtype=np.intp)
-        starts = indptr[rows]
-        counts = indptr[rows + 1] - starts
-        # Each row's slice of the CSR, concatenated in ``rows`` order.
-        ends = np.cumsum(counts)
-        pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
-            starts - (ends - counts), counts
-        )
+        counts, pos = _run_positions(indptr, rows)
         return np.repeat(rows, counts), self._cand_cols[pos], self._cand_dists[pos]
 
     def row_of_ue(self, ue_id: int) -> int:
@@ -522,19 +513,18 @@ class MECNetwork:
         )
 
     def _row_of(self, ue_id: int) -> int:
-        rows = self._ue_row
-        if rows is None:
-            rows = self._index_ue_rows()
         try:
-            return rows[ue_id]
+            return self._ue_rows()[ue_id]
         except KeyError:
             raise UnknownEntityError(f"unknown UE id {ue_id}") from None
 
-    def _index_ue_rows(self) -> dict[int, int]:
-        """Build the UE id -> row index (on the first scalar lookup)."""
-        ue_ids = self.ue_columns().ue_ids.tolist()
-        rows = dict(zip(ue_ids, range(len(ue_ids))))
-        object.__setattr__(self, "_ue_row", rows)
+    def _ue_rows(self) -> dict[int, int]:
+        """The UE id -> row index, built on the first scalar lookup."""
+        rows = self._ue_row
+        if rows is None:
+            ue_ids = self.ue_columns().ue_ids.tolist()
+            rows = dict(zip(ue_ids, range(len(ue_ids))))
+            object.__setattr__(self, "_ue_row", rows)
         return rows
 
     def _ue_sp_id(self, ue_id: int) -> int:
@@ -689,7 +679,7 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     """CSR row pointers of the given per-row pair counts."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr
+    return _frozen(indptr)
 
 
 def _pair_csr(
@@ -730,18 +720,54 @@ def _pair_csr(
     return csr
 
 
+def _run_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``rows``' pair count in the CSR ``indptr``, and the
+    positions of those pairs: each row's run, concatenated in ``rows``
+    order."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    positions = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - (ends - counts), counts
+    )
+    return counts, positions
+
+
+def _splice(
+    old: Sequence,
+    new: Sequence,
+    indptr: np.ndarray,
+    rows: np.ndarray,
+    fresh_indptr: np.ndarray,
+) -> list:
+    """The pieces of ``old`` (one entry per pair of the CSR ``indptr``)
+    with the runs of its ascending ``rows`` replaced by ``new`` (the
+    entries of just those rows, CSR ``fresh_indptr``): the old pairs
+    before the first of ``rows``, then each row's new pairs and the old
+    ones up to the next.  Their concatenation is the spliced column.
+    """
+    old_starts = [0, *indptr[rows + 1].tolist()]
+    old_stops = [*indptr[rows].tolist(), int(indptr[-1])]
+    cuts = fresh_indptr.tolist()
+    pieces = [old[:old_stops[0]]]
+    for i in range(len(rows)):
+        pieces.append(new[cuts[i]:cuts[i + 1]])
+        pieces.append(old[old_starts[i + 1]:old_stops[i + 1]])
+    return pieces
+
+
 def _splice_rows(
     csr: Mapping[str, np.ndarray],
     rows: np.ndarray,
     fresh: Mapping[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """The :func:`_pair_csr` fields ``csr`` with their ascending ``rows``
-    replaced by ``fresh``, the fields of just those rows in that order.
-
-    Each pair field is one concatenation of slices: the old pairs
-    between two moved rows, then the next moved row's fresh pairs.
-    When every spliced coverage pair is a candidate, the candidate
-    fields are the coverage ones, as :func:`_pair_csr` makes them.
+    replaced by ``fresh``, the fields of just those rows in that order
+    (see :func:`_splice`).  When every spliced coverage pair is a
+    candidate, the candidate fields are the coverage ones, as
+    :func:`_pair_csr` makes them.
     """
     spliced = {}
     for kind in ("_cov", "_cand"):
@@ -753,16 +779,11 @@ def _splice_rows(
                 spliced["_cand" + part] = spliced["_cov" + part]
             break
         spliced[kind + "_indptr"] = _indptr(counts)
-        old_starts = [0, *indptr[rows + 1].tolist()]
-        old_stops = [*indptr[rows].tolist(), int(indptr[-1])]
-        cuts = fresh_indptr.tolist()
         for part in ("_cols", "_dists"):
-            old, new = csr[kind + part], fresh[kind + part]
-            pieces = [old[:old_stops[0]]]
-            for i in range(len(rows)):
-                pieces.append(new[cuts[i]:cuts[i + 1]])
-                pieces.append(old[old_starts[i + 1]:old_stops[i + 1]])
-            spliced[kind + part] = _frozen(np.concatenate(pieces))
+            spliced[kind + part] = _frozen(np.concatenate(_splice(
+                csr[kind + part], fresh[kind + part],
+                indptr, rows, fresh_indptr,
+            )))
     return spliced
 
 

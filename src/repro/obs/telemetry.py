@@ -489,6 +489,9 @@ class FlightRecorder:
     on the monotonic clock relative to the ring's construction.
     """
 
+    #: The keys :meth:`dump` writes for every entry; no field may reuse one.
+    ENTRY_KEYS = frozenset(("seq", "t_s", "kind"))
+
     __slots__ = ("_ring", "_clock", "_epoch", "_seq")
 
     def __init__(self, capacity: int = 256) -> None:
@@ -512,7 +515,16 @@ class FlightRecorder:
         return self._seq
 
     def note(self, kind: str, /, **fields) -> None:
-        """Append one entry; evicts the oldest when the ring is full."""
+        """Append one entry; evicts the oldest when the ring is full.
+
+        Raises :class:`ValueError` for a field named like one of
+        :attr:`ENTRY_KEYS`, which the dumped entry would overwrite.
+        """
+        if not self.ENTRY_KEYS.isdisjoint(fields):
+            raise ValueError(
+                f"flight note fields {sorted(self.ENTRY_KEYS & fields.keys())} "
+                f"collide with the entry keys"
+            )
         self._seq += 1
         self._ring.append(
             (self._seq, self._clock() - self._epoch, kind, fields or None)

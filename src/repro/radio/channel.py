@@ -7,13 +7,15 @@ Allocators never call path-loss or SINR code directly; they consume a
 ``n_{u,i}`` — everything Eqs. 2--4 derive from geometry.
 
 Internally the map is **columnar**: one NumPy array per field over all
-candidate links, grouped by UE in network order (BS order within a UE's
-group).  :func:`build_radio_map` fills those columns with whole-array
-operations — distances from the network's candidate pairs, Eq. 18 path
-loss, SINR, the Eq. 2 rate, and the Eq. 3 ``ceil`` demand each evaluated
-once over all pairs — while the allocator-facing API
-(:meth:`RadioMap.link`, :meth:`RadioMap.links_of_ue`, iteration) hands
-out lazily materialized :class:`LinkMetrics` views.
+candidate links, laid out by the network's candidate CSR (rows are UEs
+in network order, each row's BS columns ascending), which the map keeps
+as its own.  :func:`build_radio_map` fills those columns with
+whole-array operations — distances from the network's candidate pairs,
+Eq. 18 path loss, SINR, the Eq. 2 rate, and the Eq. 3 ``ceil`` demand
+each evaluated once over all pairs — while the allocator-facing API
+(:meth:`RadioMap.link`, :meth:`RadioMap.links_of_ue`, iteration) finds
+a link through the network's id dicts and its row's run and hands out
+lazily materialized :class:`LinkMetrics` views.
 
 The parity suites pin the vectorized map against the original per-pair
 scalar loop (``tests/oracles/radio_map.py``) link for link (exact
@@ -24,13 +26,13 @@ the fast path can never silently drift from Eqs. 2--4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import UnknownEntityError
-from repro.model.network import MECNetwork
+from repro.errors import ConfigurationError, UnknownEntityError
+from repro.model.network import MECNetwork, _indptr, _splice
 from repro.obs.telemetry import get_telemetry
 from repro.radio.mcs import mcs_rate_bps, mcs_rate_bps_array
 from repro.radio.ofdma import (
@@ -49,8 +51,8 @@ __all__ = [
 
 #: The displaced-fraction crossover of an incremental update: once more
 #: than this fraction of the UEs moved, patching would redo most of a
-#: fresh build plus the chunk stitching, so the update rebuilds instead
-#: (same values, different route).
+#: fresh build plus the splicing, so the update rebuilds instead (same
+#: values, different route).
 REBUILD_FRACTION = 0.5
 
 #: Signature of a per-RRB rate model: (rrb_bandwidth_hz, sinr) -> bits/s.
@@ -99,90 +101,96 @@ class LinkMetrics:
 class RadioMap:
     """Immutable columnar lookup of link metrics per (UE, BS) pair.
 
-    Only candidate links (BS covers the UE and hosts its service) are
-    present; querying any other pair raises :class:`UnknownEntityError`.
-    Fields live in per-column NumPy arrays (grouped by UE, BS order
-    within a group); :class:`LinkMetrics` objects are materialized lazily
-    on first access and cached, so the dict-of-objects API survives
-    unchanged while whole-map math stays array-shaped.
+    A map is relative to a network: its links form a CSR over that
+    network's UE rows and BS columns (:meth:`csr`), rows in network
+    order and each row's columns ascending, so link ``p`` is pair ``p``
+    of the CSR.  A built map's CSR *is* the network's candidate CSR
+    (the same arrays).  Only candidate links are present; querying any
+    other pair raises :class:`UnknownEntityError`.  Fields live in
+    per-link NumPy arrays; :class:`LinkMetrics` objects are
+    materialized lazily on first access and cached, so the
+    dict-of-objects API survives while whole-map math stays
+    array-shaped.
     """
 
     __slots__ = (
+        "_network",
+        "_indptr",
+        "_cols",
         "_ue_ids",
         "_bs_ids",
         "_distance_m",
         "_sinr",
         "_rate",
         "_rrbs",
-        "_pos",
-        "_ue_slice",
         "_metrics",
     )
 
     def __init__(
         self,
-        ue_ids: np.ndarray,
-        bs_ids: np.ndarray,
+        network: MECNetwork,
+        indptr: np.ndarray,
+        cols: np.ndarray,
         distance_m: np.ndarray,
         sinr_linear: np.ndarray,
         per_rrb_rate_bps: np.ndarray,
         rrbs_required: np.ndarray,
-        ue_slices: dict[int, tuple[int, int]] | None = None,
         _metrics: list[LinkMetrics | None] | None = None,
     ) -> None:
-        """Wrap precomputed columns (grouped by UE; see class docstring).
-
-        The ``(ue, bs) -> position`` hash index (and, when not supplied,
-        the per-UE slice index) is built lazily on first point lookup:
-        construction stays pure array work, and whole-map consumers that
-        never call :meth:`link` never pay for the dict.
-        """
-        self._ue_ids = _frozen(np.asarray(ue_ids, dtype=np.int64))
-        self._bs_ids = _frozen(np.asarray(bs_ids, dtype=np.int64))
+        """Wrap per-link columns laid out by the CSR ``(indptr, cols)``
+        over ``network``'s rows and columns (see the class docstring)."""
+        self._network = network
+        self._indptr = indptr
+        self._cols = cols
+        self._ue_ids = _frozen(
+            np.repeat(network.ue_columns().ue_ids, np.diff(indptr))
+        )
+        self._bs_ids = _frozen(network.bs_columns().bs_ids[cols])
         self._distance_m = _frozen(np.asarray(distance_m, dtype=float))
         self._sinr = _frozen(np.asarray(sinr_linear, dtype=float))
         self._rate = _frozen(np.asarray(per_rrb_rate_bps, dtype=float))
         self._rrbs = _frozen(np.asarray(rrbs_required, dtype=np.int64))
-        self._pos: dict[tuple[int, int], int] | None = None
-        self._ue_slice = ue_slices
         if _metrics is None:
-            _metrics = [None] * len(self._ue_ids)
+            _metrics = [None] * len(cols)
         self._metrics = _metrics
-
-    @property
-    def _position_index(self) -> dict[tuple[int, int], int]:
-        """The (ue, bs) -> column position hash, built on first use."""
-        if self._pos is None:
-            self._pos = {
-                pair: index
-                for index, pair in enumerate(
-                    zip(self._ue_ids.tolist(), self._bs_ids.tolist())
-                )
-            }
-        return self._pos
-
-    @property
-    def _ue_index(self) -> dict[int, tuple[int, int]]:
-        """The per-UE (start, stop) slice index, built on first use."""
-        if self._ue_slice is None:
-            self._ue_slice = _slices_from_grouped_ids(self._ue_ids.tolist())
-        return self._ue_slice
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_links(cls, links: Iterable[LinkMetrics]) -> "RadioMap":
-        """Build a map from materialized metrics (scalar reference path).
+    def from_links(
+        cls, links: Iterable[LinkMetrics], network: MECNetwork
+    ) -> "RadioMap":
+        """Build a map over ``network`` from materialized metrics (the
+        scalar reference path).
 
-        ``links`` must already be grouped by UE (all of one UE's links
-        contiguous), which is how both builders naturally emit them.
+        Each link is placed once, here, at its UE's row and its BS's
+        column of ``network``.  A UE whose links come in several runs
+        keeps its last run, and a BS repeated in that run keeps its last
+        link; each row's columns end up ascending, as in every map.
+        Raises :class:`UnknownEntityError` for a link whose UE or BS
+        the network does not know.
         """
-        links = list(links)
+        runs: dict[int, dict[int, LinkMetrics]] = {}
+        previous = None
+        for link in links:
+            if link.ue_id != previous:
+                runs[link.ue_id] = {}  # a new run replaces the earlier ones
+            runs[link.ue_id][link.bs_id] = link
+            previous = link.ue_id
+        placed = sorted(
+            (network.row_of_ue(ue_id), network.col_of_bs(bs_id), link)
+            for ue_id, run in runs.items()
+            for bs_id, link in run.items()
+        )
+        rows = np.array([row for row, _, _ in placed], dtype=np.int64)
+        cols = np.array([col for _, col, _ in placed], dtype=np.int64)
+        links = [link for _, _, link in placed]
         return cls(
-            ue_ids=np.array([m.ue_id for m in links], dtype=np.int64),
-            bs_ids=np.array([m.bs_id for m in links], dtype=np.int64),
+            network,
+            indptr=_indptr(np.bincount(rows, minlength=network.ue_count)),
+            cols=_frozen(cols),
             distance_m=np.array([m.distance_m for m in links]),
             sinr_linear=np.array([m.sinr_linear for m in links]),
             per_rrb_rate_bps=np.array([m.per_rrb_rate_bps for m in links]),
@@ -191,7 +199,7 @@ class RadioMap:
         )
 
     # ------------------------------------------------------------------
-    # Allocator-facing API (unchanged from the dict-backed map)
+    # Allocator-facing API
     # ------------------------------------------------------------------
 
     def link(self, ue_id: int, bs_id: int) -> LinkMetrics:
@@ -205,22 +213,26 @@ class RadioMap:
 
     def has_link(self, ue_id: int, bs_id: int) -> bool:
         """Whether the pair is a candidate link."""
-        return (ue_id, bs_id) in self._position_index
+        return self._find(ue_id, bs_id) >= 0
 
     def links_of_ue(self, ue_id: int) -> tuple[LinkMetrics, ...]:
-        """All candidate links of one UE (O(|B_u|) via the per-UE index)."""
-        start, stop = self._ue_index.get(ue_id, (0, 0))
-        return tuple(self._metric_at(i) for i in range(start, stop))
+        """All candidate links of one UE (its row's run)."""
+        return tuple(map(self._metric_at, range(*self.ue_slice(ue_id))))
 
     def ue_slice(self, ue_id: int) -> tuple[int, int]:
-        """``(start, stop)`` column range of one UE's links.
+        """``(start, stop)`` column range of one UE's links: its row's
+        run.
 
         Indexes the columnar views (:attr:`bs_ids`, :attr:`rrb_demands`,
-        ...); a UE with no candidate links yields ``(0, 0)``.  This is
-        how whole-run consumers (the SoA matching kernel) lift a UE's
-        rows without materializing :class:`LinkMetrics` objects.
+        ...); a UE with no candidate links, or unknown to the map's
+        network, yields an empty range.  No :class:`LinkMetrics` is
+        materialized.
         """
-        return self._ue_index.get(ue_id, (0, 0))
+        row = self._network._ue_rows().get(ue_id)
+        if row is None:
+            return 0, 0
+        start, stop = self._indptr[row:row + 2].tolist()
+        return start, stop
 
     def ue_link_columns(
         self, ue_ids: Sequence[int]
@@ -233,9 +245,9 @@ class RadioMap:
         column is converted once; otherwise each UE's slice is.  No
         :class:`LinkMetrics` is materialized.
         """
-        spans = list(map(self._ue_index.get, ue_ids, repeat((0, 0))))
+        spans = list(map(self.ue_slice, ue_ids))
         columns = (self._bs_ids, self._rrbs, self._distance_m)
-        if sum(stop - start for start, stop in spans) == len(self._ue_ids):
+        if sum(stop - start for start, stop in spans) == len(self._cols):
             bs_ids, rrbs, distances = (column.tolist() for column in columns)
             return [
                 (bs_ids[start:stop], rrbs[start:stop], distances[start:stop])
@@ -247,18 +259,70 @@ class RadioMap:
         ]
 
     def __len__(self) -> int:
-        return len(self._ue_ids)
+        return len(self._cols)
 
     def __iter__(self) -> Iterator[LinkMetrics]:
-        return (self._metric_at(i) for i in range(len(self._ue_ids)))
+        return map(self._metric_at, range(len(self._cols)))
 
     # ------------------------------------------------------------------
     # Columnar views
     # ------------------------------------------------------------------
 
     @property
+    def network(self) -> MECNetwork:
+        """The network whose rows and columns the links sit on."""
+        return self._network
+
+    def csr(self, network: MECNetwork) -> tuple[np.ndarray, np.ndarray]:
+        """The links' ``(indptr, cols)`` over ``network``'s rows and
+        columns: row ``r``'s links are positions ``indptr[r]`` up to
+        ``indptr[r + 1]``, and link ``p`` is on BS column ``cols[p]``.
+
+        Raises :class:`ConfigurationError` unless ``network`` has the
+        map's UE ids by row and BS ids by column (the map's network, a
+        moved copy of it, or an equal network): a map is never remapped
+        by id.
+        """
+        own = self._network
+        if network is not own and not (
+            np.array_equal(network.ue_columns().ue_ids, own.ue_columns().ue_ids)
+            and np.array_equal(
+                network.bs_columns().bs_ids, own.bs_columns().bs_ids
+            )
+        ):
+            raise ConfigurationError(
+                "the radio map is over other UE rows or BS columns than "
+                "this network's"
+            )
+        return self._indptr, self._cols
+
+    def positions(
+        self, network: MECNetwork, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Link position of each ``(row, col)`` pair of ``network``,
+        ``-1`` where the map has no such link.
+
+        A binary search of each pair's row run, all pairs at once: a
+        run holds a handful of ascending columns, so a few whole-array
+        steps place every pair.  Raises as :meth:`csr` does.
+        """
+        indptr, map_cols = self.csr(network)
+        lo, hi = indptr[rows], indptr[rows + 1]
+        last = len(map_cols) - 1
+        left, right = lo, hi
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (left + right) >> 1
+            less = map_cols[np.minimum(mid, last)] < cols
+            open_ = left < right
+            left = np.where(open_ & less, mid + 1, left)
+            right = np.where(open_ & ~less, mid, right)
+        found = left < hi
+        found[found] = map_cols[left[found]] == cols[found]
+        return np.where(found, left, -1)
+
+    @property
     def ue_ids(self) -> np.ndarray:
-        """Per-link UE ids (read-only, grouped by UE)."""
+        """Per-link UE ids (read-only, grouped by UE in network order)."""
         return self._ue_ids
 
     @property
@@ -290,7 +354,8 @@ class RadioMap:
         """Approximate bytes held by the map's column arrays.
 
         Used by the scenario cache to bound its memory footprint; lazy
-        per-link ``LinkMetrics`` objects are not counted.
+        per-link ``LinkMetrics`` objects are not counted, nor is the
+        CSR, which the network holds.
         """
         return int(sum(
             arr.nbytes
@@ -311,103 +376,82 @@ class RadioMap:
         ue_ids: Iterable[int],
         rate_model: RateModel | None = None,
     ) -> "RadioMap":
-        """A new map with the given UEs' rows recomputed against ``network``.
+        """A new map over ``network`` with the given UEs' rows
+        recomputed.
 
-        The incremental mobility path: UEs whose position changed get
-        their candidate links re-evaluated (batched, exactly like a
-        fresh :func:`build_radio_map`), while every other UE's column
-        entries — and already-materialized :class:`LinkMetrics` — are
-        reused verbatim.  Callers must ensure unlisted UEs genuinely
-        kept their position (and hence candidate set).
+        The incremental mobility path: ``network`` is this map's network
+        with those UEs moved (:meth:`MECNetwork.with_moved_ues`), and
+        the new map takes its candidate CSR.  Moved UEs get their links
+        re-evaluated (batched, exactly like a fresh
+        :func:`build_radio_map`); every other row's run of this map —
+        column entries and already-materialized :class:`LinkMetrics` —
+        is spliced in by this map's ``indptr``.  Callers must ensure
+        unlisted UEs genuinely kept their position (and hence candidate
+        set).
 
         When more than :data:`REBUILD_FRACTION` of the population moved,
-        chunk-stitching cannot beat a straight batched rebuild, so the
-        call falls back to :func:`build_radio_map` — same values,
-        different route.
+        splicing cannot beat a straight batched rebuild, so the call
+        falls back to :func:`build_radio_map` — same values, different
+        route.  Raises as :meth:`csr` does.
         """
         moved = set(ue_ids)
         if not moved:
             return self
+        indptr, _ = self.csr(network)
         if len(moved) > REBUILD_FRACTION * network.ue_count:
             # Most of the population moved (e.g. a random walk): a
-            # straight batched rebuild beats stitching per-UE chunks.
+            # straight batched rebuild beats splicing per-UE runs.
             return build_radio_map(network, budget, rate_model=rate_model)
-        columns = network.columns()
-        rows = np.flatnonzero(
-            np.isin(columns.ue_ids, np.fromiter(moved, dtype=np.int64))
-        )
+        rows = np.array(sorted(map(network.row_of_ue, moved)), dtype=np.intp)
         with get_telemetry().span(
             "radio.build", path="incremental", moved=len(rows),
             ues=network.ue_count,
         ):
-            fresh = _vectorized_columns(
-                network, budget, rate_model, only_rows=rows
-            )
-            # Where each network row's links sit in this map's columns
-            # followed by the fresh ones: a moved row's fresh links,
-            # else its last run here (none for a UE without links).
-            n_old = len(self._ue_ids)
-            run_start = np.ones(n_old, dtype=bool)
-            run_start[1:] = self._ue_ids[1:] != self._ue_ids[:-1]
-            starts = np.flatnonzero(run_start)
-            stops = np.append(starts[1:], n_old)
-            run_rows = columns.ue_rows(self._ue_ids[starts])
-            runs = np.flatnonzero(run_rows >= 0)
-            if np.any(run_rows[runs][1:] <= run_rows[runs][:-1]):
-                # Out of row order, maybe repeated: keep each UE's last.
-                runs = runs[::-1]
-                runs = runs[np.unique(run_rows[runs], return_index=True)[1]]
-            source = np.zeros(network.ue_count, dtype=np.int64)
-            count = np.zeros(network.ue_count, dtype=np.int64)
-            source[run_rows[runs]] = starts[runs]
-            count[run_rows[runs]] = stops[runs] - starts[runs]
-            lo = np.searchsorted(fresh["ue_rows"], rows)
-            source[rows] = n_old + lo
-            count[rows] = np.searchsorted(fresh["ue_rows"], rows, "right") - lo
-            stop = np.cumsum(count)
-            index = np.repeat(source - (stop - count), count) + np.arange(
-                int(stop[-1]) if len(stop) else 0
-            )
-            # Materialized metrics move by slices: one per run of
-            # consecutive positions, fresh links start uncached.
-            metrics: list[LinkMetrics | None] = []
-            cut = np.ones(len(index), dtype=bool)
-            cut[1:] = (index[1:] != index[:-1] + 1) | (index[1:] == n_old)
-            bounds = np.append(np.flatnonzero(cut), len(index)).tolist()
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                first = int(index[a])
-                metrics += (
-                    self._metrics[first:first + b - a] if first < n_old
-                    else [None] * (b - a)
+            fresh = _link_columns(network, budget, rate_model, rows)
+            cand_indptr = network._cand_indptr
+            fresh_indptr = _indptr(cand_indptr[rows + 1] - cand_indptr[rows])
+            old = (self._distance_m, self._sinr, self._rate, self._rrbs)
+            spliced = [
+                np.concatenate(_splice(o, f, indptr, rows, fresh_indptr))
+                for o, f in zip(old, fresh)
+            ]
+            metrics = list(chain.from_iterable(_splice(
+                self._metrics, [None] * int(fresh_indptr[-1]),
+                indptr, rows, fresh_indptr,
+            )))
+            if len(metrics) != len(network._cand_cols):
+                raise ConfigurationError(
+                    "UEs outside ue_ids changed their candidate links"
                 )
-
-            def spliced(old: np.ndarray, name: str) -> np.ndarray:
-                return np.concatenate((old, fresh[name]))[index]
-
             return RadioMap(
-                ue_ids=spliced(self._ue_ids, "ue_ids"),
-                bs_ids=spliced(self._bs_ids, "bs_ids"),
-                distance_m=spliced(self._distance_m, "distance_m"),
-                sinr_linear=spliced(self._sinr, "sinr"),
-                per_rrb_rate_bps=spliced(self._rate, "rate"),
-                rrbs_required=spliced(self._rrbs, "rrbs"),
-                ue_slices=dict(zip(
-                    columns.ue_ids.tolist(),
-                    zip((stop - count).tolist(), stop.tolist()),
-                )),
+                network, cand_indptr, network._cand_cols, *spliced,
                 _metrics=metrics,
             )
 
     # ------------------------------------------------------------------
 
+    def _find(self, ue_id: int, bs_id: int) -> int:
+        """Column position of a candidate link, ``-1`` if absent: the
+        network's id dicts give the row and column, as in
+        :meth:`MECNetwork.distance_m`, then the row's run is scanned."""
+        network = self._network
+        row = network._ue_rows().get(ue_id)
+        col = network._bs_col.get(bs_id)
+        if row is None or col is None:
+            return -1
+        start, stop = self._indptr[row:row + 2].tolist()
+        # A run holds a handful of columns: a list scan beats a search.
+        run = self._cols[start:stop].tolist()
+        return start + run.index(col) if col in run else -1
+
     def _position(self, ue_id: int, bs_id: int) -> int:
         """Column position of a candidate link."""
-        try:
-            return self._position_index[(ue_id, bs_id)]
-        except KeyError:
+        position = self._find(ue_id, bs_id)
+        if position < 0:
             raise UnknownEntityError(
                 f"no candidate link UE {ue_id} -> BS {bs_id}"
-            ) from None
+            )
+        return position
 
     def _metric_at(self, index: int) -> LinkMetrics:
         cached = self._metrics[index]
@@ -431,46 +475,28 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _slices_from_grouped_ids(
-    ue_list: Sequence[int],
-) -> dict[int, tuple[int, int]]:
-    """Per-UE (start, stop) ranges from a UE-grouped id column."""
-    slices: dict[int, tuple[int, int]] = {}
-    start = 0
-    for index, uid in enumerate(ue_list):
-        if uid != ue_list[start]:
-            slices[ue_list[start]] = (start, index)
-            start = index
-    if ue_list:
-        slices[ue_list[start]] = (start, len(ue_list))
-    return slices
-
-
-def _vectorized_columns(
+def _link_columns(
     network: MECNetwork,
     budget: LinkBudget,
     rate_model: RateModel | None,
-    only_rows: np.ndarray | None = None,
-) -> dict:
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate Eqs. 2--4 over the candidate pairs as whole-array math.
 
-    ``only_rows`` (ascending) restricts the evaluation to those UE rows
-    (the incremental mobility path); ``None`` means every UE.  The
-    links come grouped by row, ascending, with their rows in
-    ``"ue_rows"``.
+    Returns the per-link distance, SINR, per-RRB rate and RRB demand
+    columns in the network's candidate CSR order; ascending ``rows``
+    restricts them to those UE rows (the incremental mobility path),
+    ``None`` means every UE.
     """
     if rate_model is None:
         rate_model = per_rrb_rate_bps
 
     ues = network.ue_columns()
-    ue_rows, cols, link_distances = network.candidate_pairs(only_rows)
+    ue_rows, cols, link_distances = network.candidate_pairs(rows)
 
     tx_power = ues.tx_power_dbm[ue_rows]
     rate_demand = ues.rate_demand_bps[ue_rows]
-    ue_id_col = ues.ue_ids[ue_rows]
-    bs_side = network.bs_columns()
-    bs_id_col = bs_side.bs_ids[cols]
-    over_budget = (bs_side.bs_rrb_capacity + 1)[cols]
+    over_budget = (network.bs_columns().bs_rrb_capacity + 1)[cols]
 
     sinr = budget.sinr_array(link_distances, tx_power)
     array_model = _ARRAY_RATE_MODELS.get(rate_model)
@@ -482,16 +508,7 @@ def _vectorized_columns(
             [rate_model(bandwidth, float(s)) for s in sinr], dtype=float
         )
     rrbs = rrbs_required_array(rate_demand, rate, over_budget)
-
-    return {
-        "ue_ids": ue_id_col,
-        "bs_ids": bs_id_col,
-        "distance_m": link_distances,
-        "sinr": sinr,
-        "rate": rate,
-        "rrbs": rrbs,
-        "ue_rows": ue_rows,
-    }
+    return link_distances, sinr, rate, rrbs
 
 
 def build_radio_map(
@@ -512,19 +529,15 @@ def build_radio_map(
     allocators uniformly treat them as infeasible rather than special-
     casing missing entries.
 
-    The output is link-for-link interchangeable with the scalar
-    per-pair loop in ``tests/oracles/radio_map.py`` (pinned by the
-    parity suites).
+    The map keeps the network's candidate CSR, the pairs it evaluated,
+    as its own (:meth:`RadioMap.csr`).  Its links are interchangeable
+    with the scalar per-pair loop in ``tests/oracles/radio_map.py``
+    (pinned by the parity suites).
     """
     with get_telemetry().span("radio.build", path="batched") as span:
-        columns = _vectorized_columns(network, budget, rate_model)
         radio_map = RadioMap(
-            ue_ids=columns["ue_ids"],
-            bs_ids=columns["bs_ids"],
-            distance_m=columns["distance_m"],
-            sinr_linear=columns["sinr"],
-            per_rrb_rate_bps=columns["rate"],
-            rrbs_required=columns["rrbs"],
+            network, network._cand_indptr, network._cand_cols,
+            *_link_columns(network, budget, rate_model),
         )
         span.set(links=len(radio_map), ues=network.ue_count)
     return radio_map

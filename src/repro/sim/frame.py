@@ -1,6 +1,6 @@
-"""Scenario construction in two steps: the skeleton, then UE chunks.
+"""Scenario construction in two steps: the skeleton, then the UEs.
 
-:func:`repro.sim.scenario.build_scenario` materializes one monolithic
+:func:`repro.sim.scenario.build_scenario` (next door) materializes one monolithic
 :class:`~repro.model.network.MECNetwork` plus its radio map, and the
 stream's tapes (:mod:`repro.stream.tape`) and the online simulator
 (:mod:`repro.dynamics.online`) materialize UEs as they arrive.  All

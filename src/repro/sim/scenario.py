@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from repro.econ.pricing import PaperPricing
 from repro.model.network import MECNetwork
 from repro.radio.channel import RadioMap, build_radio_map
-from repro.scale.streaming import build_scenario_frame
 from repro.sim.config import ScenarioConfig
+from repro.sim.frame import build_scenario_frame
 
 __all__ = [
     "Scenario",
@@ -66,9 +66,9 @@ def build_scenario(
     Construction order (fixed, so seeds stay comparable across configs):
     SPs, BS positions, per-BS service hosting, UE positions, UE demands.
     The skeleton comes from
-    :func:`~repro.scale.streaming.build_scenario_frame` (which also
+    :func:`~repro.sim.frame.build_scenario_frame` (which also
     validates the tariffs against Eq. 16) and the UEs from its
-    :meth:`~repro.scale.streaming.ScenarioFrame.ue_columns`, so the
+    :meth:`~repro.sim.frame.ScenarioFrame.ue_columns`, so the
     monolithic and the streamed builds share one draw order.  The UEs
     stay columns: :class:`~repro.model.network.MECNetwork` validates and
     indexes them as arrays, the radio map reads them as arrays, and

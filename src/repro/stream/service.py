@@ -110,7 +110,7 @@ async def serve_stream_async(
                     dispatcher.dispatch(event)
                 if flight is not None:
                     flight.note(
-                        "event", kind=event.kind.name.lower(),
+                        "event", event=event.kind.name.lower(),
                         ue=event.ue_id, t=event.time_s, depth=depth,
                     )
                 # Dispatch is synchronous CPU work; yield so the

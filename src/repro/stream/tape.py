@@ -11,8 +11,8 @@ identical event sequence, so any outcome divergence is an allocator
 bug, not a feedback effect.
 
 UE entities are materialized lazily in ``ue_id`` order through
-:meth:`~repro.scale.streaming.ScenarioFrame.iter_ue_chunks` (the PR 5
-machinery), so a tape over millions of arrivals holds O(active set +
+:meth:`~repro.sim.frame.ScenarioFrame.iter_ue_chunks` (the chunked
+draw), so a tape over millions of arrivals holds O(active set +
 one chunk) entities plus O(arrivals) scalar timestamps — never the full
 population.
 """
@@ -35,8 +35,8 @@ from repro.dynamics.arrivals import (
 from repro.dynamics.events import EventKind
 from repro.errors import ConfigurationError
 from repro.model.geometry import Point
-from repro.scale.streaming import ScenarioFrame, build_scenario_frame
 from repro.sim.config import ScenarioConfig
+from repro.sim.frame import ScenarioFrame, build_scenario_frame
 from repro.stream.events import StreamEvent
 
 __all__ = ["StreamConfig", "ChurnTape", "open_tape"]

@@ -59,7 +59,7 @@ def build_radio_map_reference(
                     rrbs_required=demand,
                 )
             )
-    return RadioMap.from_links(links)
+    return RadioMap.from_links(links, network)
 
 
 def assert_link_parity(

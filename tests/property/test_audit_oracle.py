@@ -122,7 +122,7 @@ def _scrambled(radio_map: RadioMap) -> RadioMap:
         groups.setdefault(link.ue_id, []).append(link)
     order = sorted(groups, key=lambda ue_id: (ue_id * 7919) % 101)
     return RadioMap.from_links(
-        link for ue_id in order for link in groups[ue_id]
+        (link for ue_id in order for link in groups[ue_id]), radio_map.network
     )
 
 

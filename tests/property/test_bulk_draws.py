@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.model.geometry import Point
 from repro.model.workload import WorkloadModel, generate_user_equipments
-from repro.scale.streaming import build_scenario_frame
 from repro.sim.config import ScenarioConfig
+from repro.sim.frame import build_scenario_frame
 
 DRAWS = settings(max_examples=40, deadline=None)
 

@@ -21,8 +21,8 @@ from repro.errors import ConfigurationError, UnknownEntityError
 from repro.model.entities import UEColumns, UserEquipment
 from repro.model.network import EntityColumns, MECNetwork
 from repro.model.workload import WorkloadModel, draw_ue_columns
-from repro.scale.streaming import build_scenario_frame
 from repro.sim.config import ScenarioConfig
+from repro.sim.frame import build_scenario_frame
 
 DRAWS = settings(max_examples=40, deadline=None)
 NETWORKS = settings(max_examples=25, deadline=None)

@@ -72,7 +72,7 @@ def _problem(ue_count, seed, placement, flat_distance, dropped, infeasible):
         for link in scenario.radio_map
         if link.ue_id not in gone
     ]
-    radio_map = RadioMap.from_links(links)
+    radio_map = RadioMap.from_links(links, scenario.network)
     return compile_bound_problem(scenario.network, radio_map, pricing)
 
 

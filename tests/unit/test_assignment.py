@@ -206,7 +206,8 @@ class TestValidation:
         # BS 0 covers UE 0 and hosts its service, but the map lacks the link.
         g = grant_for(tiny_network, tiny_radio_map, 0, 0)
         radio_map = RadioMap.from_links(
-            m for m in tiny_radio_map if (m.ue_id, m.bs_id) != (0, 0)
+            (m for m in tiny_radio_map if (m.ue_id, m.bs_id) != (0, 0)),
+            tiny_network,
         )
         with pytest.raises(AllocationError, match="radio map has no such link"):
             Assignment(grants=(g,), cloud_ue_ids=frozenset()).validate(
@@ -218,7 +219,9 @@ class TestValidation:
     ):
         link = tiny_radio_map.link(0, 0)
         again = dataclasses.replace(link, rrbs_required=link.rrbs_required + 2)
-        radio_map = RadioMap.from_links(list(tiny_radio_map) + [again])
+        radio_map = RadioMap.from_links(
+            list(tiny_radio_map) + [again], tiny_network
+        )
         g = grant_for(tiny_network, radio_map, 0, 0)
         assert g.rrbs == again.rrbs_required
         Assignment(grants=(g,), cloud_ue_ids=frozenset()).validate(

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.radio.channel as channel_module
 from repro.baselines.cloud_only import CloudOnlyAllocator
 from repro.compute.cru import Grant, LedgerPool
 from repro.core.allocator import Allocator
@@ -168,8 +167,8 @@ class TestRunAllocation:
     ):
         """Scenario build, SoA match, validation, accounting and the
         ``--metrics`` document stay columnar: no per-UE draw, no
-        ``UserEquipment``, no ``Point`` beyond the BSs', no eager per-UE
-        radio slice index, no ``Grant``, no ``LedgerPool``."""
+        ``UserEquipment``, no ``Point`` beyond the BSs', no UE id -> row
+        dict, no ``Grant``, no ``LedgerPool``."""
         def solve():
             scenario = build_scenario(paper_config, 1100, 11)
             outcome = run_allocation(
@@ -196,7 +195,6 @@ class TestRunAllocation:
             monkeypatch.setattr(WorkloadModel, name, per_entity)
         monkeypatch.setattr(UserEquipment, "__init__", per_entity)
         monkeypatch.setattr(Point, "__init__", counted_point)
-        monkeypatch.setattr(channel_module, "_slices_from_grouped_ids", per_entity)
         monkeypatch.setattr(Grant, "__init__", per_entity)
         monkeypatch.setattr(LedgerPool, "__init__", per_entity)
         scenario, outcome, document = solve()
@@ -204,7 +202,7 @@ class TestRunAllocation:
         assert len(points) <= network.bs_count
         assert "user_equipments" not in network.__dict__
         assert network._ue_by_id == {}
-        assert scenario.radio_map._ue_slice is None
+        assert network._ue_row is None
         assert outcome.assignment == expected.assignment
         assert outcome.metrics == expected.metrics
         assert document.families == expected_document.families
@@ -212,8 +210,8 @@ class TestRunAllocation:
 
     def test_audit_makes_no_point_lookups(self, small_scenario, monkeypatch):
         """Validation and accounting read columns only: a per-grant
-        ``RadioMap.link`` or ``MECNetwork.distance_m`` call would build the
-        map's (ue, bs) hash index, which pins ~150 MB at 100k UEs."""
+        ``RadioMap.link`` or ``MECNetwork.distance_m`` call would cost a
+        scalar lookup per grant."""
         config = small_scenario.config
         network = small_scenario.network
         radio_map = build_radio_map(
@@ -241,5 +239,4 @@ class TestRunAllocation:
         monkeypatch.setattr(RadioMap, "link", point_lookup)
         monkeypatch.setattr(MECNetwork, "distance_m", point_lookup)
         outcome = run_allocation(scenario, Replay())
-        assert radio_map._pos is None
         assert outcome.metrics == expected.metrics

@@ -94,6 +94,13 @@ class TestFlightEndpoint:
         assert dump["total_noted"] == 6
         assert [e["i"] for e in dump["entries"]] == [2, 3, 4, 5]
 
+    def test_note_refuses_fields_named_like_entry_keys(self):
+        flight = FlightRecorder(capacity=4)
+        for key in ("seq", "t_s", "kind"):
+            with pytest.raises(ValueError, match=key):
+                flight.note("event", **{key: "arrival"})
+        assert flight.total_noted == len(flight) == 0
+
     def test_flight_occupancy_exported_as_gauge(self, recorder):
         flight = FlightRecorder(capacity=4)
         flight.note("tick")

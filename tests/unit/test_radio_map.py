@@ -1,6 +1,7 @@
 """Unit tests for the precomputed radio map."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.model.geometry import Point
 from repro.radio.channel import build_radio_map
 from repro.radio.ofdma import per_rrb_rate_bps, rrbs_required
 from repro.radio.sinr import LinkBudget
+from repro.sim.config import ScenarioConfig
+from repro.sim.scenario import build_scenario
 
 
 class TestBuildRadioMap:
@@ -258,3 +261,24 @@ class TestIncrementalUpdate:
         patched = radio_map.with_updated_ues(moved, budget, [0])
         fresh = build_radio_map(moved, budget)
         assert [m for m in patched] == [m for m in fresh]
+
+
+class TestPairTable:
+    """Point lookups read the map's CSR through the network's id dicts."""
+
+    def test_first_link_lookup_retains_no_pair_table(self):
+        config = ScenarioConfig.paper(region_side_m=2700.0, bs_per_sp=10)
+        scenario = build_scenario(config, 2000, 1)
+        network, radio_map = scenario.network, scenario.radio_map
+        assert len(radio_map) == 10_225
+        ue_id, bs_id = int(radio_map.ue_ids[-1]), int(radio_map.bs_ids[-1])
+        network.row_of_ue(ue_id)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            link = radio_map.link(ue_id, bs_id)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (link.ue_id, link.bs_id) == (ue_id, bs_id)
+        assert retained < 16 * 1024

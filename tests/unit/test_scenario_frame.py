@@ -1,10 +1,10 @@
-"""Unit tests for the two-step scenario builder (``repro.scale``)."""
+"""Unit tests for the two-step scenario builder (``repro.sim.frame``)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scale import build_scenario_frame
 from repro.sim.config import ScenarioConfig
+from repro.sim.frame import build_scenario_frame
 from repro.sim.scenario import build_scenario
 
 

@@ -300,7 +300,7 @@ class TestGatherCandidates:
         network, built = small_scenario.network, small_scenario.radio_map
         links = list(built)
         np.random.default_rng(3).shuffle(links)
-        for radio_map in (built, RadioMap.from_links(links)):
+        for radio_map in (built, RadioMap.from_links(links, network)):
             targets = [ue.ue_id for ue in network.user_equipments][::3]
             gathered = gather_candidates(network, radio_map, set(targets))
             expected = [
@@ -332,7 +332,7 @@ class TestGatherCandidates:
         for group in order:
             rng.shuffle(group)
             links.extend(group)
-        radio_map = RadioMap.from_links(links)
+        radio_map = RadioMap.from_links(links, network)
         policy = DMRAPolicy(pricing=loaded_scenario.pricing)
         soa = SoAMatchingEngine(policy).run(network, radio_map)
         reference = IterativeMatchingEngine(policy).run(network, radio_map)

@@ -261,3 +261,9 @@ class TestServeCli:
         assert "injected" in entries[-1]["error"]
         # One note per event before the failing one, then the failure.
         assert dump["total_noted"] == len(entries) == fail_at
+        assert [entry["kind"] for entry in entries[:-1]] == (
+            ["event"] * (fail_at - 1)
+        )
+        assert {entry["event"] for entry in entries[:-1]} <= {
+            "arrival", "departure", "move",
+        }
