@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench metrics-baseline metrics-baseline-grid gap-baseline bench-paper figures extensions examples clean
+.PHONY: install test bench metrics-baseline metrics-baseline-grid gap-baseline gap-baseline-grid bench-paper figures extensions examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -34,6 +34,13 @@ gap-baseline:
 	$(PYTHON) -m repro bound --ues 600 --seed 3 --method both \
 		--baselines auction best-response potential-game \
 		--metrics benchmarks/results/baseline_gap_metrics.json
+
+# The gap gate at 400 BSs x 20000 UEs: the Lagrangian bound alone, over
+# its full 150-iteration walk.
+gap-baseline-grid:
+	$(PYTHON) -m repro bound --ues 20000 --region-m 6000 --bs-per-sp 80 \
+		--seed 3 --method lagrangian \
+		--metrics benchmarks/results/baseline_gap_metrics_grid.json
 
 bench-paper:
 	BENCH_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -56,12 +56,16 @@ class LagrangianOutcome:
 
 
 class _Workspace:
-    """Row-wide work buffers for :func:`_inner_solve`, allocated once per run.
+    """Row-wide work buffers and running usage for :func:`_inner_solve`.
 
-    Every buffer is as wide as slot 0 -- one entry per UE row with a
-    candidate, in ``slot_rows`` order -- except ``best_ue``, which holds
-    the same row maxima in UE order (zero for rows without a candidate).
-    ``first`` holds slot numbers in the narrowest unsigned type.
+    Allocated once per run.  Every buffer is as wide as slot 0 -- one
+    entry per UE row with a candidate, in ``slot_rows`` order -- except
+    ``best_ue``, which holds the same row maxima in UE order (zero for
+    rows without a candidate).  ``first`` and ``held_slot`` hold slot
+    numbers in the narrowest unsigned type.  ``held`` and ``held_slot``
+    are each row's choice at the last solve (whether it took a pair,
+    and the pair's slot), and ``used_cru`` / ``used_rrb`` the CRU / RRB
+    usage of those choices; they start from no choice and zero usage.
     """
 
     def __init__(self, problem: BoundProblem) -> None:
@@ -69,7 +73,6 @@ class _Workspace:
         self.slots = list(zip(ptr[:-1], ptr[1:]))
         width = self.slots[0][1] if self.slots else 0
         slot_type = np.min_scalar_type(max(len(self.slots) - 1, 0))
-        self.offsets = np.arange(width, dtype=np.int64)
         self.rows = problem.slot_rows[:width]
         self.term = np.empty(width, dtype=np.float64)
         self.spare = np.empty(width, dtype=np.float64)
@@ -77,9 +80,11 @@ class _Workspace:
         self.gain = np.empty(width, dtype=bool)
         self.first = np.empty(width, dtype=slot_type)
         self.step = np.empty(width, dtype=slot_type)
-        self.chosen = np.empty(width, dtype=np.int64)
-        self.target = np.empty(width, dtype=np.int64)
         self.best_ue = np.zeros(problem.n_ue, dtype=np.float64)
+        self.held = np.zeros(width, dtype=bool)
+        self.held_slot = np.zeros(width, dtype=slot_type)
+        self.used_cru = np.zeros(problem.cap_cru.size, dtype=np.float64)
+        self.used_rrb = np.zeros(problem.cap_rrb.size, dtype=np.float64)
 
 
 def _inner_solve(
@@ -92,13 +97,15 @@ def _inner_solve(
     """Closed-form per-UE subproblems under multipliers ``lam, nu``.
 
     Returns the summed positive row maxima plus the CRU / RRB usage of
-    the chosen pairs (the subgradient ingredients).  Each slot is one
-    contiguous pass over its pairs: the reduced profits, folded into
-    the running maxima of the first ``width`` rows.  A row's chosen
-    pair moves only on a strictly larger value, so it is the first
-    candidate, in radio-map order, that attains the row's maximum.
-    The positive maxima are summed in UE order, one pairwise sum per
-    block of ``chunk_ues`` rows.
+    the chosen pairs (the subgradient ingredients): ``work``'s running
+    usage, valid until its next solve.  Each slot is one contiguous
+    pass over its pairs: the reduced profits, folded into the running
+    maxima of the first ``width`` rows.  A row's chosen pair moves only
+    on a strictly larger value, so it is the first candidate, in
+    radio-map order, that attains the row's maximum.  The usage moves
+    by the rows whose choice changed since ``work``'s last solve (every
+    row with a pair, at the first).  The positive maxima are summed in
+    UE order, one pairwise sum per block of ``chunk_ues`` rows.
 
     Every ``np.take`` index is in range by construction; ``clip`` mode
     lets it write straight into the buffer.
@@ -133,23 +140,30 @@ def _inner_solve(
         np.multiply(s, g, out=s)
         np.subtract(f, s, out=f)
 
-    # Rows with a non-positive maximum take nothing: zero their weight.
+    # Rows with a non-positive maximum take nothing.
     np.greater(best, 0.0, out=gain)
-    chosen, target, weight = work.chosen, work.target, term
-    np.take(problem.slot_ptr, first, out=chosen, mode="clip")
-    np.add(chosen, work.offsets, out=chosen)
-    np.take(problem.pair_flat, chosen, out=target, mode="clip")
-    # c^u is the UE's own, so slot 0 holds every row's in row order.
-    np.multiply(problem.pair_cru[: len(gain)], gain, out=weight)
-    used_cru = np.bincount(
-        target, weights=weight, minlength=problem.cap_cru.size
+    held, held_slot = work.held, work.held_slot
+    moved = np.flatnonzero((gain != held) | (gain & (first != held_slot)))
+    # Give back the old pairs, take the new ones: one signed count per
+    # capacity vector.  Every c^u and n_{u,i} is an integer, so every
+    # partial sum is exact and the running usage is the from-scratch
+    # count bit for bit.
+    gone, taken = moved[held[moved]], moved[gain[moved]]
+    pairs = np.concatenate((
+        problem.slot_ptr[held_slot[gone]] + gone,
+        problem.slot_ptr[first[taken]] + taken,
+    ))
+    cru, rrb = problem.pair_cru[pairs], problem.pair_rrb[pairs]
+    cru[: gone.size] *= -1.0
+    rrb[: gone.size] *= -1.0
+    work.used_cru += np.bincount(
+        problem.pair_flat[pairs], weights=cru, minlength=problem.cap_cru.size
     )
-    np.take(problem.pair_bs, chosen, out=target, mode="clip")
-    np.take(problem.pair_rrb, chosen, out=weight, mode="clip")
-    np.multiply(weight, gain, out=weight)
-    used_rrb = np.bincount(
-        target, weights=weight, minlength=problem.cap_rrb.size
+    work.used_rrb += np.bincount(
+        problem.pair_bs[pairs], weights=rrb, minlength=problem.cap_rrb.size
     )
+    held[:] = gain
+    held_slot[:] = first
 
     best_ue = work.best_ue
     best_ue[work.rows] = best
@@ -157,7 +171,7 @@ def _inner_solve(
     for lo in range(0, problem.n_ue, chunk_ues):
         block = best_ue[lo : lo + chunk_ues]
         total += float(block[block > 0.0].sum())
-    return total, used_cru, used_rrb
+    return total, work.used_cru, work.used_rrb
 
 
 def lagrangian_bound(

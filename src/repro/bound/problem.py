@@ -109,77 +109,74 @@ def _compile(
     radio_map: RadioMap,
     pricing: PricingPolicy | None,
 ) -> BoundProblem:
+    # Each temporary is dropped once used: the pair-sized ones would
+    # otherwise stay alive to the end, next to the problem's own columns.
     pricing = pricing if pricing is not None else PaperPricing()
     columns = network.columns()
     gathered = gather_candidates(network, radio_map)
-    n_ue = len(gathered.ue_ids)
-    rows = gathered.rows
+    ue_ids, rows = gathered.ue_ids, gathered.rows
+    n_ue = len(ue_ids)
 
-    base_stations = tuple(network.base_stations)
-    n_bs = len(base_stations)
-    bs_sp = columns.bs_sp
-    requested = columns.service_ids[columns.ue_service[rows]]
-    service_ids = sorted(
-        {s for bs in base_stations for s in bs.cru_capacity}
-        | set(requested.tolist())
-    )
-    svc_index = {sid: k for k, sid in enumerate(service_ids)}
-    n_svc = len(service_ids)
-
-    cap_cru = np.zeros(n_bs * n_svc, dtype=np.float64)
-    for b, bs in enumerate(base_stations):
-        for sid, crus in bs.cru_capacity.items():
-            cap_cru[b * n_svc + svc_index[sid]] = float(crus)
-    cap_rrb = np.array(
-        [float(bs.rrb_capacity) for bs in base_stations], dtype=np.float64
-    )
-
-    ue_svc = np.searchsorted(np.array(service_ids, dtype=np.int64), requested)
-    ue_cru = columns.ue_cru_demand[rows]
-    ue_sp = columns.ue_sp[rows]
-    margin_of_sp = np.array(
-        [sp.cru_price - sp.other_cost for sp in network.providers],
-        dtype=np.float64,
-    )
-    ue_margin = margin_of_sp[ue_sp]
+    # Capacity rows: the services some BS hosts or some UE requests, by
+    # ascending id; a UE row's service becomes its capacity index.
+    in_use = columns.bs_cru_capacity.any(axis=0)
+    in_use[columns.ue_service] = True
+    services = np.flatnonzero(in_use)
+    services = services[np.argsort(columns.service_ids[services])]
+    n_svc = len(services)
+    svc_index = np.zeros(len(in_use), dtype=np.int64)
+    svc_index[services] = np.arange(n_svc)
+    cap_cru = columns.bs_cru_capacity[:, services].astype(np.float64).ravel()
+    cap_rrb = columns.bs_rrb_capacity.astype(np.float64)
 
     # Keep the feasible pairs; each row's stay contiguous, in map order.
     links = gathered.links
     feasible = np.flatnonzero(
-        (radio_map.rrb_demands[links] >= 1)
-        & (radio_map.per_rrb_rates_bps[links] > 0)
+        ((radio_map.rrb_demands >= 1) & (radio_map.per_rrb_rates_bps > 0))[links]
     )
     counts = np.bincount(gathered.row_of_pair[feasible], minlength=n_ue)
     row_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     # Slot k takes the k-th feasible pair of the ``widths[k]`` rows
-    # with the most candidates, in ``slot_rows`` order.
+    # with the most candidates, in ``slot_rows`` order: one pass lays
+    # out each pair's network UE row and its place among the feasible.
     slot_rows = np.argsort(-counts, kind="stable")
     widths = (n_ue - np.cumsum(np.bincount(counts))[:-1]).tolist()
     slot_ptr = np.cumsum([0] + widths)
-
-    def by_slot(per_row: np.ndarray) -> np.ndarray:
-        """A per-row column laid out like the pairs."""
-        ordered = per_row[slot_rows]
-        return np.concatenate([ordered[:w] for w in widths] + [ordered[:0]])
-
-    start = row_start[slot_rows]
-    take = feasible[np.concatenate(
-        [start[:w] + k for k, w in enumerate(widths)] + [start[:0]]
-    )]
-    sel = links[take]
-    pair_rrb = radio_map.rrb_demands[sel].astype(np.float64)
-    pair_dist = radio_map.distances_m[sel]
+    pair_ue = np.empty(slot_ptr[-1], dtype=np.int64)
+    take = np.empty(slot_ptr[-1], dtype=np.int64)
+    ue_of_row, start = rows[slot_rows], row_start[slot_rows]
+    for k, (a, w) in enumerate(zip(slot_ptr[:-1].tolist(), widths)):
+        pair_ue[a : a + w] = ue_of_row[:w]
+        np.add(start[:w], k, out=take[a : a + w])
+    take = feasible[take]
     pair_bs = gathered.pair_bs[take]
+    sel = links[take]
+    del gathered, links, feasible, take
 
-    pair_same_sp = by_slot(ue_sp) == bs_sp[pair_bs]
-    price = _price_term_array(pricing, pair_dist, pair_same_sp)
-    pair_cru = by_slot(ue_cru).astype(np.float64)
-    pair_profit = pair_cru * (by_slot(ue_margin) - price)
-    pair_flat = pair_bs * n_svc + by_slot(ue_svc)
+    pair_rrb = radio_map.rrb_demands[sel].astype(np.float64)
+    distances = radio_map.distances_m[sel]
+    del sel
+    same_sp = columns.ue_sp[pair_ue] == columns.bs_sp[pair_bs]
+    price = _price_term_array(pricing, distances, same_sp)
+    del distances, same_sp
+
+    margin_of_sp = np.array(
+        [sp.cru_price - sp.other_cost for sp in network.providers],
+        dtype=np.float64,
+    )
+    pair_cru = columns.ue_cru_demand.astype(np.float64)[pair_ue]
+    # c^u * (margin - price), in the price buffer.
+    pair_profit = np.subtract(
+        margin_of_sp[columns.ue_sp][pair_ue], price, out=price
+    )
+    np.multiply(pair_cru, pair_profit, out=pair_profit)
+    pair_flat = svc_index[columns.ue_service][pair_ue]
+    del pair_ue
+    pair_flat += pair_bs * n_svc
 
     return BoundProblem(
-        ue_ids=gathered.ue_ids,
+        ue_ids=ue_ids,
         slot_ptr=slot_ptr,
         slot_rows=slot_rows,
         pair_bs=pair_bs,
@@ -190,5 +187,5 @@ def _compile(
         cap_cru=cap_cru,
         cap_rrb=cap_rrb,
         bs_ids=columns.bs_ids.copy(),
-        service_ids=tuple(service_ids),
+        service_ids=tuple(columns.service_ids[services].tolist()),
     )

@@ -73,9 +73,9 @@ class ServiceCatalog:
         hosted = rng.choice(
             self.service_count, size=hosted_count, replace=False
         )
-        return {
-            int(service_id): int(
-                rng.integers(self.cru_capacity_min, self.cru_capacity_max + 1)
-            )
-            for service_id in sorted(hosted)
-        }
+        # One call draws what one call per service (in id order) would:
+        # NumPy fills both through the same per-element routine.
+        crus = rng.integers(
+            self.cru_capacity_min, self.cru_capacity_max + 1, size=hosted_count
+        )
+        return dict(zip(sorted(hosted.tolist()), crus.tolist()))

@@ -625,10 +625,11 @@ def _price_term_array(
     from repro.econ.pricing import FlatPricing, PaperPricing
 
     if isinstance(pricing, PaperPricing):
+        # base * (ownership + weight * distance), in one buffer.
         ownership = np.where(same_sp, 1.0, pricing.cross_sp_markup)
-        return pricing.base_price * (
-            ownership + pricing.distance_weight * distances
-        )
+        price = np.multiply(distances, pricing.distance_weight)
+        np.add(ownership, price, out=price)
+        return np.multiply(price, pricing.base_price, out=price)
     if isinstance(pricing, FlatPricing):
         return np.where(
             same_sp, pricing.same_sp_price, pricing.cross_sp_price

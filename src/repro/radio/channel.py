@@ -142,10 +142,8 @@ class RadioMap:
         self._network = network
         self._indptr = indptr
         self._cols = cols
-        self._ue_ids = _frozen(
-            np.repeat(network.ue_columns().ue_ids, np.diff(indptr))
-        )
-        self._bs_ids = _frozen(network.bs_columns().bs_ids[cols])
+        self._ue_ids = None  # derived on first read: see ``ue_ids``
+        self._bs_ids = None
         self._distance_m = _frozen(np.asarray(distance_m, dtype=float))
         self._sinr = _frozen(np.asarray(sinr_linear, dtype=float))
         self._rate = _frozen(np.asarray(per_rrb_rate_bps, dtype=float))
@@ -246,7 +244,7 @@ class RadioMap:
         :class:`LinkMetrics` is materialized.
         """
         spans = list(map(self.ue_slice, ue_ids))
-        columns = (self._bs_ids, self._rrbs, self._distance_m)
+        columns = (self.bs_ids, self._rrbs, self._distance_m)
         if sum(stop - start for start, stop in spans) == len(self._cols):
             bs_ids, rrbs, distances = (column.tolist() for column in columns)
             return [
@@ -322,12 +320,20 @@ class RadioMap:
 
     @property
     def ue_ids(self) -> np.ndarray:
-        """Per-link UE ids (read-only, grouped by UE in network order)."""
+        """Per-link UE ids (read-only, grouped by UE in network order):
+        each row's UE id over its run, derived on first read and kept."""
+        if self._ue_ids is None:
+            ue_ids = self._network.ue_columns().ue_ids
+            self._ue_ids = _frozen(np.repeat(ue_ids, np.diff(self._indptr)))
         return self._ue_ids
 
     @property
     def bs_ids(self) -> np.ndarray:
-        """Per-link BS ids (read-only)."""
+        """Per-link BS ids (read-only): each link's column's BS id,
+        derived on first read and kept."""
+        if self._bs_ids is None:
+            bs_ids = self._network.bs_columns().bs_ids
+            self._bs_ids = _frozen(bs_ids[self._cols])
         return self._bs_ids
 
     @property
@@ -355,14 +361,16 @@ class RadioMap:
 
         Used by the scenario cache to bound its memory footprint; lazy
         per-link ``LinkMetrics`` objects are not counted, nor is the
-        CSR, which the network holds.
+        CSR, which the network holds.  The id columns count at full
+        size whether or not they have been derived yet.
         """
-        return int(sum(
+        id_bytes = (
+            self._network.ue_columns().ue_ids.itemsize
+            + self._network.bs_columns().bs_ids.itemsize
+        )
+        return int(len(self._cols) * id_bytes + sum(
             arr.nbytes
-            for arr in (
-                self._ue_ids, self._bs_ids, self._distance_m,
-                self._sinr, self._rate, self._rrbs,
-            )
+            for arr in (self._distance_m, self._sinr, self._rate, self._rrbs)
         ))
 
     # ------------------------------------------------------------------
@@ -457,8 +465,8 @@ class RadioMap:
         cached = self._metrics[index]
         if cached is None:
             cached = LinkMetrics(
-                ue_id=int(self._ue_ids[index]),
-                bs_id=int(self._bs_ids[index]),
+                ue_id=int(self.ue_ids[index]),
+                bs_id=int(self.bs_ids[index]),
                 distance_m=float(self._distance_m[index]),
                 sinr_linear=float(self._sinr[index]),
                 per_rrb_rate_bps=float(self._rate[index]),

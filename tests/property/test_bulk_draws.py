@@ -3,7 +3,9 @@
 ``generate_user_equipments`` decodes a whole population from one block
 of raw PCG64 outputs.  Its contract is the per-UE loop below: the same
 UEs, and the generator left exactly where the loop leaves it -- which
-the next draw from it shows, including the buffered 32-bit half.
+the next draw from it shows, including the buffered 32-bit half.  A
+BS's hosting map draws its CRU capacities in one call under the same
+contract: the per-service draws.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compute.catalog import ServiceCatalog
 from repro.model.geometry import Point
 from repro.model.workload import WorkloadModel, generate_user_equipments
 from repro.sim.config import ScenarioConfig
@@ -222,3 +225,45 @@ def test_decoder_disagreement_falls_back(monkeypatch):
         positions(13), 5, 3, WorkloadModel(), bulk
     ) == expected
     assert len(calls) == 13
+
+
+def per_service_hosting(catalog, rng):
+    """The definition: one capacity draw per hosted service, by id."""
+    hosted_count = max(1, round(catalog.hosted_fraction * catalog.service_count))
+    hosted = rng.choice(catalog.service_count, size=hosted_count, replace=False)
+    return {
+        int(service_id): int(
+            rng.integers(catalog.cru_capacity_min, catalog.cru_capacity_max + 1)
+        )
+        for service_id in sorted(hosted)
+    }
+
+
+@DRAWS
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    prefill=st.integers(min_value=0, max_value=3),
+    service_count=st.integers(min_value=1, max_value=12),
+    hosted_fraction=st.sampled_from([1.0, 0.5, 0.34, 0.01]),
+    capacity=st.sampled_from([(10, 20), (1, 1), (1, 2**31), (5, 2**40)]),
+    bs_count=st.integers(min_value=1, max_value=6),
+    bit_generator=st.sampled_from([np.random.PCG64, np.random.Philox]),
+)
+def test_bulk_hosting_draw_equals_per_service_draws(
+    seed, prefill, service_count, hosted_fraction, capacity, bs_count,
+    bit_generator,
+):
+    catalog = ServiceCatalog(
+        service_count=service_count,
+        cru_capacity_min=capacity[0],
+        cru_capacity_max=capacity[1],
+        hosted_fraction=hosted_fraction,
+    )
+    bulk, loop = twin_generators(seed, prefill, bit_generator)
+    for _ in range(bs_count):
+        got = catalog.sample_hosting(bulk)
+        expected = per_service_hosting(catalog, loop)
+        assert list(got.items()) == list(expected.items())
+        assert all(type(k) is int and type(v) is int for k, v in got.items())
+    assert same_state(bulk.bit_generator.state, loop.bit_generator.state)
+    assert bulk.integers(1 << 20) == loop.integers(1 << 20)

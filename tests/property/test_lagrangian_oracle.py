@@ -5,7 +5,9 @@ by slot; ``tests/oracles/lagrangian.py`` keeps the per-UE-row
 ``np.maximum.reduceat`` solve it replaced.  Both must return the same
 dual value and the same CRU / RRB usage, bit for bit, for every problem,
 multiplier vector and ``chunk_ues`` -- and so must a whole subgradient
-run driven by either.
+run driven by either.  One workspace carried through a walk of
+multiplier vectors must keep its running usage equal to a from-scratch
+count of its rows' choices.
 
 Hypothesis draws small paper scenarios (0 to 60 UEs), optionally with
 ``distance_weight=0`` so that a UE's candidates of one SP tie exactly,
@@ -162,3 +164,59 @@ def test_subgradient_run_equals_oracle_driven_run(
     ):
         want = lagrangian_bound(problem, **run)
     assert got == want
+
+
+@ORACLE
+@given(
+    params=problems,
+    multiplier_seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(["zero", "sparse", "dense", "none"]),
+            st.sampled_from([1.0, 8.0]),
+        ),
+        min_size=2,
+        max_size=12,
+    ),
+    chunk_kind=st.sampled_from(["one", "odd", "all"]),
+    odd=st.integers(0, 20),
+)
+def test_running_usage_over_a_multiplier_walk(
+    params, multiplier_seed, steps, chunk_kind, odd
+):
+    """One workspace through a walk of multiplier vectors (few distinct
+    steps, so vectors repeat; ``none`` is all-zero, and a scale of 8
+    prices many rows out, so rows give their pair back and take it
+    again): every solve equals the oracle's, and after every solve the
+    running usage is a from-scratch count of the rows' held choices,
+    bit for bit."""
+    problem = problem_of(params)
+    chunk_ues = chunk_of(chunk_kind, problem, odd)
+    csr = oracle.csr_view(problem)
+    work = _Workspace(problem)
+    for step, lam_kind, scale in steps:
+        lam, nu = multipliers(problem, multiplier_seed + step, lam_kind)
+        if lam_kind == "none":
+            lam[:], nu[:] = 0.0, 0.0
+        lam *= scale
+        nu *= scale
+        got = _inner_solve(problem, lam, nu, chunk_ues, work)
+        want = oracle.inner_solve(csr, lam, nu, chunk_ues)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+        pairs = problem.slot_ptr[work.held_slot] + np.arange(work.held.size)
+        used_cru = np.bincount(
+            problem.pair_flat[pairs],
+            weights=problem.pair_cru[pairs] * work.held,
+            minlength=problem.cap_cru.size,
+        )
+        used_rrb = np.bincount(
+            problem.pair_bs[pairs],
+            weights=problem.pair_rrb[pairs] * work.held,
+            minlength=problem.cap_rrb.size,
+        )
+        assert work.used_cru.tobytes() == used_cru.tobytes()
+        assert work.used_rrb.tobytes() == used_rrb.tobytes()

@@ -9,7 +9,7 @@ from conftest import make_tiny_network
 from oracles.radio_map import build_radio_map_reference
 from repro.errors import UnknownEntityError
 from repro.model.geometry import Point
-from repro.radio.channel import build_radio_map
+from repro.radio.channel import RadioMap, build_radio_map
 from repro.radio.ofdma import per_rrb_rate_bps, rrbs_required
 from repro.radio.sinr import LinkBudget
 from repro.sim.config import ScenarioConfig
@@ -138,6 +138,40 @@ class TestColumnarLayout:
             assert {link.bs_id for link in links} == {0, 1}
             assert all(link.ue_id == uid for link in links)
         assert radio_map.links_of_ue(999) == ()
+
+
+class TestDerivedIdColumns:
+    def test_id_columns_are_derived_on_first_read_and_kept(self):
+        """Maps made every way hold neither per-link id column until it
+        is read; then each holds the network's candidate pairs, in
+        network row order and column order within a row."""
+        network = make_tiny_network(
+            ue_specs=[
+                dict(ue_id=7),
+                dict(ue_id=3, position=Point(300.0, 0.0)),
+                dict(ue_id=5, position=Point(-450.0, 0.0)),
+            ]
+        )
+        budget = LinkBudget()
+        built = build_radio_map(network, budget)
+        moved = network.with_moved_ues({3: Point(310.0, 5.0)})
+        updated = built.with_updated_ues(moved, budget, [3])
+        links = list(build_radio_map(network, budget))
+        placed = RadioMap.from_links(links, network)
+        for radio_map in (built, updated, placed):
+            assert radio_map._ue_ids is None and radio_map._bs_ids is None
+            own = radio_map.network
+            pairs = [
+                (ue.ue_id, bs_id)
+                for ue in own.user_equipments
+                for bs_id in own.candidate_base_stations(ue.ue_id)
+            ]
+            ue_ids = radio_map.ue_ids
+            assert radio_map._bs_ids is None
+            bs_ids = radio_map.bs_ids
+            assert list(zip(ue_ids.tolist(), bs_ids.tolist())) == pairs
+            assert radio_map.ue_ids is ue_ids and radio_map.bs_ids is bs_ids
+            assert not ue_ids.flags.writeable and not bs_ids.flags.writeable
 
 
 class TestZeroRatePinning:
