@@ -161,15 +161,18 @@ def test_ablation_congestion_steering(benchmark):
 
 def test_ablation_stale_broadcasts(benchmark):
     """Gossip delay: stale resource broadcasts cost rounds, not profit."""
-    from repro.core.agents import DecentralizedDMRAAllocator
+    from repro.dist import DistributedDMRAAllocator
+    from repro.experiments.extensions import stale_broadcast_plan
 
     scenario = build_scenario(ScenarioConfig.paper(), 900, 1)
 
     def run():
         results = {}
         for delay in (0, 3):
-            assignment = DecentralizedDMRAAllocator(
-                pricing=scenario.pricing, broadcast_delay_rounds=delay
+            assignment = DistributedDMRAAllocator(
+                transport="inproc",
+                pricing=scenario.pricing,
+                fault_plan=stale_broadcast_plan(delay),
             ).allocate(scenario.network, scenario.radio_map)
             results[delay] = assignment
         return results

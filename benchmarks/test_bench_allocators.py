@@ -11,8 +11,8 @@ from repro.baselines.dcsp import DCSPAllocator
 from repro.baselines.greedy import GreedyProfitAllocator
 from repro.baselines.nonco import NonCoAllocator
 from repro.baselines.random_alloc import RandomAllocator
-from repro.core.agents import DecentralizedDMRAAllocator
 from repro.core.dmra import DMRAAllocator
+from repro.dist import DistributedDMRAAllocator
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 
@@ -35,7 +35,9 @@ def test_dmra_runtime(benchmark, scenario):
 
 def test_dmra_agents_runtime(benchmark, scenario):
     _bench(
-        benchmark, scenario, DecentralizedDMRAAllocator(pricing=scenario.pricing)
+        benchmark,
+        scenario,
+        DistributedDMRAAllocator(transport="inproc", pricing=scenario.pricing),
     )
 
 

@@ -1,10 +1,11 @@
 """Watch decentralized DMRA converge, message by message.
 
-Runs the agent-based implementation on a small scenario and prints each
-round's traffic — who proposed where, who was accepted, who fell back to
-the cloud — followed by the per-SP relay statistics.  Finally verifies
-that the message-passing result is identical to the direct matching
-engine's.
+Runs the UE/BS/SP agents on ``repro.dist``'s in-process transport (every
+node an object called in turn on this thread) on a small scenario and
+prints each round's traffic — who proposed where, who was accepted, who
+fell back to the cloud — followed by the per-SP relay statistics.
+Finally verifies that the message-passing result is identical to the
+direct matching engine's.
 
 Run with::
 
@@ -12,12 +13,13 @@ Run with::
 """
 
 from repro import DMRAAllocator, ScenarioConfig, build_scenario
-from repro.core.agents import DecentralizedDMRAAllocator, SPAgent, UEAgent
+from repro.core.agents import SPAgent, UEAgent
 from repro.core.messages import CloudFallbackNotice
+from repro.dist import DistributedDMRAAllocator
 
 
-class TracingAllocator(DecentralizedDMRAAllocator):
-    """The agent allocator with a per-round narration hook."""
+class TracingAllocator(DistributedDMRAAllocator):
+    """The in-process deployment with a per-message narration hook."""
 
     def allocate(self, network, radio_map):
         # Wrap UEAgent.propose so every message is narrated as it is
@@ -73,7 +75,10 @@ def main() -> None:
     print(scenario.network.describe())
     print("\nmessage trace:")
 
-    allocator = TracingAllocator(pricing=scenario.pricing)
+    # One UE host, so proposals are narrated in UE id order.
+    allocator = TracingAllocator(
+        transport="inproc", pricing=scenario.pricing, ue_hosts=1
+    )
     assignment = allocator.allocate(scenario.network, scenario.radio_map)
 
     print(f"\nconverged in {assignment.rounds} rounds: "
@@ -81,11 +86,11 @@ def main() -> None:
           f"{assignment.cloud_count} forwarded to cloud")
 
     print("\nSP relay statistics:")
-    for sp_id, sp_agent in sorted(allocator.last_sp_agents.items()):
+    for sp_id, stats in sorted(allocator.last_report["sp"].items()):
         print(
-            f"  SP {sp_id}: {sp_agent.requests_relayed} requests, "
-            f"{sp_agent.grants_relayed} grants, "
-            f"{sp_agent.cloud_forwards} cloud forwards"
+            f"  SP {sp_id}: {stats['requests_relayed']} requests, "
+            f"{stats['grants_relayed']} grants, "
+            f"{stats['cloud_forwards']} cloud forwards"
         )
 
     direct = DMRAAllocator(pricing=scenario.pricing).allocate(

@@ -376,9 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
     agents.add_argument(
         "--transport", default="inproc", choices=list(_DIST_TRANSPORTS),
         help=(
-            "message transport: 'inproc' (threads + queues), 'mp' "
-            "(forked processes + pipes), 'tcp' (forked processes + "
-            "loopback sockets)"
+            "message transport: 'inproc' (node objects called in turn "
+            "on this thread), 'mp' (forked processes + pipes), 'tcp' "
+            "(forked processes + loopback sockets)"
         ),
     )
     agents.add_argument(

@@ -1,11 +1,6 @@
 """Core: assignments, the matching engine, and the DMRA scheme."""
 
-from repro.core.agents import (
-    BSAgent,
-    DecentralizedDMRAAllocator,
-    SPAgent,
-    UEAgent,
-)
+from repro.core.agents import BSAgent, SPAgent, UEAgent
 from repro.core.allocator import Allocator
 from repro.core.assignment import Assignment
 from repro.core.dmra import DMRAAllocator, DMRAPolicy
@@ -41,7 +36,6 @@ __all__ = [
     "CongestionSteeredPolicy",
     "DMRAAllocator",
     "DMRAPolicy",
-    "DecentralizedDMRAAllocator",
     "IterativeMatchingEngine",
     "KERNELS",
     "MatchingContext",

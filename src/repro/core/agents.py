@@ -14,24 +14,21 @@ over shared state, here every entity is an agent with private state:
 
 The agent classes are transport-agnostic: they consume and produce
 :mod:`repro.core.messages` values and never touch a socket, queue, or
-clock.  :class:`DecentralizedDMRAAllocator` drives synchronous rounds of
-the exchange inside one process (the fast reference used by the
-staleness ablation); :mod:`repro.dist` drives the *same* agent code
-across real OS processes behind a pluggable transport.  Both are
-bit-identical to the direct engine (asserted by the equivalence
-integration tests), demonstrating that DMRA genuinely needs no central
-coordinator.
+clock.  :mod:`repro.dist` drives them in synchronous rounds, as node
+objects called in turn inside one process or across forked OS
+processes, behind a pluggable transport; the staleness ablation runs
+on the same loop under a fault plan that delays every broadcast.  With
+no fault plan every transport is bit-identical to the direct engine
+(asserted by the equivalence integration tests), demonstrating that
+DMRA genuinely needs no central coordinator.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.compute.cru import BSLedger
-from repro.core.allocator import Allocator
-from repro.core.assignment import Assignment
 from repro.core.messages import (
     AssociationGrant,
     CloudFallbackNotice,
@@ -39,8 +36,8 @@ from repro.core.messages import (
     ResourceBroadcast,
     ServiceRequest,
 )
-from repro.econ.pricing import PaperPricing, PricingPolicy
-from repro.errors import AllocationError, ConfigurationError
+from repro.econ.pricing import PricingPolicy
+from repro.errors import AllocationError
 from repro.model.entities import BaseStation, UserEquipment
 from repro.model.network import MECNetwork
 from repro.radio.channel import RadioMap
@@ -49,8 +46,6 @@ __all__ = [
     "UEAgent",
     "BSAgent",
     "SPAgent",
-    "BroadcastPipeline",
-    "DecentralizedDMRAAllocator",
     "build_ue_agents",
 ]
 
@@ -103,6 +98,10 @@ class UEAgent:
     def candidate_bs_ids(self) -> tuple[int, ...]:
         """The UE's current ``B_u``."""
         return tuple(sorted(self._candidates))
+
+    def has_candidate(self, bs_id: int) -> bool:
+        """Whether ``bs_id`` is still in the UE's ``B_u``."""
+        return bs_id in self._candidates
 
     def observe(self, broadcast: ResourceBroadcast) -> bool:
         """Receive a BS's resource broadcast (only covering BSs send one).
@@ -223,11 +222,11 @@ class UEAgent:
     def _score(self, info: _CandidateInfo) -> float:
         slack = self._slack(info.bs_id)
         if slack < 0:
-            # No broadcast seen yet: price-only ordering is exact because
-            # all slacks are at full capacity... which the UE does not
-            # know numerically; DecentralizedDMRAAllocator always sends
-            # an initial broadcast before round 1, so this path is only
-            # a safety net.
+            # No broadcast seen yet: order by price alone, which is what
+            # a UE can do before it knows any BS's slack.  A reliable run
+            # broadcasts before the first proposal, so this branch is
+            # taken only when broadcasts are delayed: for the first
+            # ``delay`` rounds of a staleness run.
             return info.price_per_cru
         if slack == 0:
             return math.inf if self.rho > 0 else info.price_per_cru
@@ -474,56 +473,17 @@ class SPAgent:
         return frozenset(self._cloud_ue_ids)
 
 
-class BroadcastPipeline:
-    """The stale-broadcast delay line of one BS.
-
-    Models gossip latency: the broadcast a UE observes in round ``r`` is
-    the one the BS sent ``delay`` rounds earlier.  Backed by a
-    ``deque(maxlen=delay + 1)`` so each round's push is O(1) — the
-    previous list-based implementation shifted the whole pipeline with
-    ``pop(0)`` every round.
-
-    The pipeline starts filled with the BS's initial full-capacity
-    broadcast (what a UE would have cached from the attach procedure);
-    :meth:`push` enqueues this round's broadcast and returns the one due
-    for delivery now.
-    """
-
-    def __init__(self, initial: ResourceBroadcast, delay: int) -> None:
-        if delay < 0:
-            raise ConfigurationError(f"delay must be >= 0, got {delay}")
-        self.delay = delay
-        self._line: deque[ResourceBroadcast] = deque(
-            [initial] * (delay + 1), maxlen=delay + 1
-        )
-
-    def push(self, broadcast: ResourceBroadcast) -> ResourceBroadcast:
-        """Enqueue this round's broadcast; return the delivered head —
-        the broadcast sent ``delay`` rounds ago."""
-        # maxlen evicts the expired head from the left automatically.
-        self._line.append(broadcast)
-        return self._line[0]
-
-    @property
-    def head(self) -> ResourceBroadcast:
-        """The broadcast most recently delivered (pipeline head)."""
-        return self._line[0]
-
-
 def build_ue_agents(
     network: MECNetwork,
     radio_map: RadioMap,
     pricing: PricingPolicy,
     rho: float,
-    ue_ids: list[int] | None = None,
 ) -> dict[int, UEAgent]:
     """Construct UE agents with their static candidate knowledge.
 
-    Shared by the in-process allocator below and the multi-process
-    deployment (:mod:`repro.dist`), where each UE-host process builds
-    only its own partition (``ue_ids``).
+    The deployment's supervisor (:mod:`repro.dist`) builds every UE's
+    agent and hands each UE host its shard.
     """
-    wanted = None if ue_ids is None else set(ue_ids)
     return {
         ue.ue_id: UEAgent(
             ue,
@@ -543,137 +503,4 @@ def build_ue_agents(
             rho=rho,
         )
         for ue in network.user_equipments
-        if wanted is None or ue.ue_id in wanted
     }
-
-
-class DecentralizedDMRAAllocator(Allocator):
-    """DMRA as synchronous rounds of agent message exchange.
-
-    Produces the same association as :class:`DMRAAllocator` (verified by
-    integration tests); additionally exposes per-SP relay statistics via
-    :attr:`last_sp_agents` for overhead analysis.
-    """
-
-    def __init__(
-        self,
-        pricing: PricingPolicy | None = None,
-        rho: float = 10.0,
-        max_rounds: int = 100_000,
-        broadcast_delay_rounds: int = 0,
-    ) -> None:
-        if rho < 0:
-            raise ConfigurationError(f"rho must be >= 0, got {rho}")
-        if max_rounds <= 0:
-            raise ConfigurationError(
-                f"max_rounds must be > 0, got {max_rounds}"
-            )
-        if broadcast_delay_rounds < 0:
-            raise ConfigurationError(
-                f"broadcast delay must be >= 0, got {broadcast_delay_rounds}"
-            )
-        self.pricing = pricing if pricing is not None else PaperPricing()
-        self.rho = rho
-        self.max_rounds = max_rounds
-        self.broadcast_delay_rounds = broadcast_delay_rounds
-        self.name = "dmra-agents"
-        self.last_sp_agents: dict[int, SPAgent] = {}
-
-    def allocate(self, network: MECNetwork, radio_map: RadioMap) -> Assignment:
-        ue_agents = build_ue_agents(
-            network, radio_map, self.pricing, self.rho
-        )
-        bs_agents = {
-            bs.bs_id: BSAgent(bs) for bs in network.base_stations
-        }
-        sp_agents = {sp.sp_id: SPAgent(sp.sp_id) for sp in network.providers}
-
-        # Invert coverage once: bs_id -> the UE agents it broadcasts to.
-        # The per-round fan-out below walks only this index instead of
-        # re-scanning every UE's coverage set for every BS (which made
-        # the broadcast phase O(BS x UE) per round).
-        covered_by_bs: dict[int, list[UEAgent]] = {
-            bs_id: [] for bs_id in bs_agents
-        }
-        for agent in ue_agents.values():
-            for bs_id in agent.candidate_bs_ids:
-                covered_by_bs[bs_id].append(agent)
-
-        # Stale-broadcast delay lines: UEs observe the broadcast a BS
-        # sent ``broadcast_delay_rounds`` rounds ago (0 = fresh, the
-        # paper's implicit assumption).
-        pipelines = {
-            bs_id: BroadcastPipeline(
-                agent.broadcast(), self.broadcast_delay_rounds
-            )
-            for bs_id, agent in bs_agents.items()
-        }
-        # Last broadcast actually delivered per BS: deliveries that
-        # advertise unchanged resources are skipped — observing an
-        # identical broadcast is a no-op, so only BSs whose (delayed)
-        # advertisement changed since the previous round fan out.
-        delivered_before: dict[int, ResourceBroadcast | None] = {
-            bs_id: None for bs_id in bs_agents
-        }
-
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > self.max_rounds:
-                raise AllocationError(
-                    f"agent matching did not terminate within "
-                    f"{self.max_rounds} rounds"
-                )
-
-            # BSs broadcast remaining resources to the UEs they cover,
-            # delivered through the (possibly delayed) pipeline.
-            for bs_id, bs_agent in bs_agents.items():
-                delivered = pipelines[bs_id].push(bs_agent.broadcast())
-                if delivered.same_resources(delivered_before[bs_id]):
-                    continue
-                delivered_before[bs_id] = delivered
-                for ue_agent in covered_by_bs[bs_id]:
-                    ue_agent.observe(delivered)
-
-            # UEs propose; SPs relay requests to the target BSs.
-            any_request = False
-            for ue_id in sorted(ue_agents):
-                message = ue_agents[ue_id].propose()
-                if message is None:
-                    continue
-                sp_agent = sp_agents[message.sp_id]
-                if isinstance(message, CloudFallbackNotice):
-                    sp_agent.forward_to_cloud(message)
-                    continue
-                any_request = True
-                relayed = sp_agent.relay_request(message)
-                bs_agents[relayed.target_bs_id].deliver(relayed)
-            if not any_request:
-                break
-
-            # BSs decide; SPs relay grants back to their subscribers.
-            for bs_id in sorted(bs_agents):
-                for grant in bs_agents[bs_id].process_round():
-                    ue_agent = ue_agents[grant.ue_id]
-                    sp_agent = sp_agents[ue_agent.ue.sp_id]
-                    ue_agent.receive_grant(sp_agent.relay_grant(grant))
-
-        self.last_sp_agents = sp_agents
-        grants = [
-            grant
-            for bs_agent in bs_agents.values()
-            for grant in bs_agent.ledger.grants.values()
-        ]
-        cloud = {
-            ue_id
-            for ue_id, agent in ue_agents.items()
-            if agent.associated_bs is None
-        }
-        # ``rounds`` counted the terminating probe round (no service
-        # request sent); report productive rounds only, matching the
-        # engine's Assignment.rounds semantics.
-        return Assignment(
-            grants=tuple(grants),
-            cloud_ue_ids=frozenset(cloud),
-            rounds=rounds - 1,
-        )

@@ -1,9 +1,12 @@
 """True decentralized deployment of the DMRA agent layer.
 
-Promotes the UE/BS/SP agents of :mod:`repro.core.agents` to real node
-bodies — threads or forked OS processes — exchanging serialized wire
-messages over a pluggable transport, with fault injection and
-per-message accounting.  See ``docs/decentralized.md``.
+Promotes the UE/BS/SP agents of :mod:`repro.core.agents` to node
+bodies — objects called in turn on the caller's thread, or forked OS
+processes — exchanging serialized wire messages over a pluggable
+transport, with fault injection and per-message accounting.  This is
+the one round loop over the agents: the staleness ablation runs on it
+as a fault plan that delays every broadcast.  See
+``docs/decentralized.md``.
 """
 
 from repro.dist.faults import (

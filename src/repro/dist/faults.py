@@ -62,9 +62,18 @@ class FaultPlan:
     crashes: tuple[CrashEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        for name, p in (("drop_prob", self.drop_prob), ("delay_prob", self.delay_prob)):
-            if not 0.0 <= p < 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1), got {p}")
+        # A frame dropped for sure could never get through, but one
+        # delayed for sure still arrives: with ``delay_prob == 1`` every
+        # eligible frame is held exactly ``delay_rounds`` (the staleness
+        # ablation's plan), and the finite horizon still ends the run.
+        if not 0.0 <= self.drop_prob < 1.0:
+            raise ConfigurationError(
+                f"drop_prob must be in [0, 1), got {self.drop_prob}"
+            )
+        if not 0.0 <= self.delay_prob <= 1.0:
+            raise ConfigurationError(
+                f"delay_prob must be in [0, 1], got {self.delay_prob}"
+            )
         if self.delay_rounds < 1:
             raise ConfigurationError(
                 f"delay_rounds must be >= 1, got {self.delay_rounds}"

@@ -1,7 +1,9 @@
 """Node bodies of the distributed deployment: one per BS, SP, UE shard.
 
-Each node runs :class:`NodeRuntime.run` — a loop over control frames
-from the supervisor — and delegates phase work to a handler that wraps
+Each node is a :class:`NodeRuntime` that takes frames one at a time
+through :meth:`NodeRuntime.deliver` — the in-process transport calls it
+as each frame is sent, a forked node's :meth:`NodeRuntime.run` loop
+after each receive — and delegates phase work to a handler that wraps
 the transport-agnostic agents of :mod:`repro.core.agents`.  Nothing
 here assumes a particular transport; the runtime sees only a channel.
 
@@ -63,7 +65,9 @@ def ue_host_name(ue_id: int, ue_hosts: int) -> str:
 
 class NodeRuntime:
     """Drives one node: barrier-consume data frames, run the handler,
-    report counts."""
+    report counts.  Frames come in through :meth:`deliver`, called by
+    the in-process transport as each frame is sent and by :meth:`run`
+    in a forked node."""
 
     def __init__(
         self,
@@ -78,6 +82,10 @@ class NodeRuntime:
         self.faulty = FaultyChannel(channel, plan, channel.name)
         self.recv_timeout = recv_timeout
         self._data_buf: list[dict] = []
+        # A tick waiting for its data frames; a node takes no other
+        # control frame until the tick's phase has run.
+        self._tick: dict | None = None
+        self._stopped = False
         self.msgs_sent: Counter = Counter()  # kind -> frames
         self.bytes_sent: Counter = Counter()  # kind -> bytes
         # Mutable per-phase tallies, rebound in _run_phase.
@@ -115,45 +123,60 @@ class NodeRuntime:
             self.msgs_sent[kind] += 1
             self.bytes_sent[kind] += nbytes
 
-    # -- main loop --------------------------------------------------------
+    # -- frame handling ---------------------------------------------------
 
     def run(self) -> None:
-        """The node's main loop: dispatch control frames until stop."""
-        while True:
-            frame = self._next_control()
-            kind = frame["t"]
-            if kind == "stop":
-                self.channel.close()
-                return
-            if kind == "crash":
-                # Snapshot the ring *before* the handler wipes state:
-                # the postmortem must show the moments leading up to
-                # the crash, not the recovery.
-                self.flight.note("crash", down=frame["down"])
-                self._postmortems.append(self.flight.dump())
-                self.handler.on_crash(frame["down"])
-            elif kind == "collect":
-                self.channel.send("sup", self._result_frame())
-            elif kind == "tick":
-                self._run_phase(frame)
-            else:
-                raise AllocationError(
-                    f"node {self.channel.name}: unexpected control frame "
-                    f"{kind!r}"
-                )
-
-    def _next_control(self) -> dict:
-        while True:
+        """A forked node's loop: receive and deliver frames until stop."""
+        while not self._stopped:
             frame = self.channel.recv(timeout=self.recv_timeout)
             if frame is None:
+                if self._tick is None:
+                    raise AllocationError(
+                        f"node {self.channel.name}: no control frame within "
+                        f"{self.recv_timeout}s (supervisor gone?)"
+                    )
                 raise AllocationError(
-                    f"node {self.channel.name}: no control frame within "
-                    f"{self.recv_timeout}s (supervisor gone?)"
+                    f"node {self.channel.name}: expected "
+                    f"{self._tick['expect']} data frames for phase "
+                    f"{self._tick['phase']!r}, got {len(self._data_buf)}"
                 )
-            if frame["t"] == "msg":
-                self._data_buf.append(frame)
-                continue
-            return frame
+            self.deliver(frame)
+
+    def deliver(self, frame: dict) -> None:
+        """Take one frame without blocking: buffer a data frame, or
+        handle one control frame.  A tick runs its phase once the data
+        frames it expects (the count-based barrier) are all buffered."""
+        kind = frame["t"]
+        if kind == "msg":
+            self._data_buf.append(frame)
+        elif self._tick is not None:
+            raise AllocationError(
+                f"node {self.channel.name}: control frame {kind!r} "
+                f"arrived mid-barrier"
+            )
+        elif kind == "tick":
+            self._tick = frame
+        elif kind == "stop":
+            self._stopped = True
+            self.channel.close()
+        elif kind == "crash":
+            # Snapshot the ring *before* the handler wipes state: the
+            # postmortem must show the moments leading up to the crash,
+            # not the recovery.
+            self.flight.note("crash", down=frame["down"])
+            self._postmortems.append(self.flight.dump())
+            self.handler.on_crash(frame["down"])
+        elif kind == "collect":
+            self.channel.send("sup", self._result_frame())
+        else:
+            raise AllocationError(
+                f"node {self.channel.name}: unexpected control frame "
+                f"{kind!r}"
+            )
+        tick = self._tick
+        if tick is not None and len(self._data_buf) >= tick["expect"]:
+            self._tick = None
+            self._run_phase(tick)
 
     def _run_phase(self, tick: dict) -> None:
         phase, expect = tick["phase"], tick["expect"]
@@ -177,19 +200,6 @@ class NodeRuntime:
             self._phase_body(phase, expect)
 
     def _phase_body(self, phase: str, expect: int) -> None:
-        while len(self._data_buf) < expect:
-            frame = self.channel.recv(timeout=self.recv_timeout)
-            if frame is None:
-                raise AllocationError(
-                    f"node {self.channel.name}: expected {expect} data "
-                    f"frames for phase {phase!r}, got {len(self._data_buf)}"
-                )
-            if frame["t"] != "msg":
-                raise AllocationError(
-                    f"node {self.channel.name}: control frame "
-                    f"{frame['t']!r} arrived mid-barrier"
-                )
-            self._data_buf.append(frame)
         batch = self._data_buf[:expect]
         del self._data_buf[:expect]
         # Canonicalize the batch order: cross-sender interleaving is
@@ -452,6 +462,13 @@ class UEHostHandler:
     ) -> None:
         self.agents = agents
         self._order = sorted(agents)
+        # BS id -> the agents it may broadcast to, from their initial
+        # candidates: candidates only shrink, and a UE is associated
+        # only with a BS it proposed to, so no later receiver is missed.
+        self._covered: dict[int, list[UEAgent]] = {}
+        for agent in agents.values():
+            for bs_id in agent.candidate_bs_ids:
+                self._covered.setdefault(bs_id, []).append(agent)
         # Release notices have no ack; under fault injection a dropped
         # one would strand the booking it frees, so the host keeps every
         # notice and re-sends the book each round (the BS ignores
@@ -471,9 +488,10 @@ class UEHostHandler:
                 self.agents[message.ue_id].receive_grant(message)
         for message in messages:
             if isinstance(message, ResourceBroadcast):
-                for agent in self.agents.values():
-                    if message.bs_id in agent.candidate_bs_ids or (
-                        agent.associated_bs == message.bs_id
+                bs_id = message.bs_id
+                for agent in self._covered.get(bs_id, ()):
+                    if agent.has_candidate(bs_id) or (
+                        agent.associated_bs == bs_id
                     ):
                         agent.observe(message)
         for ue_id in self._order:

@@ -69,7 +69,8 @@ _PHASES = ("bcast", "propose", "relay_req", "decide", "relay_grant")
 
 
 class DistributedDMRAAllocator(Allocator):
-    """DMRA over real processes (or threads) and a message transport."""
+    """DMRA over node objects (or forked processes) and a message
+    transport."""
 
     def __init__(
         self,
@@ -87,6 +88,8 @@ class DistributedDMRAAllocator(Allocator):
                 f"unknown transport {transport!r}; choose one of "
                 f"{', '.join(TRANSPORTS)}"
             )
+        if rho < 0:
+            raise ConfigurationError(f"rho must be >= 0, got {rho}")
         if ue_hosts < 1:
             raise ConfigurationError(f"ue_hosts must be >= 1, got {ue_hosts}")
         if max_rounds <= 0:
@@ -184,13 +187,13 @@ class DistributedDMRAAllocator(Allocator):
             )
             transport.spawn(
                 f"bs:{bs.bs_id}",
-                _node_body(handler, plan, self.recv_timeout, trace_ctx),
+                _node_factory(handler, plan, self.recv_timeout, trace_ctx),
             )
         for sp in network.providers:
             handler = SPNodeHandler(SPAgent(sp.sp_id), ue_hosts=self.ue_hosts)
             transport.spawn(
                 f"sp:{sp.sp_id}",
-                _node_body(handler, plan, self.recv_timeout, trace_ctx),
+                _node_factory(handler, plan, self.recv_timeout, trace_ctx),
             )
         for i in range(self.ue_hosts):
             shard = {
@@ -201,7 +204,7 @@ class DistributedDMRAAllocator(Allocator):
             handler = UEHostHandler(shard, resend_releases=plan is not None)
             transport.spawn(
                 f"ue:{i}",
-                _node_body(handler, plan, self.recv_timeout, trace_ctx),
+                _node_factory(handler, plan, self.recv_timeout, trace_ctx),
             )
 
     # ------------------------------------------------------------------
@@ -490,13 +493,13 @@ class DistributedDMRAAllocator(Allocator):
             )
 
 
-def _node_body(handler, plan, recv_timeout, trace_ctx=None):
-    """Bind a node's runtime loop for Transport.spawn (fork/thread)."""
+def _node_factory(handler, plan, recv_timeout, trace_ctx=None):
+    """Bind a node's runtime for Transport.spawn (in-process or fork)."""
 
-    def body(channel):
-        NodeRuntime(
+    def factory(channel):
+        return NodeRuntime(
             channel, handler, plan=plan, recv_timeout=recv_timeout,
             trace=trace_ctx,
-        ).run()
+        )
 
-    return body
+    return factory

@@ -1,18 +1,23 @@
-"""Pluggable transports for the multi-process agent deployment.
+"""Pluggable transports for the agent deployment.
 
 A transport owns the mailboxes of a fixed set of named nodes and knows
-how to launch node bodies — as threads (in-proc) or as forked OS
-processes (multiprocessing pipes, TCP).  Node code is written once
-against the tiny :class:`Channel` interface: ``send(dst, frame)``,
-``recv(timeout)``.  Frames are JSON objects; every transport moves them
-as encoded bytes, so byte-level overhead accounting is uniform and the
+how to host nodes — as objects called in turn on the caller's thread
+(in-proc) or as forked OS processes (multiprocessing pipes, TCP).  Node
+code is written once against the tiny :class:`Channel` interface:
+``send(dst, frame)``, ``recv(timeout)``.  A node is built by a factory
+from its channel and exposes ``deliver(frame)`` (take one frame without
+blocking) and ``run()`` (the ``recv -> deliver`` loop of a forked
+node).  Frames are JSON objects; every transport moves them as encoded
+bytes, so byte-level overhead accounting is uniform and the
 serialization path is exercised even by the in-proc transport.
 
 The three implementations trade realism for speed:
 
-* ``inproc`` — every node is a thread; mailboxes are ``queue.Queue``.
-  Fast, single-process, still forces all state through serialized
-  messages.
+* ``inproc`` — every node is an object of the calling process; a frame
+  sent to it is decoded and handed to its ``deliver`` before ``send``
+  returns.  Single-threaded and deterministic, still forces all state
+  through serialized messages, and an error raised in a node surfaces
+  on the caller's thread at once.
 * ``mp`` — every node is a forked OS process; mailboxes are
   ``multiprocessing`` pipes, one receive end per node, with a lock
   serializing the many writers of each send end.
@@ -30,11 +35,11 @@ count-based barriers and never relies on cross-sender ordering.
 from __future__ import annotations
 
 import json
-import queue
 import socket
 import struct
 import threading
-from typing import Callable, Mapping
+from collections import deque
+from typing import Callable, Mapping, Protocol
 
 from repro.errors import ConfigurationError
 
@@ -111,7 +116,7 @@ class Channel:
         return None if data is None else decode_frame(data)
 
     def close(self) -> None:  # pragma: no cover - trivial default
-        """Release the endpoint (sockets override; queues need nothing)."""
+        """Release the endpoint (sockets override; the rest need nothing)."""
 
     def _send_bytes(self, dst: str, data: bytes) -> None:
         raise NotImplementedError
@@ -120,13 +125,26 @@ class Channel:
         raise NotImplementedError
 
 
+class Node(Protocol):
+    """What a transport hosts: built once per name from its channel."""
+
+    def deliver(self, frame: dict) -> None:
+        """Take one frame addressed to this node, without blocking."""
+
+    def run(self) -> None:
+        """Receive and deliver frames until the node stops."""
+
+
+NodeFactory = Callable[[Channel], Node]
+
+
 class Transport:
-    """Owns mailboxes for ``names`` and launches node bodies.
+    """Owns mailboxes for ``names`` and hosts their nodes.
 
     Lifecycle: construct with the full node-name set, ``spawn`` each
-    node body (the body receives its :class:`Channel`), use
-    ``channel(name)`` for nodes hosted by the calling thread (the
-    supervisor), then ``shutdown()``.
+    node from its factory (the factory receives the node's
+    :class:`Channel`), use ``channel(name)`` for nodes hosted by the
+    calling thread (the supervisor), then ``shutdown()``.
     """
 
     name = "abstract"
@@ -140,8 +158,8 @@ class Transport:
         """An endpoint bound to ``name``'s mailbox, for the caller's use."""
         raise NotImplementedError
 
-    def spawn(self, name: str, body: Callable[[Channel], None]) -> None:
-        """Launch a node body bound to ``name``'s mailbox."""
+    def spawn(self, name: str, factory: NodeFactory) -> None:
+        """Host the node ``factory`` builds on ``name``'s mailbox."""
         raise NotImplementedError
 
     def shutdown(self, timeout: float = 10.0) -> None:
@@ -150,56 +168,69 @@ class Transport:
 
 
 # ----------------------------------------------------------------------
-# inproc: threads + queue.Queue
+# inproc: node objects called in turn on the caller's thread
 # ----------------------------------------------------------------------
 
 
-class _QueueChannel(Channel):
-    def __init__(self, name: str, queues: dict[str, "queue.Queue[bytes]"]):
+class _CallChannel(Channel):
+    """Sends hand each frame straight to its receiver; ``recv`` reads
+    this name's mailbox, which holds frames for names with no node."""
+
+    def __init__(self, name: str, route, mailbox: "deque[bytes]") -> None:
         super().__init__(name)
-        self._queues = queues
+        self._route = route
+        self._mailbox = mailbox
 
     def _send_bytes(self, dst: str, data: bytes) -> None:
-        try:
-            self._queues[dst].put(data)
-        except KeyError:
-            raise ConfigurationError(f"unknown node {dst!r}") from None
+        self._route(dst, data)
 
     def _recv_bytes(self, timeout: float | None) -> bytes | None:
-        try:
-            return self._queues[self.name].get(timeout=timeout)
-        except queue.Empty:
-            return None
+        # Every frame is in place before its send returns, so waiting
+        # could never bring one more: an empty mailbox answers at once.
+        return self._mailbox.popleft() if self._mailbox else None
 
 
-class InProcTransport(Transport):
-    """All nodes are threads of the calling process."""
+class SyncTransport(Transport):
+    """Every node is an object of the calling process, called in turn.
+
+    ``spawn`` builds the node once; each frame later sent to it is
+    decoded and handed to its ``deliver`` before ``send`` returns.  A
+    name with no node (the supervisor) keeps its frames in a mailbox
+    for its own channel to read.  No thread is started.
+    """
 
     name = "inproc"
 
     def __init__(self, names: tuple[str, ...]) -> None:
         super().__init__(names)
-        self._queues: dict[str, queue.Queue[bytes]] = {
-            name: queue.Queue() for name in names
+        self._mailboxes: dict[str, deque[bytes]] = {
+            name: deque() for name in names
         }
-        self._threads: list[threading.Thread] = []
+        self._nodes: dict[str, Node] = {}
 
     def channel(self, name: str) -> Channel:
         """See :meth:`Transport.channel`."""
-        return _QueueChannel(name, self._queues)
+        return _CallChannel(name, self._route, self._mailboxes[name])
 
-    def spawn(self, name: str, body: Callable[[Channel], None]) -> None:
-        channel = self.channel(name)
-        thread = threading.Thread(
-            target=body, args=(channel,), name=f"dist-{name}", daemon=True
-        )
-        thread.start()
-        self._threads.append(thread)
+    def spawn(self, name: str, factory: NodeFactory) -> None:
+        node = factory(self.channel(name))
+        self._nodes[name] = node
+        backlog = self._mailboxes[name]
+        while backlog:
+            node.deliver(decode_frame(backlog.popleft()))
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-        self._threads.clear()
+        self._nodes.clear()
+
+    def _route(self, dst: str, data: bytes) -> None:
+        node = self._nodes.get(dst)
+        if node is not None:
+            node.deliver(decode_frame(data))
+            return
+        try:
+            self._mailboxes[dst].append(data)
+        except KeyError:
+            raise ConfigurationError(f"unknown node {dst!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +265,7 @@ class _PipeChannel(Channel):
 class MPTransport(Transport):
     """Every node is a forked OS process; mailboxes are pipes.
 
-    Fork (not spawn) start method: node bodies are closures over the
+    Fork (not spawn) start method: node factories are closures over the
     scenario, which fork inherits for free.  One ``Lock`` per mailbox
     serializes its many writers.
     """
@@ -260,10 +291,11 @@ class MPTransport(Transport):
             name, self._senders, self._locks, self._receivers[name]
         )
 
-    def spawn(self, name: str, body: Callable[[Channel], None]) -> None:
+    def spawn(self, name: str, factory: NodeFactory) -> None:
         channel = self.channel(name)
         process = self._ctx.Process(
-            target=body, args=(channel,), name=f"dist-{name}", daemon=True
+            target=_run_node, args=(factory, channel), name=f"dist-{name}",
+            daemon=True,
         )
         process.start()
         self._processes.append(process)
@@ -276,6 +308,11 @@ class MPTransport(Transport):
                 process.terminate()
                 process.join(timeout=1.0)
         self._processes.clear()
+
+
+def _run_node(factory: NodeFactory, channel: Channel) -> None:
+    """A forked node's whole life: build it, then receive until stop."""
+    factory(channel).run()
 
 
 def _fork_context():
@@ -445,11 +482,11 @@ class TCPTransport(Transport):
         """See :meth:`Transport.channel` (dials the router)."""
         return _TCPChannel(name, self.port)
 
-    def spawn(self, name: str, body: Callable[[Channel], None]) -> None:
+    def spawn(self, name: str, factory: NodeFactory) -> None:
         port = self.port
 
         def _process_body() -> None:
-            body(_TCPChannel(name, port))
+            _run_node(factory, _TCPChannel(name, port))
 
         process = self._ctx.Process(
             target=_process_body, name=f"dist-{name}", daemon=True
@@ -481,7 +518,7 @@ class TCPTransport(Transport):
 def make_transport(kind: str, names: tuple[str, ...]) -> Transport:
     """Build the transport named by ``--transport``."""
     if kind == "inproc":
-        return InProcTransport(names)
+        return SyncTransport(names)
     if kind == "mp":
         return MPTransport(names)
     if kind == "tcp":

@@ -14,7 +14,9 @@ CLI, CSV emission, and charts work uniformly:
                       offered load;
 * ``ext-scaling``   — profit as deployment density grows (BSs per SP);
 * ``ext-staleness`` — rounds-to-converge and profit under delayed
-                      resource broadcasts (the gossip-delay ablation);
+                      resource broadcasts (the gossip-delay ablation, a
+                      ``repro.dist`` fault plan that holds every
+                      broadcast for the delay);
 * ``ext-failures``  — profit retained as growing BS outages hit a
                       loaded deployment;
 * ``ext-gap``       — the certified optimality gap (repro.bound
@@ -29,6 +31,7 @@ from typing import Callable
 from repro.baselines.dcsp import DCSPAllocator
 from repro.baselines.nonco import NonCoAllocator
 from repro.core.dmra import DMRAAllocator
+from repro.dist import DistributedDMRAAllocator, FaultPlan
 from repro.dynamics.arrivals import ExponentialHolding, PoissonArrivals
 from repro.dynamics.online import OnlineConfig, run_online
 from repro.econ.pricing import PaperPricing
@@ -41,7 +44,13 @@ from repro.sim.runner import run_allocation
 from repro.sim.scenario import build_scenario
 from repro.sim.sweep import SweepResult, SweepSpec, run_sweep
 
-__all__ = ["EXTENSIONS", "get_extension", "all_experiments"]
+__all__ = [
+    "EXTENSIONS",
+    "STALENESS_HORIZON_ROUNDS",
+    "all_experiments",
+    "get_extension",
+    "stale_broadcast_plan",
+]
 
 
 def _pricing_for(config: ScenarioConfig) -> PaperPricing:
@@ -200,12 +209,33 @@ def _run_ext_scaling(
     })
 
 
+#: Rounds during which the staleness ablation holds every broadcast.
+#: One constant for the whole sweep, above every run's productive
+#: rounds (at most 45 at paper scale, delay 8), so every proposal is
+#: made on a broadcast exactly ``delay`` rounds old.  A delayed run
+#: lasts this many protocol rounds plus its delay, so it sets the cost.
+STALENESS_HORIZON_ROUNDS = 64
+
+
+def stale_broadcast_plan(delay: int) -> FaultPlan | None:
+    """The fault plan under which UEs see every resource broadcast
+    ``delay`` rounds after it was sent; ``None`` (a reliable run) at
+    delay 0.  UEs see no broadcast before round ``delay + 1``.  Nothing
+    in the plan is left to chance, so it takes no seed."""
+    if delay == 0:
+        return None
+    return FaultPlan(
+        delay_prob=1.0,
+        delay_rounds=delay,
+        kinds=("bcast",),
+        horizon_rounds=STALENESS_HORIZON_ROUNDS,
+    )
+
+
 def _run_ext_staleness(
     scale: Scale, workers: int | None = None
 ) -> SweepResult:
     """Convergence rounds and profit under delayed broadcasts."""
-    from repro.core.agents import DecentralizedDMRAAllocator
-
     delays = (0, 1, 2, 3, 5, 8)
     ue_count = max(scale.ue_counts)
     config = ScenarioConfig.paper()
@@ -218,8 +248,10 @@ def _run_ext_staleness(
             scenario = build_scenario(config, ue_count, seed)
             outcome = run_allocation(
                 scenario,
-                DecentralizedDMRAAllocator(
-                    pricing=scenario.pricing, broadcast_delay_rounds=delay
+                DistributedDMRAAllocator(
+                    transport="inproc",
+                    pricing=scenario.pricing,
+                    fault_plan=stale_broadcast_plan(delay),
                 ),
             )
             rounds_values.append(float(outcome.metrics.rounds))

@@ -3,12 +3,13 @@
 This is the decentralization proof of the reproduction: an agent system
 where BSs see only mailbox contents and UEs see only broadcasts produces
 *bit-identical* associations to the shared-state matching loop, on paper
-scenarios across placements, loads, and rho values.
+scenarios across placements, loads, and rho values.  The agents run on
+``repro.dist``'s in-process transport; ``TestDistributedEquivalence``
+covers the forked ones.
 """
 
 import pytest
 
-from repro.core.agents import DecentralizedDMRAAllocator
 from repro.core.dmra import DMRAAllocator
 from repro.dist import TRANSPORTS, DistributedDMRAAllocator
 from repro.sim.config import ScenarioConfig
@@ -20,8 +21,8 @@ def assert_equivalent(scenario, rho=10.0):
     direct = DMRAAllocator(pricing=scenario.pricing, rho=rho).allocate(
         scenario.network, scenario.radio_map
     )
-    agents = DecentralizedDMRAAllocator(
-        pricing=scenario.pricing, rho=rho
+    agents = DistributedDMRAAllocator(
+        transport="inproc", pricing=scenario.pricing, rho=rho
     ).allocate(scenario.network, scenario.radio_map)
     agents.validate(scenario.network, scenario.radio_map)
     assert sorted(direct.association_pairs()) == sorted(
@@ -74,19 +75,16 @@ class TestMessageOverhead:
         """Every edge-served UE got >= 1 request and exactly 1 grant
         relayed by its SP; every cloud UE produced one forward."""
         scenario = build_scenario(ScenarioConfig.paper(), 1200, 3)
-        allocator = DecentralizedDMRAAllocator(pricing=scenario.pricing)
+        allocator = DistributedDMRAAllocator(
+            transport="inproc", pricing=scenario.pricing
+        )
         assignment = allocator.allocate(
             scenario.network, scenario.radio_map
         )
-        total_grants = sum(
-            sp.grants_relayed for sp in allocator.last_sp_agents.values()
-        )
-        total_forwards = sum(
-            sp.cloud_forwards for sp in allocator.last_sp_agents.values()
-        )
-        total_requests = sum(
-            sp.requests_relayed for sp in allocator.last_sp_agents.values()
-        )
+        sp_stats = allocator.last_report["sp"].values()
+        total_grants = sum(sp["grants_relayed"] for sp in sp_stats)
+        total_forwards = sum(sp["cloud_forwards"] for sp in sp_stats)
+        total_requests = sum(sp["requests_relayed"] for sp in sp_stats)
         assert total_grants == assignment.edge_served_count
         assert total_forwards == assignment.cloud_count
         assert total_requests >= assignment.edge_served_count
@@ -97,7 +95,10 @@ class TestMessageOverhead:
             scenario, DMRAAllocator(pricing=scenario.pricing)
         ).metrics
         agents = run_allocation(
-            scenario, DecentralizedDMRAAllocator(pricing=scenario.pricing)
+            scenario,
+            DistributedDMRAAllocator(
+                transport="inproc", pricing=scenario.pricing
+            ),
         ).metrics
         assert direct.total_profit == pytest.approx(agents.total_profit)
         assert direct.edge_served == agents.edge_served
@@ -138,20 +139,55 @@ class TestDistributedEquivalence:
         assert report["bytes"]["req"] > report["messages"]["req"]
 
     def test_matches_in_process_agents_overloaded(self):
-        """Overload (cloud fallbacks in play) through the inproc
-        deployment still mirrors the single-process agent allocator."""
-        scenario = build_scenario(ScenarioConfig.paper(), 400, 3)
-        agents = DecentralizedDMRAAllocator(
-            pricing=scenario.pricing
-        ).allocate(scenario.network, scenario.radio_map)
-        dist = DistributedDMRAAllocator(
-            transport="inproc", pricing=scenario.pricing
-        ).allocate(scenario.network, scenario.radio_map)
-        assert sorted(agents.association_pairs()) == sorted(
-            dist.association_pairs()
+        """Overload (cloud fallbacks in play): the in-process agents and
+        the forked mp deployment give the same assignment and the same
+        per-kind message and byte counts — the synchronous transport
+        changes where nodes run, not what they send.  The counts are
+        pinned to those of the threaded transport it replaced."""
+        scenario = build_scenario(ScenarioConfig.paper(), 1100, 3)
+        runs = []
+        for transport in ("inproc", "mp"):
+            allocator = DistributedDMRAAllocator(
+                transport=transport, pricing=scenario.pricing
+            )
+            assignment = allocator.allocate(
+                scenario.network, scenario.radio_map
+            )
+            runs.append((assignment, allocator.last_report))
+        (inproc, inproc_report), (forked, forked_report) = runs
+        assert inproc.cloud_ue_ids
+        assert sorted(inproc.association_pairs()) == sorted(
+            forked.association_pairs()
         )
-        assert agents.cloud_ue_ids == dist.cloud_ue_ids
-        assert agents.rounds == dist.rounds
+        assert inproc.cloud_ue_ids == forked.cloud_ue_ids
+        assert inproc.rounds == forked.rounds
+        assert inproc_report["messages"] == forked_report["messages"] == {
+            "bcast": 454, "grant": 1918, "req": 10914, "release": 1068,
+            "cloud": 141,
+        }
+        assert inproc_report["bytes"] == forked_report["bytes"]
+
+    def test_inproc_run_starts_no_thread(self, monkeypatch):
+        """The in-process transport calls every node on the caller's
+        thread: a whole run, traced and under a fault plan, with
+        ``Thread.start`` disabled."""
+        import threading
+
+        from repro.dist import scenario_plan
+        from repro.obs import Recorder, telemetry_session
+
+        def no_thread(self):
+            raise AssertionError(f"thread {self.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        scenario = build_scenario(ScenarioConfig.paper(), 80, 7)
+        with telemetry_session(Recorder()):
+            dist = DistributedDMRAAllocator(
+                transport="inproc",
+                pricing=scenario.pricing,
+                fault_plan=scenario_plan("stale", seed=3),
+            ).allocate(scenario.network, scenario.radio_map)
+        dist.validate(scenario.network, scenario.radio_map)
 
     def test_ue_host_partitioning_is_invisible(self):
         """Sharding UEs across a different host count must not change

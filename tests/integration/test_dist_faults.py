@@ -252,3 +252,76 @@ class TestReleaseProtocol:
         for name in ("drop", "delay", "stale", "crash"):
             allocator, _ = run_faulty(scenario, name)
             assert allocator.last_report["stranded"] == 0, name
+
+
+class TestNodeFailure:
+    """A node whose own code raises fails the run at once and loudly:
+    on the in-process transport the error surfaces on the caller's
+    thread, not as a barrier timeout ``recv_timeout`` later."""
+
+    @pytest.fixture()
+    def failing_decide(self, monkeypatch):
+        """Every BS raises in round 3's decide phase; the first to be
+        ticked there is ``bs:0``."""
+        from repro.dist.nodes import BSNodeHandler
+
+        on_tick = BSNodeHandler.on_tick
+        failed = []
+
+        def failing_on_tick(self, phase, round_no, messages, send):
+            if phase == "decide" and round_no == 3:
+                failed.append(self.agent.bs_id)
+                raise RuntimeError(f"injected decide failure at bs:{failed[0]}")
+            on_tick(self, phase, round_no, messages, send)
+
+        monkeypatch.setattr(BSNodeHandler, "on_tick", failing_on_tick)
+        return failed
+
+    def test_allocate_raises_the_node_error_at_once(self, failing_decide):
+        import time
+
+        scenario = build_scenario(ScenarioConfig.paper(), 300, SEED)
+        allocator = DistributedDMRAAllocator(
+            transport="inproc", pricing=scenario.pricing
+        )
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="injected decide failure"):
+            allocator.allocate(scenario.network, scenario.radio_map)
+        assert time.perf_counter() - start < allocator.recv_timeout / 6
+        assert failing_decide == [0]
+        assert allocator.last_report == {}
+
+    def test_failed_agents_cli_skips_the_final_flush(
+        self, tmp_path, failing_decide, monkeypatch
+    ):
+        """``dmra agents`` with a live plane: the error propagates (the
+        process exits non-zero) and the endpoint stops without its
+        final flush, so ``--flush`` never holds a partial run's totals
+        as if they were final."""
+        import threading
+
+        from repro.cli import main
+        from repro.obs import LiveServer
+
+        flush = LiveServer.flush_to_disk
+        late_flushes = []
+
+        def watched_flush(self):
+            # The final flush runs on the command's thread; the periodic
+            # flusher runs on a worker thread.
+            if failing_decide and threading.current_thread() is (
+                threading.main_thread()
+            ):
+                late_flushes.append(self)
+            flush(self)
+
+        monkeypatch.setattr(LiveServer, "flush_to_disk", watched_flush)
+        with pytest.raises(RuntimeError, match="injected decide failure"):
+            main([
+                "agents", "--ues", "300", "--seed", str(SEED),
+                "--listen", "127.0.0.1:0",
+                "--flush", str(tmp_path / "live.json"),
+                "--flush-interval", "60",
+            ])
+        assert failing_decide == [0]
+        assert not late_flushes

@@ -1,12 +1,14 @@
 """Agent-layer properties: termination, conservation, delay-0 parity.
 
-Two claims about :class:`~repro.core.agents.DecentralizedDMRAAllocator`
-that the deterministic suites sample only pointwise:
+Two claims about the agents on ``repro.dist``'s in-process transport
+(:class:`~repro.dist.DistributedDMRAAllocator`) that the deterministic
+suites sample only pointwise:
 
-* for **any** broadcast delay in ``[0, 5]`` the agent exchange
-  terminates and yields an assignment that passes full constraint
-  validation (ledger conservation included) with every UE accounted
-  for exactly once;
+* for **any** broadcast delay in ``[0, 5]`` (the staleness ablation's
+  fault plan, ``stale_broadcast_plan``) the agent exchange terminates
+  and yields an assignment that passes full constraint validation
+  (ledger conservation included) with every UE accounted for exactly
+  once;
 * at delay 0 it is **bit-identical** to the direct engine
   (:class:`~repro.core.dmra.DMRAAllocator`) on random scenarios —
   the decentralization equivalence, by property.
@@ -15,8 +17,9 @@ that the deterministic suites sample only pointwise:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.agents import DecentralizedDMRAAllocator
 from repro.core.dmra import DMRAAllocator
+from repro.dist import DistributedDMRAAllocator
+from repro.experiments.extensions import stale_broadcast_plan
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 
@@ -51,10 +54,11 @@ def build(params):
 )
 def test_terminates_and_conserves_for_any_delay(params, delay, rho):
     scenario = build(params)
-    allocator = DecentralizedDMRAAllocator(
+    allocator = DistributedDMRAAllocator(
+        transport="inproc",
         pricing=scenario.pricing,
         rho=rho,
-        broadcast_delay_rounds=delay,
+        fault_plan=stale_broadcast_plan(delay),
     )
     assignment = allocator.allocate(scenario.network, scenario.radio_map)
     # validate() re-checks every constraint: per-BS CRU/RRB budgets
@@ -75,8 +79,8 @@ def test_delay_zero_is_bit_identical_to_direct_engine(params, rho):
     direct = DMRAAllocator(pricing=scenario.pricing, rho=rho).allocate(
         scenario.network, scenario.radio_map
     )
-    agents = DecentralizedDMRAAllocator(
-        pricing=scenario.pricing, rho=rho
+    agents = DistributedDMRAAllocator(
+        transport="inproc", pricing=scenario.pricing, rho=rho
     ).allocate(scenario.network, scenario.radio_map)
     assert sorted(direct.association_pairs()) == sorted(
         agents.association_pairs()

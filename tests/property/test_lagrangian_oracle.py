@@ -11,8 +11,10 @@ count of its rows' choices.
 
 Hypothesis draws small paper scenarios (0 to 60 UEs), optionally with
 ``distance_weight=0`` so that a UE's candidates of one SP tie exactly,
-and a radio map with some UEs' links dropped (rows with no candidate)
-and some links made infeasible.  Multipliers come from a coarse grid,
+optionally contended (4 to 8 CRUs per hosted service, so capacities
+bind and a subgradient run walks past its first iteration), and a radio
+map with some UEs' links dropped (rows with no candidate) and some
+links made infeasible.  Multipliers come from a coarse grid,
 which makes ties between reduced profits common: ``nu`` on every BS,
 ``lam`` zero, sparse or dense.
 """
@@ -49,17 +51,25 @@ problems = st.fixed_dictionaries(
         "seed": st.integers(0, 10_000),
         "placement": st.sampled_from(["regular", "random"]),
         "flat_distance": st.booleans(),
+        "contended": st.booleans(),
         "dropped": st.sampled_from([0.0, 0.2]),
         "infeasible": st.sampled_from([0.0, 0.1]),
     }
 )
 
 
+#: A config whose CRU capacities bind at a few dozen UEs.
+CONTENDED = dict(cru_capacity_min=4, cru_capacity_max=8)
+
+
 @lru_cache(maxsize=64)
-def _problem(ue_count, seed, placement, flat_distance, dropped, infeasible):
-    scenario = build_scenario(
-        ScenarioConfig.paper(placement=placement), ue_count, seed
+def _problem(
+    ue_count, seed, placement, flat_distance, contended, dropped, infeasible
+):
+    config = ScenarioConfig.paper(
+        placement=placement, **(CONTENDED if contended else {})
     )
+    scenario = build_scenario(config, ue_count, seed)
     pricing = PaperPricing(distance_weight=0.0) if flat_distance else (
         scenario.pricing
     )
@@ -84,6 +94,7 @@ def problem_of(params):
         params["seed"],
         params["placement"],
         params["flat_distance"],
+        params["contended"],
         params["dropped"],
         params["infeasible"],
     )

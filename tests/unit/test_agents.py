@@ -7,9 +7,7 @@ import pytest
 from conftest import make_tiny_network
 from repro.compute.cru import LedgerPool
 from repro.core.agents import (
-    BroadcastPipeline,
     BSAgent,
-    DecentralizedDMRAAllocator,
     SPAgent,
     UEAgent,
     _CandidateInfo,
@@ -22,9 +20,13 @@ from repro.core.messages import (
     CloudFallbackNotice,
     ResourceBroadcast,
     ServiceRequest,
+    from_wire,
+    to_wire,
 )
+from repro.dist import DistributedDMRAAllocator, FaultyChannel
 from repro.econ.pricing import PaperPricing
 from repro.errors import AllocationError, ConfigurationError
+from repro.experiments.extensions import stale_broadcast_plan
 from repro.model.entities import BaseStation, UserEquipment
 from repro.model.geometry import Point
 from repro.radio.channel import build_radio_map
@@ -225,6 +227,14 @@ class TestSPAgent:
 
 
 class TestDecentralizedAllocator:
+    """The agents on ``repro.dist``'s in-process transport."""
+
+    @staticmethod
+    def allocator(**kwargs):
+        return DistributedDMRAAllocator(
+            transport="inproc", pricing=PRICING, **kwargs
+        )
+
     def test_valid_on_tiny_network(self):
         network = make_tiny_network(
             ue_specs=[
@@ -233,8 +243,7 @@ class TestDecentralizedAllocator:
             ]
         )
         radio_map = build_radio_map(network, LinkBudget())
-        allocator = DecentralizedDMRAAllocator(pricing=PRICING)
-        assignment = allocator.allocate(network, radio_map)
+        assignment = self.allocator().allocate(network, radio_map)
         assignment.validate(network, radio_map)
         assert assignment.edge_served_count == 2
 
@@ -243,52 +252,28 @@ class TestDecentralizedAllocator:
             ue_specs=[dict(ue_id=0, position=Point(100, 0))]
         )
         radio_map = build_radio_map(network, LinkBudget())
-        allocator = DecentralizedDMRAAllocator(pricing=PRICING)
+        allocator = self.allocator()
         allocator.allocate(network, radio_map)
-        sp0 = allocator.last_sp_agents[0]
-        assert sp0.requests_relayed == 1
-        assert sp0.grants_relayed == 1
+        sp0 = allocator.last_report["sp"][0]
+        assert sp0["requests_relayed"] == 1
+        assert sp0["grants_relayed"] == 1
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            DecentralizedDMRAAllocator(rho=-1.0)
+            self.allocator(rho=-1.0)
         with pytest.raises(ConfigurationError):
-            DecentralizedDMRAAllocator(max_rounds=0)
+            self.allocator(max_rounds=0)
 
 
-class TestBroadcastPipeline:
-    def stamped(self, seq):
-        return broadcast(0, crus={0: 20 - seq, 1: 20}, rrbs=10)
+class _Wire:
+    """A channel that keeps the frames put on it."""
 
-    def test_delay_zero_is_passthrough(self):
-        pipeline = BroadcastPipeline(self.stamped(0), delay=0)
-        for seq in range(1, 5):
-            sent = self.stamped(seq)
-            assert pipeline.push(sent) is sent
+    def __init__(self):
+        self.frames = []
 
-    @pytest.mark.parametrize("delay", [1, 2, 5])
-    def test_head_is_the_broadcast_sent_delay_rounds_ago(self, delay):
-        """Regression for the deque rewrite: pushing round r's broadcast
-        must deliver the one sent in round ``r - delay`` — with the
-        initial broadcast standing in for pre-history rounds."""
-        initial = self.stamped(0)
-        pipeline = BroadcastPipeline(initial, delay=delay)
-        for seq in range(1, 12):
-            delivered = pipeline.push(self.stamped(seq))
-            expected = self.stamped(max(0, seq - delay))
-            assert delivered.remaining_crus == expected.remaining_crus
-            assert pipeline.head is delivered
-        assert pipeline.delay == delay
-
-    def test_prehistory_is_the_initial_broadcast(self):
-        initial = self.stamped(0)
-        pipeline = BroadcastPipeline(initial, delay=3)
-        assert pipeline.push(self.stamped(1)) is initial
-        assert pipeline.push(self.stamped(2)) is initial
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BroadcastPipeline(self.stamped(0), delay=-1)
+    def send(self, dst, frame):
+        self.frames.append(frame)
+        return 0
 
 
 class TestSlackParity:
@@ -370,39 +355,39 @@ class TestSlackParity:
 
     @pytest.mark.parametrize("delay", [1, 2])
     def test_delayed_broadcast_scores_against_the_old_ledger(self, delay):
-        """Under ``broadcast_delay_rounds > 0`` the agent's slack tracks
-        the ledger state ``delay`` rounds ago, not the current one —
-        and the delayed allocator still yields a valid assignment."""
+        """Under the staleness plan the agent's slack tracks the ledger
+        state ``delay`` rounds ago, not the current one — and a delayed
+        run still yields a valid assignment."""
         network, ctx, agent = self.context_and_agent(rho=10.0)
-        pipeline = BroadcastPipeline(
-            ResourceBroadcast(
-                bs_id=0, remaining_crus={0: 20, 1: 20}, remaining_rrbs=10
-            ),
-            delay=delay,
-        )
+        # The BS's channel under the plan: every broadcast is held
+        # ``delay`` rounds before it reaches the UE.
+        wire = _Wire()
+        channel = FaultyChannel(wire, stale_broadcast_plan(delay), "bs:0")
         ledger = ctx.ledgers.ledger(0)
         snapshots = []
-        for _round in range(delay + 2):
+        for round_no in range(1, delay + 3):
             snapshots.append(
                 ledger.remaining_crus(0) + ledger.remaining_rrbs
             )
-            agent.observe(
-                pipeline.push(
-                    ResourceBroadcast(
-                        bs_id=0,
-                        remaining_crus={
-                            s: ledger.remaining_crus(s) for s in (0, 1)
-                        },
-                        remaining_rrbs=ledger.remaining_rrbs,
-                    )
-                )
+            broadcast = ResourceBroadcast(
+                bs_id=0,
+                remaining_crus={s: ledger.remaining_crus(s) for s in (0, 1)},
+                remaining_rrbs=ledger.remaining_rrbs,
+                seq=round_no,
             )
+            channel.send_data(
+                "ue:0", {"t": "msg", "msg": to_wire(broadcast)}, round_no
+            )
+            channel.flush(round_no)
+            for frame in wire.frames:
+                agent.observe(from_wire(frame["msg"]))
+            wire.frames.clear()
+            if round_no <= delay:
+                assert agent._slack(0) == -1  # nothing arrived yet
             ledger.grant(
-                ue_id=100 + _round, service_id=0, crus=2, rrbs=1
+                ue_id=100 + round_no, service_id=0, crus=2, rrbs=1
             )
-        # After r pushes the delivered head is the snapshot from
-        # max(0, r - 1 - delay)... the last push delivered snapshot
-        # index (delay + 1) - delay = 1.
+        # The last round, delay + 2, saw the broadcast of round 2.
         assert agent._slack(0) == snapshots[1]
 
         network2 = make_tiny_network(
@@ -412,8 +397,10 @@ class TestSlackParity:
             ]
         )
         radio_map2 = build_radio_map(network2, LinkBudget())
-        allocator = DecentralizedDMRAAllocator(
-            pricing=PRICING, broadcast_delay_rounds=delay
+        allocator = DistributedDMRAAllocator(
+            transport="inproc",
+            pricing=PRICING,
+            fault_plan=stale_broadcast_plan(delay),
         )
         assignment = allocator.allocate(network2, radio_map2)
         assignment.validate(network2, radio_map2)

@@ -92,25 +92,39 @@ class TestWireCodec:
 # ----------------------------------------------------------------------
 
 
-def _echo_body(channel):
-    """Node body: bounce every frame back to ``sup`` until told to stop."""
-    while True:
-        frame = channel.recv(timeout=30)
-        if frame is None or frame.get("t") == "stop":
-            break
-        channel.send("sup", {"echo": frame, "from": channel.name})
-    channel.close()
+class _EchoNode:
+    """Bounces every frame back to ``sup`` until told to stop: called
+    frame by frame in-process, or its ``run`` loop in a forked node."""
+
+    def __init__(self, channel):
+        self.channel = channel
+        self.stopped = False
+
+    def deliver(self, frame):
+        if frame.get("t") == "stop":
+            self.stopped = True
+            self.channel.close()
+            return
+        self.channel.send("sup", {"echo": frame, "from": self.channel.name})
+
+    def run(self):
+        while not self.stopped:
+            frame = self.channel.recv(timeout=30)
+            if frame is None:
+                break
+            self.deliver(frame)
 
 
 class TestTransports:
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_echo_round_trip(self, kind):
-        """A frame to a spawned node (thread or forked process) comes
-        back intact, and ``send`` reports the encoded byte length."""
+        """A frame to a spawned node (in-process object or forked
+        process) comes back intact, and ``send`` reports the encoded
+        byte length."""
         transport = make_transport(kind, ("sup", "node"))
         sup = transport.channel("sup")
         try:
-            transport.spawn("node", _echo_body)
+            transport.spawn("node", _EchoNode)
             frame = {"t": "msg", "payload": [1, 2, 3]}
             nbytes = sup.send("node", frame)
             assert nbytes == len(encode_frame(frame))
@@ -140,7 +154,7 @@ class TestTransports:
         transport = make_transport("tcp", ("sup", "node"))
         sup = transport.channel("sup")
         try:
-            transport.spawn("node", _echo_body)
+            transport.spawn("node", _EchoNode)
             for i in range(200):
                 sup.send("node", {"t": "msg", "i": i})
             got = [sup.recv(timeout=30)["echo"]["i"] for _ in range(200)]
@@ -157,7 +171,7 @@ class TestTransports:
         transport = make_transport(kind, ("sup", "node"))
         sup = transport.channel("sup")
         try:
-            transport.spawn("node", _echo_body)
+            transport.spawn("node", _EchoNode)
             for i in range(10):
                 sup.send("node", {"t": "msg", "i": i})
             got = [sup.recv(timeout=30)["echo"]["i"] for _ in range(10)]
@@ -177,6 +191,41 @@ class TestTransports:
         finally:
             sup.close()
             transport.shutdown()
+
+    def test_inproc_delivers_before_send_returns_on_this_thread(self):
+        """The in-process transport starts no thread: ``send`` hands the
+        decoded frame to the node's ``deliver`` on the caller's thread,
+        and the reply is in the mailbox by the time ``send`` returns."""
+        import threading
+
+        threads = threading.active_count()
+        seen = []
+
+        class Node(_EchoNode):
+            def deliver(self, frame):
+                seen.append(threading.current_thread())
+                super().deliver(frame)
+
+        transport = make_transport("inproc", ("sup", "node"))
+        sup = transport.channel("sup")
+        transport.spawn("node", Node)
+        sup.send("node", {"t": "msg", "i": 1})
+        assert seen == [threading.current_thread()]
+        assert sup.recv(timeout=0) == {
+            "echo": {"t": "msg", "i": 1}, "from": "node",
+        }
+        assert threading.active_count() == threads
+        transport.shutdown()
+
+    def test_inproc_frames_sent_before_spawn_are_delivered_first(self):
+        transport = make_transport("inproc", ("sup", "node"))
+        sup = transport.channel("sup")
+        sup.send("node", {"t": "msg", "i": 0})
+        transport.spawn("node", _EchoNode)
+        sup.send("node", {"t": "msg", "i": 1})
+        got = [sup.recv(timeout=0)["echo"]["i"] for _ in range(2)]
+        assert got == [0, 1]
+        transport.shutdown()
 
     def test_recv_timeout_returns_none(self):
         transport = make_transport("inproc", ("sup",))
@@ -222,9 +271,10 @@ class TestFaultPlan:
         [
             dict(drop_prob=1.5),
             dict(drop_prob=-0.1),
-            dict(delay_prob=1.0),
+            dict(delay_prob=1.5),
             dict(delay_rounds=0),
             dict(horizon_rounds=-1),
+            dict(drop_prob=1.0),
         ],
     )
     def test_invalid_plans_rejected(self, kwargs):
@@ -295,18 +345,35 @@ class TestFaultyChannel:
         assert outcomes[0] == outcomes[1]
 
     def test_delayed_frames_release_after_delay_rounds(self):
-        stub = _StubChannel()
-        plan = FaultPlan(seed=0, delay_prob=0.99, delay_rounds=2)
-        channel = FaultyChannel(stub, plan, "ue:0")
-        for i in range(20):
-            channel.send_data("bs:0", data_frame(i=i), round_no=1)
-        held = channel.held_count
-        assert held > 0
-        assert channel.flush(round_no=2) == []  # not due yet
-        records = channel.flush(round_no=3)  # 1 + delay_rounds
-        assert len(records) == held
+        """At ``delay_prob`` 0.99 most frames are held, at 1.0 (the
+        staleness ablation's plan) every one; either way each held frame
+        is released exactly ``delay_rounds`` later, and none is held
+        past the horizon."""
+        for delay_prob in (0.99, 1.0):
+            stub = _StubChannel()
+            plan = FaultPlan(
+                seed=0, delay_prob=delay_prob, delay_rounds=2,
+                horizon_rounds=4,
+            )
+            channel = FaultyChannel(stub, plan, "ue:0")
+            for i in range(20):
+                channel.send_data("bs:0", data_frame(i=i), round_no=1)
+            held = channel.held_count
+            assert held > 0
+            if delay_prob == 1.0:
+                assert held == 20 and stub.sent == []
+            assert channel.flush(round_no=2) == []  # not due yet
+            records = channel.flush(round_no=3)  # 1 + delay_rounds
+            assert len(records) == held
+            assert channel.held_count == 0
+            assert channel.stats.released == channel.stats.delayed
+        # At 1.0, a frame of the horizon's last round (4) is held to
+        # round 6; one of the round after it goes out at once.
+        assert channel.send_data("bs:0", data_frame(i=20), 4) == []
+        assert len(channel.send_data("bs:0", data_frame(i=21), 5)) == 1
+        assert channel.flush(round_no=5) == []
+        assert len(channel.flush(round_no=6)) == 1
         assert channel.held_count == 0
-        assert channel.stats.released == channel.stats.delayed
 
     def test_kinds_filter_limits_faults_to_matching_frames(self):
         stub = _StubChannel()
