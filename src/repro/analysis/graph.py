@@ -3,18 +3,21 @@
 Builds the bipartite UE--BS graph of a realized assignment and derives
 structure metrics the flat tables hide: per-BS load distribution, the
 SP mixing matrix (who serves whose subscribers), and load balance.
+networkx is imported by :func:`association_graph`, the one function
+that builds a graph, so importing :mod:`repro.analysis` does not need it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.assignment import Assignment
 from repro.errors import ConfigurationError
 from repro.model.network import MECNetwork
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["association_graph", "GraphReport", "graph_report"]
 
@@ -29,6 +32,8 @@ def association_graph(
     BSs appear even when idle, so degree-0 BSs are visible; cloud-bound
     UEs appear as isolated UE nodes.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for bs in network.base_stations:
         graph.add_node(("bs", bs.bs_id), kind="bs", sp=bs.sp_id)

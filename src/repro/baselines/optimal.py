@@ -10,7 +10,9 @@ The TPM problem (Def. 1) is a pure 0/1 assignment once prices are fixed:
 Solved with :func:`scipy.optimize.milp` (HiGHS).  Intended for the
 optimality-gap ablation bench on paper-scale-or-smaller scenarios; the
 solver is exponential in the worst case, so a variable-count guard
-refuses oversized inputs rather than hanging.
+refuses oversized inputs rather than hanging.  SciPy is imported by the
+functions that call it, so importing this module (and ``repro``) costs
+NumPy only; the first compile or solve in a process pays SciPy's import.
 
 :func:`compile_tpm_constraints` is the single source of truth for the
 Eq. 12--15 constraint rows: both the exact ILP here and the LP
@@ -21,10 +23,9 @@ same matrix, so the certification sandwich compares like with like.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.compute.cru import Grant
 from repro.core.allocator import Allocator
@@ -34,6 +35,10 @@ from repro.econ.pricing import PaperPricing, PricingPolicy
 from repro.errors import AllocationError, ConfigurationError
 from repro.model.network import MECNetwork
 from repro.radio.channel import RadioMap
+
+if TYPE_CHECKING:
+    from scipy import sparse
+    from scipy.optimize import LinearConstraint
 
 __all__ = [
     "OptimalILPAllocator",
@@ -57,6 +62,8 @@ class TPMConstraints:
 
     @property
     def linear_constraint(self) -> LinearConstraint:
+        from scipy.optimize import LinearConstraint
+
         return LinearConstraint(self.matrix, lb=-np.inf, ub=self.upper)
 
 
@@ -64,6 +71,8 @@ def compile_tpm_constraints(
     network: MECNetwork, links: list
 ) -> TPMConstraints:
     """Build the TPM constraint matrix over ``links`` (Eqs. 12--15)."""
+    from scipy import sparse
+
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -164,6 +173,8 @@ class OptimalILPAllocator(Allocator):
 
     def _solve(self, network: MECNetwork, radio_map: RadioMap):
         """Run HiGHS over the compiled problem; returns (result, links)."""
+        from scipy.optimize import Bounds, milp
+
         links, profits = self._compile(network, radio_map)
         if not links:
             return None, links

@@ -184,9 +184,11 @@ def _live_plane(args: argparse.Namespace, flight=None):
     :class:`Recorder` for the duration so the endpoint has scalar state
     to scrape.  On exit: one final flush (so a post-run scrape equals
     the run's totals), then the optional ``--linger`` window, then
-    shutdown.  If the command fails, the endpoint shuts down at once
-    with no final flush, so ``--flush`` never holds a partial run's
-    totals as if they were final, and the error propagates.
+    shutdown.  If the command fails, the endpoint is marked failed
+    (``/healthz`` and ``/readyz`` answer 503 with the error, the flight
+    ring gets its ``failed`` note) and lingers the same way, with no
+    final flush, so ``--flush`` never holds a partial run's totals as
+    if they were final; then the error propagates.
     """
     listen = getattr(args, "listen", None)
     if listen is None:
@@ -224,12 +226,14 @@ def _live_plane(args: argparse.Namespace, flight=None):
             live.mark_ready()
         try:
             yield live
-        except BaseException:
-            live.stop(final_flush=False)
+        except BaseException as exc:
+            live.mark_failed(exc)
             raise
-        live.flush_to_disk()
-        if args.linger > 0:
-            time.sleep(args.linger)
+        else:
+            live.flush_to_disk()
+        finally:
+            if args.linger > 0:
+                time.sleep(args.linger)
 
 
 def _write_metrics_artifact(target: Path, recorder) -> Path:
@@ -1219,7 +1223,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except BaseException as exc:
         # A failed replay leaves its last events as evidence and no
         # metrics document that looks complete; the error propagates.
-        if flight is not None:
+        # With --listen, the live plane's mark_failed notes it.
+        if flight is not None and args.listen is None:
             flight.note("failed", error=repr(exc))
         raise
     finally:

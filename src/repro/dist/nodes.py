@@ -23,6 +23,9 @@ Control plane (reliable, never fault-injected):
 * ``{"t": "collect"}`` / ``{"t": "result", ...}`` — final state and
   accounting harvest.
 * ``{"t": "stop"}`` — exit.
+* ``{"t": "fail", "src", "error"}`` — a forked node's last frame when
+  its loop raises: the supervisor stops the run with the node's error
+  instead of waiting out its receive timeout.
 
 Data plane: ``{"t": "msg", "src": name, "msg": to_wire(message)}``,
 routed sender → destination, subject to fault injection.
@@ -126,21 +129,31 @@ class NodeRuntime:
     # -- frame handling ---------------------------------------------------
 
     def run(self) -> None:
-        """A forked node's loop: receive and deliver frames until stop."""
-        while not self._stopped:
-            frame = self.channel.recv(timeout=self.recv_timeout)
-            if frame is None:
-                if self._tick is None:
+        """A forked node's loop: receive and deliver frames until stop.
+
+        An error is reported to the supervisor as a ``fail`` frame
+        before it propagates."""
+        try:
+            while not self._stopped:
+                frame = self.channel.recv(timeout=self.recv_timeout)
+                if frame is None:
+                    if self._tick is None:
+                        raise AllocationError(
+                            f"node {self.channel.name}: no control frame "
+                            f"within {self.recv_timeout}s (supervisor gone?)"
+                        )
                     raise AllocationError(
-                        f"node {self.channel.name}: no control frame within "
-                        f"{self.recv_timeout}s (supervisor gone?)"
+                        f"node {self.channel.name}: expected "
+                        f"{self._tick['expect']} data frames for phase "
+                        f"{self._tick['phase']!r}, got {len(self._data_buf)}"
                     )
-                raise AllocationError(
-                    f"node {self.channel.name}: expected "
-                    f"{self._tick['expect']} data frames for phase "
-                    f"{self._tick['phase']!r}, got {len(self._data_buf)}"
-                )
-            self.deliver(frame)
+                self.deliver(frame)
+        except Exception as exc:
+            self.channel.send(
+                "sup",
+                {"t": "fail", "src": self.channel.name, "error": repr(exc)},
+            )
+            raise
 
     def deliver(self, frame: dict) -> None:
         """Take one frame without blocking: buffer a data frame, or

@@ -311,8 +311,17 @@ class DistributedDMRAAllocator(Allocator):
         }
 
     def _await(self, sup, buf, frame_type, src) -> dict:
+        """The next ``frame_type`` frame from ``src``.  A ``fail`` frame
+        from ``src`` raises its error; one from another node waits in
+        ``buf`` until that node is awaited, so the node named is the
+        first failed one in await order, whatever the arrival order."""
         key = (frame_type, src)
         while key not in buf:
+            failed = buf.get(("fail", src))
+            if failed is not None:
+                raise AllocationError(
+                    f"supervisor: node {src!r} failed: {failed['error']}"
+                )
             frame = sup.recv(timeout=self.recv_timeout)
             if frame is None:
                 raise AllocationError(

@@ -14,6 +14,8 @@ runs*:
 * ``GET /readyz`` — readiness: 503 until the first metrics flush
   completes (set via :meth:`LiveServer.mark_ready` or the periodic
   flusher), 200 after.
+* Both answer 503 with the error once :meth:`LiveServer.mark_failed`
+  reports that the run failed.
 * ``GET /flightz`` — the flight recorder's ring as a JSON postmortem
   document (404 when no flight recorder is attached).
 
@@ -143,6 +145,7 @@ class LiveServer:
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._start_error: BaseException | None = None
+        self._failure: str | None = None
         self.port: int | None = None
         self.scrapes = 0
         self.flushes = 0
@@ -167,7 +170,8 @@ class LiveServer:
         return self
 
     def stop(self, final_flush: bool = True) -> None:
-        """Shut the endpoint down and join its thread."""
+        """Shut the endpoint down and join its thread.  A failed run
+        (:meth:`mark_failed`) gets no final flush."""
         if self._thread is None:
             return
         self._stop_requested.set()
@@ -176,7 +180,7 @@ class LiveServer:
             loop.call_soon_threadsafe(lambda: None)  # wake the waiter
         self._thread.join(timeout=10.0)
         self._thread = None
-        if final_flush and self._flush_path is not None:
+        if final_flush and self._failure is None and self._flush_path is not None:
             self.flush_to_disk()
 
     @property
@@ -186,6 +190,14 @@ class LiveServer:
     def mark_ready(self) -> None:
         """Flip ``/readyz`` to 200 (first flush / warmup completed)."""
         self._ready.set()
+
+    def mark_failed(self, error: BaseException) -> None:
+        """The run failed: from now on ``/healthz`` and ``/readyz``
+        answer 503 with ``repr(error)``, no flush is written, and the
+        flight ring (if attached) gets one ``failed`` note."""
+        self._failure = repr(error)
+        if self._flight is not None:
+            self._flight.note("failed", error=self._failure)
 
     @property
     def url(self) -> str:
@@ -254,7 +266,7 @@ class LiveServer:
             await server.wait_closed()
 
     async def _flush_loop(self) -> None:
-        while True:
+        while self._failure is None:
             try:
                 await asyncio.to_thread(self.flush_to_disk)
             except Exception:  # noqa: BLE001 - flush must not kill serving
@@ -306,6 +318,8 @@ class LiveServer:
             self.scrapes += 1
             text = prometheus_exposition(self.snapshot_document())
             return 200, "text/plain", text.encode()
+        if path in ("/healthz", "/readyz") and self._failure is not None:
+            return 503, "text/plain", f"failed: {self._failure}\n".encode()
         if path == "/healthz":
             return 200, "text/plain", b"ok\n"
         if path == "/readyz":

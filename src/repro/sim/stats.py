@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.core.allocator import Allocator
 from repro.errors import ConfigurationError
 from repro.sim.config import ScenarioConfig
@@ -111,6 +109,8 @@ def compare_allocators(
         t_statistic = float("inf") if differences[0] != 0 else 0.0
         p_value = 0.0 if differences[0] != 0 else 1.0
     else:
+        from scipy import stats as scipy_stats
+
         t_statistic, p_value = scipy_stats.ttest_rel(values_a, values_b)
         t_statistic = float(t_statistic)
         p_value = float(p_value)

@@ -257,7 +257,8 @@ class TestReleaseProtocol:
 class TestNodeFailure:
     """A node whose own code raises fails the run at once and loudly:
     on the in-process transport the error surfaces on the caller's
-    thread, not as a barrier timeout ``recv_timeout`` later."""
+    thread, and a forked node reports it to the supervisor in a
+    ``fail`` frame, not as a barrier timeout ``recv_timeout`` later."""
 
     @pytest.fixture()
     def failing_decide(self, monkeypatch):
@@ -289,6 +290,30 @@ class TestNodeFailure:
             allocator.allocate(scenario.network, scenario.radio_map)
         assert time.perf_counter() - start < allocator.recv_timeout / 6
         assert failing_decide == [0]
+        assert allocator.last_report == {}
+
+    def test_forked_node_error_stops_the_run_at_once(self, failing_decide):
+        """On ``mp`` every BS is a process with its own copy of the
+        fixture, so all of them raise; the supervisor names the first
+        in its await order with that node's error, and reaps every
+        process before the error leaves ``allocate``."""
+        import multiprocessing
+        import time
+
+        from repro.errors import AllocationError
+
+        scenario = build_scenario(ScenarioConfig.paper(), 300, SEED)
+        allocator = DistributedDMRAAllocator(
+            transport="mp", pricing=scenario.pricing, recv_timeout=10.0
+        )
+        start = time.perf_counter()
+        with pytest.raises(
+            AllocationError,
+            match=r"node 'bs:0' failed: .*injected decide failure at bs:0",
+        ):
+            allocator.allocate(scenario.network, scenario.radio_map)
+        assert time.perf_counter() - start < allocator.recv_timeout / 6
+        assert multiprocessing.active_children() == []
         assert allocator.last_report == {}
 
     def test_failed_agents_cli_skips_the_final_flush(

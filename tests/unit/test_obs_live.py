@@ -77,6 +77,28 @@ class TestEndpoints:
     def test_flightz_404s_without_flight_recorder(self, server):
         assert http_get(server.url + "/flightz")[0] == 404
 
+    def test_mark_failed_flips_health_and_readiness(self, recorder, tmp_path):
+        flight = FlightRecorder(capacity=4)
+        target = tmp_path / "final.json"
+        live = LiveServer(recorder, flight=flight, flush_path=target).start()
+        try:
+            live.mark_ready()
+            assert http_get(live.url + "/healthz") == (200, "ok\n")
+            assert http_get(live.url + "/readyz")[0] == 200
+            live.mark_failed(RuntimeError("replay broke"))
+            for path in ("/healthz", "/readyz"):
+                assert http_get(live.url + path) == (
+                    503, "failed: RuntimeError('replay broke')\n"
+                )
+            assert http_get(live.url + "/metrics")[0] == 200
+            flushes = live.flushes
+        finally:
+            live.stop()
+        assert live.flushes == flushes  # a failed run gets no final flush
+        assert [(e["kind"], e["error"]) for e in flight.dump()["entries"]] == [
+            ("failed", "RuntimeError('replay broke')")
+        ]
+
 
 class TestFlightEndpoint:
     def test_flightz_serves_ring_dump(self, recorder):

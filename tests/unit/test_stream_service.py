@@ -213,12 +213,14 @@ class TestServeCli:
     def test_failed_serve_dumps_flight_ring_without_final_flush(
         self, tmp_path, capsys, monkeypatch
     ):
-        """A replay that raises at its Nth event writes the flight ring,
-        does no final live-plane flush, and lets the error out."""
+        """A replay that raises at its Nth event says so on ``/healthz``
+        and ``/flightz`` for its ``--linger`` window, writes the flight
+        ring, does no final live-plane flush, and lets the error out."""
         import json
         import threading
+        import time
 
-        from repro.obs import LiveServer
+        from repro.obs import LiveServer, http_get
 
         fail_at = 200
         dispatch = StreamDispatcher.dispatch
@@ -242,18 +244,51 @@ class TestServeCli:
                 late_flushes.append(self)
             flush(self)
 
+        port_file = tmp_path / "port"
+        scraped = {}
+
+        def scrape_while_lingering():
+            # Poll /healthz until the failure shows, then read the ring.
+            deadline = time.monotonic() + 60
+            while not port_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            url = f"http://127.0.0.1:{port_file.read_text().strip()}"
+            while time.monotonic() < deadline:
+                health = http_get(url + "/healthz")
+                if health[0] == 503:
+                    scraped["healthz"] = health
+                    scraped["flightz"] = json.loads(
+                        http_get(url + "/flightz")[1]
+                    )
+                    return
+                time.sleep(0.01)
+
         monkeypatch.setattr(StreamDispatcher, "dispatch", failing_dispatch)
         monkeypatch.setattr(LiveServer, "flush_to_disk", watched_flush)
         dump_path = tmp_path / "flight.json"
-        with pytest.raises(RuntimeError, match="injected"):
-            main(CI_SERVE_ARGS + [
-                "--listen", "127.0.0.1:0",
-                "--flush", str(tmp_path / "live.json"),
-                "--flush-interval", "60",
-                "--flight-dump", str(dump_path),
-            ])
+        scraper = threading.Thread(target=scrape_while_lingering)
+        scraper.start()
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                main(CI_SERVE_ARGS + [
+                    "--listen", "127.0.0.1:0",
+                    "--port-file", str(port_file),
+                    "--flush", str(tmp_path / "live.json"),
+                    "--flush-interval", "60",
+                    "--linger", "1",
+                    "--flight-dump", str(dump_path),
+                ])
+        finally:
+            scraper.join()
         assert failed.is_set()
         assert not late_flushes
+        assert scraped["healthz"] == (
+            503, "failed: RuntimeError('injected dispatch failure')\n"
+        )
+        last = scraped["flightz"]["entries"][-1]
+        assert (last["kind"], last["error"]) == (
+            "failed", "RuntimeError('injected dispatch failure')"
+        )
         assert "wrote flight dump" in capsys.readouterr().out
         dump = json.loads(dump_path.read_text())
         entries = dump["entries"]
